@@ -20,20 +20,13 @@ both so the gap stays visible.
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_incremental.py \
-        [--output BENCH_pr2.json] [--repeats 12] [--suite none|quickstart|full]
-
-``--suite`` additionally runs ``pytest benchmarks --benchmark-disable``
-once with ``REPRO_ACTIVATION_CACHE=0`` and once with it on, recording the
-wall-clock of each run (CI uses ``quickstart``; the committed JSON was
-produced with ``full``).
+        [--output BENCH_pr2.json] [--repeats 12]
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
-import subprocess
 import sys
 import time
 from pathlib import Path
@@ -147,27 +140,6 @@ def run_micro_benchmarks(repeats):
     return scenarios
 
 
-def run_suite(selector):
-    """Run ``pytest benchmarks`` with the activation cache off, then on."""
-    timings = {}
-    for mode, env_value in (("dense", "0"), ("incremental", "1")):
-        env = dict(os.environ, REPRO_ACTIVATION_CACHE=env_value)
-        command = [
-            sys.executable, "-m", "pytest", "benchmarks", "--benchmark-disable", "-q",
-        ]
-        if selector == "quickstart":
-            command += ["-k", "quickstart"]
-        start = time.perf_counter()
-        completed = subprocess.run(
-            command, env=env, cwd=Path(__file__).resolve().parent.parent
-        )
-        if completed.returncode != 0:
-            raise SystemExit(f"benchmark suite failed in {mode} mode")
-        timings[f"{mode}_seconds"] = time.perf_counter() - start
-    timings["speedup"] = timings["dense_seconds"] / timings["incremental_seconds"]
-    return {"selector": selector, **timings}
-
-
 def check_gates(scenarios):
     failures = []
     for label, entry in scenarios.items():
@@ -193,9 +165,6 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--output", default="BENCH_pr2.json")
     parser.add_argument("--repeats", type=int, default=12)
-    parser.add_argument(
-        "--suite", choices=["none", "quickstart", "full"], default="none"
-    )
     args = parser.parse_args(argv)
 
     scenarios = run_micro_benchmarks(args.repeats)
@@ -207,8 +176,6 @@ def main(argv=None):
         "single_stage_min_speedup": SINGLE_STAGE_MIN_SPEEDUP,
         "scenarios": scenarios,
     }
-    if args.suite != "none":
-        report["pytest_benchmarks"] = run_suite(args.suite)
 
     failures = check_gates(scenarios)
     report["gates_passed"] = not failures

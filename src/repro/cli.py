@@ -230,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
             "cache the clean scene's activations and evaluate masks through "
             "the detector's incremental dirty-region path (bit-identical to "
             "the dense path, only faster); --no-activation-cache forces the "
-            "dense batched path.  Default: on, unless REPRO_ACTIVATION_CACHE=0"
+            "dense batched path.  Default: on"
         ),
     )
     attack.add_argument(
@@ -251,8 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
             "only the child-vs-parent diff for offspring whose ancestor is "
             "still cached (bit-identical to the clean-splice path, only "
             "faster on lineage-heavy populations); --no-delta-reuse forces "
-            "every mask through the full clean-splice.  Default: on, unless "
-            "REPRO_DELTA_REUSE=0"
+            "every mask through the full clean-splice.  Default: on"
         ),
     )
     attack.add_argument(

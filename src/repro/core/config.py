@@ -2,36 +2,10 @@
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 from repro.core.regions import FullImageRegion, Region
 from repro.nsga.algorithm import NSGAConfig
-
-
-def default_use_activation_cache() -> bool:
-    """Default for every ``use_activation_cache`` switch in the attack stack.
-
-    The ``REPRO_ACTIVATION_CACHE`` environment variable (``0`` disables)
-    lets the benchmark/CI A/B jobs run the whole suite with and without the
-    incremental path without touching every call site; ``AttackConfig``,
-    ``ButterflyObjectives`` and ``EnsembleObjectives`` all default through
-    this function.  Both paths are bit-identical, so this only changes
-    speed.
-    """
-    return os.environ.get("REPRO_ACTIVATION_CACHE", "1") != "0"
-
-
-def default_use_delta_reuse() -> bool:
-    """Default for every ``use_delta_reuse`` switch in the attack stack.
-
-    The ``REPRO_DELTA_REUSE`` environment variable (``0`` disables) lets
-    the benchmark/CI A/B jobs run the whole suite with and without the
-    cross-generation delta-reuse path without touching every call site;
-    ``AttackConfig`` and ``ButterflyObjectives`` default through this
-    function.  Both paths are bit-identical, so this only changes speed.
-    """
-    return os.environ.get("REPRO_DELTA_REUSE", "1") != "0"
 
 
 @dataclass(frozen=True)
@@ -53,7 +27,7 @@ class AttackConfig:
         Cache the clean scene's activations and evaluate masks through the
         detectors' incremental (dirty-region) path where supported.
         Bit-identical to the dense path; only changes speed.  Defaults to
-        on unless ``REPRO_ACTIVATION_CACHE=0`` is set.
+        on.
     activation_cache_size:
         Entry cap of the per-sweep :class:`~repro.detectors.
         activation_cache.ActivationCacheStore` (one entry per cached
@@ -69,8 +43,7 @@ class AttackConfig:
         Memoise each evaluated mask's spliced activations and re-splice
         only the child-vs-parent diff for offspring whose ancestor is still
         cached (cross-generation delta reuse).  Bit-identical to the
-        clean-splice path; only changes speed.  Defaults to on unless
-        ``REPRO_DELTA_REUSE=0`` is set.
+        clean-splice path; only changes speed.  Defaults to on.
     delta_store_size:
         LRU entry cap of the per-scene delta-activation store feeding the
         cross-generation reuse path.
@@ -105,10 +78,10 @@ class AttackConfig:
     region: Region = field(default_factory=FullImageRegion)
     epsilon: float = 2.0
     round_masks: bool = True
-    use_activation_cache: bool = field(default_factory=default_use_activation_cache)
+    use_activation_cache: bool = True
     activation_cache_size: int = 4
     sparse_init_fraction: float = 0.0
-    use_delta_reuse: bool = field(default_factory=default_use_delta_reuse)
+    use_delta_reuse: bool = True
     delta_store_size: int = 256
     fast_search: bool = False
     search_fidelity: str = "windowed"

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.config import AttackConfig, default_use_activation_cache
+from repro.core.config import AttackConfig
 from repro.core.masks import FilterMask, apply_mask
 from repro.core.objectives import ButterflyObjectives
 from repro.core.results import AttackResult, ParetoSolution
@@ -48,7 +48,7 @@ class EnsembleObjectives:
     ensemble: DetectorEnsemble | Sequence[Detector]
     image: np.ndarray
     epsilon: float = 2.0
-    use_activation_cache: bool = field(default_factory=default_use_activation_cache)
+    use_activation_cache: bool = True
     activation_store: ActivationCacheStore | None = None
     members: list[ButterflyObjectives] = field(init=False)
 
@@ -156,6 +156,7 @@ class EnsembleObjectives:
         self,
         masks: np.ndarray,
         dirty_bounds: Sequence[BBox | None] | None = None,
+        ancestry: Sequence[dict | None] | None = None,
     ) -> np.ndarray:
         """Evaluate a whole population of masks; shape (B, 3).
 
@@ -164,6 +165,8 @@ class EnsembleObjectives:
         mask's nonzero bounding box); the rest share one stacked
         ``predict_batch`` pass (Equations 1–3 applied per mask), producing
         vectors identical to calling the evaluator mask by mask.
+        ``ancestry`` completes NSGA-II's evaluator protocol and is not
+        used: members splice against their clean bundles only.
         """
         masks = np.asarray(masks, dtype=np.float64)
         bounds: list[BBox | None]

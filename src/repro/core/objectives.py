@@ -39,7 +39,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from repro.core.config import default_use_activation_cache, default_use_delta_reuse
 from repro.core.masks import FilterMask, apply_mask
 from repro.detection.boxes import iou_matrix
 from repro.detection.prediction import Prediction
@@ -203,8 +202,7 @@ class ButterflyObjectives:
         Precompute the clean scene's activations and evaluate masks through
         the detector's incremental (dirty-region) path when it supports
         one.  Bit-identical to the dense path — the parity suite enforces
-        it — so this switch only changes speed.  Defaults to on unless
-        ``REPRO_ACTIVATION_CACHE=0`` is set (the benchmark A/B switch).
+        it — so this switch only changes speed.  Defaults to on.
     activation_store:
         Optional shared :class:`ActivationCacheStore` (e.g. one per
         experiment sweep) supplying the clean activations; without it the
@@ -221,10 +219,9 @@ class ButterflyObjectives:
         Memoise each evaluated mask's spliced activations (keyed by the
         genome fingerprint NSGA-II propagates) and re-splice only the
         child-vs-parent diff for offspring whose ancestor is still cached.
-        Requires the activation cache and a detector with delta-reuse
-        support; bit-identical to the clean-splice path — the parity suite
-        enforces it — so this switch only changes speed.  Defaults to on
-        unless ``REPRO_DELTA_REUSE=0`` is set (the benchmark A/B switch).
+        Requires the activation cache; bit-identical to the clean-splice
+        path — the parity suite enforces it — so this switch only changes
+        speed.  Defaults to on.
     delta_store_size:
         LRU capacity (entries) of the per-scene delta-activation store.
     """
@@ -237,10 +234,10 @@ class ButterflyObjectives:
     ] = field(default_factory=tuple)
     normalize_intensity: bool = True
     normalize_distance: bool = True
-    use_activation_cache: bool = field(default_factory=default_use_activation_cache)
+    use_activation_cache: bool = True
     activation_store: Optional[ActivationCacheStore] = None
     activation_bundle: Optional[CleanActivations] = None
-    use_delta_reuse: bool = field(default_factory=default_use_delta_reuse)
+    use_delta_reuse: bool = True
     delta_store_size: int = DEFAULT_DELTA_STORE_ENTRIES
 
     def __post_init__(self) -> None:
@@ -274,13 +271,11 @@ class ButterflyObjectives:
             else:
                 self.clean_activations = self.detector.clean_activations(self.image)
         # Delta reuse rides on the clean bundle: attach a per-scene store
-        # when the detector supports reuse and the owning cache did not
-        # already provide one (a store-managed bundle shares its store's
-        # lifecycle — dropping the bundle drops the memoised deltas too).
+        # when the owning cache did not already provide one (a store-managed
+        # bundle shares its store's lifecycle — dropping the bundle drops
+        # the memoised deltas too).
         self._delta_reuse_active = (
-            self.use_delta_reuse
-            and self.clean_activations is not None
-            and getattr(self.detector, "supports_delta_reuse", False)
+            self.use_delta_reuse and self.clean_activations is not None
         )
         if self._delta_reuse_active and self.clean_activations.delta is None:
             self.clean_activations.delta = DeltaActivationStore(
@@ -432,27 +427,23 @@ class ButterflyObjectives:
         """Detector prediction on the perturbed image, via the incremental
         path when clean activations are cached (bit-identical either way).
 
-        An approximate fidelity routes through the batch delta API (the
-        fidelity-aware entry point); the default exact path is unchanged.
+        An approximate fidelity (other than a surrogate scene) is forwarded
+        to the detector; the default exact path is unchanged.
         """
         fidelity = self._fidelity
-        if not fidelity.is_exact and fidelity.scene_scale == 1:
-            if self.clean_activations is not None:
-                return self.detector.predict_delta_batch(
-                    self.image,
-                    mask[None, ...],
-                    [bbox],
-                    self.clean_activations,
-                    fidelity=fidelity,
-                )[0]
-            return self.detector.predict_batch_at(
-                apply_mask(self.image, mask)[None, ...], fidelity
-            )[0]
+        approximate = not fidelity.is_exact and fidelity.scene_scale == 1
         if self.clean_activations is not None:
-            return self.detector.predict_delta(
-                self.image, mask, bbox, self.clean_activations
-            )
-        return self.detector.predict(apply_mask(self.image, mask))
+            return self.detector.predict_delta_batch(
+                self.image,
+                mask[None, ...],
+                [bbox],
+                self.clean_activations,
+                fidelity=fidelity if approximate else None,
+            )[0]
+        perturbed = apply_mask(self.image, mask)
+        if approximate:
+            return self.detector.predict_batch_at(perturbed[None, ...], fidelity)[0]
+        return self.detector.predict(perturbed)
 
     def raw_objectives(self, mask: np.ndarray) -> dict[str, float]:
         """The paper-oriented objective values for reporting.
@@ -648,28 +639,20 @@ class ButterflyObjectives:
                 # Population boundary: shared-memory mappings of entries
                 # evicted during the previous batch are safe to close now.
                 delta.release_evicted()
-            if not fidelity.is_exact:
-                # Approximate phase: fidelity-aware routing, no ancestry —
-                # the delta store's stored predictions are exact-only.
-                predictions = self.detector.predict_delta_batch(
-                    self.image,
-                    masks,
-                    bboxes,
-                    self.clean_activations,
-                    fidelity=fidelity,
-                )
-            elif self._delta_reuse_active:
-                predictions = self.detector.predict_delta_batch(
-                    self.image,
-                    masks,
-                    bboxes,
-                    self.clean_activations,
-                    ancestry=list(ancestry) if ancestry is not None else None,
-                )
-            else:
-                predictions = self.detector.predict_delta_batch(
-                    self.image, masks, bboxes, self.clean_activations
-                )
+            # Ancestry only while reuse is active; the detector ignores it
+            # in an approximate phase (stored predictions are exact-only).
+            predictions = self.detector.predict_delta_batch(
+                self.image,
+                masks,
+                bboxes,
+                self.clean_activations,
+                ancestry=(
+                    list(ancestry)
+                    if ancestry is not None and self._delta_reuse_active
+                    else None
+                ),
+                fidelity=None if fidelity.is_exact else fidelity,
+            )
         else:
             perturbed_images = self.apply_masks(
                 masks, out=self._population_scratch(masks.shape)

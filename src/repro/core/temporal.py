@@ -33,7 +33,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from repro.core.config import AttackConfig, default_use_activation_cache, default_use_delta_reuse
+from repro.core.config import AttackConfig
 from repro.core.attack import ButterflyAttack
 from repro.core.masks import FilterMask, apply_mask
 from repro.core.objectives import ButterflyObjectives, objective_degradation
@@ -202,9 +202,9 @@ class SequenceObjectives:
     track_k: int = 2
     iou_threshold: float = 0.5
     frame_cache_size: int = 2
-    use_activation_cache: bool = field(default_factory=default_use_activation_cache)
+    use_activation_cache: bool = True
     activation_store: Optional[ActivationCacheStore] = None
-    use_delta_reuse: bool = field(default_factory=default_use_delta_reuse)
+    use_delta_reuse: bool = True
     delta_store_size: int = DEFAULT_DELTA_STORE_ENTRIES
     frame_cache: Optional[SequenceActivationCache] = field(init=False, default=None)
     per_frame: list[ButterflyObjectives] = field(init=False)

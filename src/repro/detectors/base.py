@@ -29,8 +29,8 @@ from repro.nn.incremental import (
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.detectors.fidelity import FidelityConfig
 
-#: A "splice item" of the generalised windowed hook: the population index,
-#: the pixel window to recompute, the source grids to splice into, and the
+#: One item of :meth:`Detector._splice_batch`: the population index, the
+#: pixel window to recompute, the source grids to splice into, and the
 #: prediction to return when the window touches no grid cell.
 SpliceItem = tuple[int, BBox, dict, Prediction]
 
@@ -82,6 +82,14 @@ class Detector(abc.ABC):
     required — but the simulated implementations also expose their per-cell
     class-probability maps and backbone features for the grey-box analysis
     utilities (feature heatmaps).
+
+    A third-party detector joins the incremental (dirty-region) path by
+    setting :attr:`supports_incremental` and implementing two methods:
+    :meth:`clean_activations`, which caches the clean scene's tensors, and
+    :meth:`_splice_batch`, which recomputes a list of pixel windows against
+    given source tensors.  Everything else — empty and dense routing,
+    cross-generation delta reuse and the temporal frame derivation — is
+    built on those two here.
     """
 
     #: Short architecture name, e.g. ``"single_stage"`` or ``"transformer"``.
@@ -94,16 +102,8 @@ class Detector(abc.ABC):
     batch_chunk: int = 2
 
     #: Whether :meth:`clean_activations` returns a usable cache (i.e. the
-    #: detector implements a windowed dirty-region forward pass).
+    #: detector implements :meth:`_splice_batch`).
     supports_incremental: bool = False
-
-    #: Whether the detector implements :meth:`_predict_delta_spliced_batch`
-    #: — the generalised windowed hook that can splice against an evaluated
-    #: ancestor's grids instead of the clean bundle (cross-generation delta
-    #: reuse).  Third-party detectors that only override the legacy
-    #: ``_predict_delta_windowed*`` hooks keep working: ancestry is simply
-    #: ignored for them.
-    supports_delta_reuse: bool = False
 
     #: Dirty-bounding-box area fraction (of the image plane) above which the
     #: delta path routes a mask through the dense batched forward pass
@@ -189,7 +189,7 @@ class Detector(abc.ABC):
         reports whether the bundle was derived through the windowed splice
         (a *frame hit*) or rebuilt densely (``previous`` missing, shapes
         differing, the diff too large to profit, or the architecture not
-        supporting the spliced hook).  Either way the bundle is
+        supporting incremental inference).  Either way the bundle is
         bit-identical to :meth:`clean_activations` on ``image`` — the
         splice runs with an all-zero mask, so the recomputed window sees
         exactly the new frame's clean pixels, and identical frames share
@@ -197,11 +197,7 @@ class Detector(abc.ABC):
         contract).
         """
         image = validate_image(image)
-        if (
-            previous is None
-            or not self.supports_incremental
-            or not self.supports_delta_reuse
-        ):
+        if previous is None or not self.supports_incremental:
             return self.clean_activations(image), False
         clean_image = np.clip(image + 0.0, 0.0, 255.0)
         if previous.clean_image.shape != clean_image.shape:
@@ -219,7 +215,7 @@ class Detector(abc.ABC):
         plane = (image.shape[0], image.shape[1])
         if bbox_area_fraction(diff, plane) > self.incremental_dense_fraction:
             return self.clean_activations(image), False
-        predictions, states = self._predict_delta_spliced_batch(
+        predictions, states = self._splice_batch(
             clean_image,
             np.zeros((1,) + clean_image.shape),
             [(0, diff, previous.tensors, previous.prediction)],
@@ -245,68 +241,19 @@ class Detector(abc.ABC):
         """Prediction on ``clip(image + mask, 0, 255)``, bit-identical to
         :meth:`predict` on the perturbed image.
 
-        With a ``clean`` activation bundle (from :meth:`clean_activations`)
-        the detector recomputes only the mask's dirty region — the nonzero
-        bounding box dilated by each stage's receptive field — and splices
-        it into the cached clean activations.  ``dirty_bound`` optionally
-        restricts the nonzero scan to a window known to contain every
-        nonzero pixel (e.g. the O(1) bound propagated by the NSGA-II
-        operators); the exact box is still computed, so a loose bound never
-        changes the result.  Without ``clean`` the perturbed image is
-        simply run through the full forward pass.
-
-        ``ancestry`` opts the mask into cross-generation reuse against the
-        bundle's :class:`DeltaActivationStore` (see
-        :meth:`predict_delta_batch` for the dict shape); every route stays
-        bit-identical, so ancestry only affects speed.
+        The one-mask form of :meth:`predict_delta_batch`, which does all
+        the routing: with a ``clean`` bundle only the mask's dirty region is
+        recomputed, ``dirty_bound`` caps the nonzero scan and ``ancestry``
+        (one record) opts the mask into cross-generation reuse.
         """
-        image = validate_image(image)
-        mask = self._validate_mask(image, mask)
-        if clean is not None and self.supports_incremental:
-            pixel_bbox = mask_nonzero_bbox(mask, within=dirty_bound)
-            if bbox_is_empty(pixel_bbox):
-                return clean.prediction
-            plane = (image.shape[0], image.shape[1])
-            delta_store = clean.delta
-            if (
-                ancestry is not None
-                and self.supports_delta_reuse
-                and delta_store is not None
-            ):
-                outcome, payload = self._ancestor_splice(
-                    mask, pixel_bbox, plane, delta_store, ancestry
-                )
-                if outcome == "hit":
-                    return payload
-                if outcome == "splice":
-                    rel_bbox, tensors, fallback = payload
-                    item: SpliceItem = (0, rel_bbox, tensors, fallback)
-                elif (
-                    bbox_area_fraction(pixel_bbox, plane)
-                    <= self.incremental_dense_fraction
-                ):
-                    item = (0, pixel_bbox, clean.tensors, clean.prediction)
-                else:
-                    item = None  # type: ignore[assignment]
-                if item is not None:
-                    spliced, states = self._predict_delta_spliced_batch(
-                        image, mask[None, ...], [item]
-                    )
-                    self._store_delta(
-                        delta_store,
-                        ancestry.get("fingerprint"),
-                        mask,
-                        pixel_bbox,
-                        spliced[0],
-                        states[0],
-                    )
-                    return spliced[0]
-            elif (
-                bbox_area_fraction(pixel_bbox, plane)
-                <= self.incremental_dense_fraction
-            ):
-                return self._predict_delta_windowed(image, mask, pixel_bbox, clean)
-        return self.predict(np.clip(image + mask, 0.0, 255.0))
+        mask = np.asarray(mask, dtype=np.float64)
+        return self.predict_delta_batch(
+            image,
+            mask[None, ...],
+            [dirty_bound],
+            clean,
+            None if ancestry is None else [ancestry],
+        )[0]
 
     def predict_delta_batch(
         self,
@@ -319,13 +266,18 @@ class Detector(abc.ABC):
     ) -> list[Prediction]:
         """Per-mask predictions on ``clip(image + masks[b], 0, 255)``.
 
-        The population form of :meth:`predict_delta`: each mask is routed
-        by its dirty-region size — empty regions answer from the cached
-        clean prediction, sparse regions go through the windowed recompute
-        (batched over the population where the architecture allows), and
-        dense regions fall back to the stacked :meth:`predict_batch` fast
-        path.  All three routes are bit-identical to :meth:`predict` per
-        mask, so the routing only affects speed.
+        With a ``clean`` activation bundle (from :meth:`clean_activations`)
+        each mask is routed by its dirty-region size — empty regions answer
+        from the cached clean prediction, sparse regions become one splice
+        item each and go through :meth:`_splice_batch` in a single call,
+        and dense regions fall back to the stacked :meth:`predict_batch`
+        fast path.  All three routes are bit-identical to :meth:`predict`
+        per mask, so the routing only affects speed.  ``dirty_bounds``
+        optionally restricts each nonzero scan to a window known to contain
+        every nonzero pixel (e.g. the O(1) bound propagated by the NSGA-II
+        operators); the exact box is still computed, so a loose bound never
+        changes the result.  Without ``clean`` every perturbed image runs
+        through the full forward pass.
 
         ``ancestry`` (one dict or ``None`` per mask) opts a mask into
         cross-generation reuse against the bundle's delta store.  The dict
@@ -338,7 +290,9 @@ class Detector(abc.ABC):
         bit-identical to its ancestor answers from the stored prediction
         outright.  The bound is only a scan window: the exact diff is always
         recomputed, so a loose bound never changes the result, and every
-        route remains bit-identical to :meth:`predict`.
+        route remains bit-identical to :meth:`predict`.  The delta store
+        only decides which grids a mask splices against and whether its
+        spliced grids are stored for its descendants.
 
         ``fidelity`` opts the whole batch into approximate evaluation
         (windowed attention / reduced precision; see
@@ -367,61 +321,42 @@ class Detector(abc.ABC):
                 f"expected {count} dirty bounds, got {len(dirty_bounds)}"
             )
         delta_store: DeltaActivationStore | None = None
-        if (
-            ancestry is not None
-            and clean is not None
-            and self.supports_incremental
-            and self.supports_delta_reuse
-        ):
+        if ancestry is not None and clean is not None and self.supports_incremental:
             if len(ancestry) != count:
                 raise ValueError(
                     f"expected {count} ancestry entries, got {len(ancestry)}"
                 )
             delta_store = clean.delta
         predictions: list[Prediction | None] = [None] * count
-        sparse: list[tuple[int, BBox]] = []
-        spliced_items: list[SpliceItem] = []
-        store_meta: dict[int, tuple[bytes | None, BBox]] = {}
+        items: list[SpliceItem] = []
+        # Per item: the fingerprint its spliced grids are stored under
+        # (``None``: not stored) and the mask's own exact dirty box.
+        stored: list[tuple[bytes | None, BBox]] = []
         dense: list[int] = []
-        if clean is not None and self.supports_incremental:
+        if clean is None or not self.supports_incremental:
+            dense = list(range(count))
+        else:
             plane = (image.shape[0], image.shape[1])
             for index in range(count):
                 bbox = mask_nonzero_bbox(masks[index], within=dirty_bounds[index])
                 if bbox_is_empty(bbox):
                     predictions[index] = clean.prediction
                     continue
-                if delta_store is not None:
-                    info = ancestry[index]  # type: ignore[index]
-                    outcome, payload = self._ancestor_splice(
-                        masks[index], bbox, plane, delta_store, info
-                    )
-                    if outcome == "hit":
-                        predictions[index] = payload
-                        continue
-                    if outcome == "splice":
-                        rel_bbox, tensors, fallback = payload
-                        spliced_items.append((index, rel_bbox, tensors, fallback))
-                        store_meta[index] = (
-                            info.get("fingerprint") if info else None,
-                            bbox,
-                        )
-                        continue
-                if bbox_area_fraction(bbox, plane) <= self.incremental_dense_fraction:
-                    if delta_store is not None:
-                        info = ancestry[index]  # type: ignore[index]
-                        spliced_items.append(
-                            (index, bbox, clean.tensors, clean.prediction)
-                        )
-                        store_meta[index] = (
-                            info.get("fingerprint") if info else None,
-                            bbox,
-                        )
-                    else:
-                        sparse.append((index, bbox))
+                info = ancestry[index] if delta_store is not None else None
+                outcome, payload = self._ancestor_splice(
+                    masks[index], bbox, plane, delta_store, info
+                )
+                if outcome == "hit":
+                    predictions[index] = payload
+                    continue
+                if outcome == "splice":
+                    items.append((index, *payload))
+                elif bbox_area_fraction(bbox, plane) <= self.incremental_dense_fraction:
+                    items.append((index, bbox, clean.tensors, clean.prediction))
                 else:
                     dense.append(index)
-        else:
-            dense = list(range(count))
+                    continue
+                stored.append((info.get("fingerprint") if info else None, bbox))
         if dense:
             stacked = np.clip(image[None, ...] + masks[dense], 0.0, 255.0)
             batch = (
@@ -431,30 +366,14 @@ class Detector(abc.ABC):
             )
             for index, prediction in zip(dense, batch):
                 predictions[index] = prediction
-        if sparse:
-            # The fidelity kwarg is only forwarded when approximate, so
-            # third-party overrides with the pre-fidelity signature keep
-            # working on the (default) exact path.
-            windowed = (
-                self._predict_delta_windowed_batch(image, masks, sparse, clean)
-                if fidelity is None
-                else self._predict_delta_windowed_batch(
-                    image, masks, sparse, clean, fidelity=fidelity
-                )
-            )
-            for (index, _), prediction in zip(sparse, windowed):
-                predictions[index] = prediction
-        if spliced_items:
-            spliced, states = self._predict_delta_spliced_batch(
-                image, masks, spliced_items
-            )
-            for (index, _, _, _), prediction, state in zip(
-                spliced_items, spliced, states
+        if items:
+            spliced, states = self._splice_batch(image, masks, items, fidelity, clean)
+            for (index, *_), (fingerprint, bbox), prediction, state in zip(
+                items, stored, spliced, states
             ):
                 predictions[index] = prediction
-                fingerprint, own_bbox = store_meta[index]
                 self._store_delta(
-                    delta_store, fingerprint, masks[index], own_bbox, prediction, state
+                    delta_store, fingerprint, masks[index], bbox, prediction, state
                 )
         return predictions  # type: ignore[return-value]
 
@@ -463,7 +382,7 @@ class Detector(abc.ABC):
         mask: np.ndarray,
         bbox: BBox,
         plane: tuple[int, int],
-        delta_store: DeltaActivationStore,
+        delta_store: DeltaActivationStore | None,
         info: dict | None,
     ):
         """Route one mask against its ancestor's stored grids, if cheaper.
@@ -475,7 +394,7 @@ class Detector(abc.ABC):
         ``("none", None)`` otherwise (no usable ancestor, or the relative
         window is not smaller than the mask's own dirty region).
         """
-        if info is None:
+        if delta_store is None or info is None:
             return "none", None
         ancestor_key = info.get("ancestor")
         if ancestor_key is None:
@@ -525,74 +444,37 @@ class Detector(abc.ABC):
             ),
         )
 
-    def _validate_mask(self, image: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        mask = np.asarray(mask, dtype=np.float64)
-        if mask.shape != image.shape:
-            raise ValueError(
-                f"mask shape {mask.shape} does not match image shape {image.shape}"
-            )
-        return mask
-
-    def _predict_delta_windowed(
-        self,
-        image: np.ndarray,
-        mask: np.ndarray,
-        pixel_bbox: BBox,
-        clean: CleanActivations,
-    ) -> Prediction:
-        """Architecture hook: windowed recompute of one sparse mask.
-
-        Only reached when :attr:`supports_incremental` is True; such
-        detectors must override it.
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} declares incremental support but does not "
-            "implement _predict_delta_windowed"
-        )
-
-    def _predict_delta_windowed_batch(
-        self,
-        image: np.ndarray,
-        masks: np.ndarray,
-        items: list[tuple[int, BBox]],
-        clean: CleanActivations,
-        fidelity: "FidelityConfig | None" = None,
-    ) -> list[Prediction]:
-        """Windowed recompute of the sparse members of a population.
-
-        The generic form loops :meth:`_predict_delta_windowed` and ignores
-        ``fidelity`` (approximation is a permission, exact answers are
-        always valid); architectures override it to batch the shared tail
-        stages (probabilities, attention) across the population and to
-        honour approximate fidelities where they implement them.
-        """
-        return [
-            self._predict_delta_windowed(image, masks[index], bbox, clean)
-            for index, bbox in items
-        ]
-
-    def _predict_delta_spliced_batch(
+    def _splice_batch(
         self,
         image: np.ndarray,
         masks: np.ndarray,
         items: list[SpliceItem],
+        fidelity: "FidelityConfig | None" = None,
+        clean: CleanActivations | None = None,
     ) -> tuple[list[Prediction], list[dict | None]]:
-        """Architecture hook: windowed recompute against explicit sources.
+        """Architecture hook: windowed recompute of sparse masks.
 
-        The generalised form of :meth:`_predict_delta_windowed_batch`: each
-        item names the grids to splice into (the clean bundle's tensors or
-        an evaluated ancestor's stored grids — both carry the same stage
-        names), so the same code path serves first-order and
-        cross-generation incremental inference.  Returns the per-item
-        predictions plus the per-item *pre-finalisation* spliced grids
-        (``None`` when the window touched no cell and the fallback
-        prediction was returned) for the caller to memoize.  Only reached
-        when :attr:`supports_delta_reuse` is True; such detectors must
-        override it.
+        Each item ``(index, window, source, fallback)`` asks for
+        ``masks[index]`` applied to ``image`` with the pixel ``window``
+        recomputed and spliced into the ``source`` grids — the clean
+        bundle's tensors, an evaluated ancestor's stored grids or, for the
+        temporal frame derivation, the previous frame's tensors (all carry
+        the clean bundle's stage names) — and ``fallback`` is the
+        prediction to return when the window touches no grid cell.
+        Returns the per-item predictions plus the per-item
+        *pre-finalisation* spliced grids (``None`` where the fallback was
+        returned) for the caller to memoize.
+
+        ``fidelity`` (``None`` = exact, the bit-identical path) permits an
+        approximate recompute; approximate batches only carry clean-bundle
+        sources, ``clean`` is that bundle (for memoised fidelity state),
+        and their returned grids are never memoized.  Only reached when
+        :attr:`supports_incremental` is True; such detectors must override
+        it.
         """
         raise NotImplementedError(
-            f"{type(self).__name__} declares delta-reuse support but does not "
-            "implement _predict_delta_spliced_batch"
+            f"{type(self).__name__} declares incremental support but does not "
+            "implement _splice_batch"
         )
 
     def _decode(

@@ -19,9 +19,11 @@ from repro.detectors.activation_cache import CleanActivations
 from repro.detectors.base import (
     Detector,
     DetectorConfig,
+    SpliceItem,
     validate_image,
     validate_image_batch,
 )
+from repro.detectors.fidelity import FidelityConfig
 from repro.detectors.prototypes import PrototypeBank
 from repro.nn.conv import box_filter, box_filter_batch
 from repro.nn.features import GridFeatureExtractor
@@ -56,7 +58,6 @@ class SingleStageDetector(Detector):
 
     architecture = "single_stage"
     supports_incremental = True
-    supports_delta_reuse = True
 
     def __init__(
         self,
@@ -207,19 +208,20 @@ class SingleStageDetector(Detector):
         mask: np.ndarray,
         pixel_bbox: BBox,
         source: dict[str, np.ndarray],
-    ) -> tuple[np.ndarray, np.ndarray | None] | None:
-        """Pre-finalisation ``(features, smoothed)`` pair after splicing the
-        ``pixel_bbox`` window into ``source`` grids, or ``None`` when the
-        window touches no grid cell.
+    ) -> dict[str, np.ndarray] | None:
+        """Pre-finalisation ``features``/``smoothed`` grids after splicing
+        the ``pixel_bbox`` window into ``source`` grids, or ``None`` when
+        the window touches no grid cell.
 
-        ``source`` is either the clean bundle's tensors or an evaluated
-        ancestor's stored grids (cross-generation reuse) — the splice is
-        the same either way: recompute the feature extraction on the dirty
-        cell window (pixel box dilated by the 1-pixel Sobel halo), splice
-        it into the source raw grid, and recompute the local smoothing on
-        the window dilated by the box-filter radius.  Cells outside the
-        window read identical input pixels in the source and the perturbed
-        image, so the spliced grids are bit-identical to a full recompute.
+        ``source`` is the clean bundle's tensors, an evaluated ancestor's
+        stored grids (cross-generation reuse) or the previous frame's
+        tensors (temporal derivation) — the splice is the same either way:
+        recompute the feature extraction on the dirty cell window (pixel
+        box dilated by the 1-pixel Sobel halo), splice it into the source
+        raw grid, and recompute the local smoothing on the window dilated
+        by the box-filter radius.  Cells outside the window read identical
+        input pixels in the source and the perturbed image, so the spliced
+        grids are bit-identical to a full recompute.
         """
         grid_shape = self.extractor.grid_shape(image)
         cell_bbox = pixel_bbox_to_cell_bbox(
@@ -234,7 +236,7 @@ class SingleStageDetector(Detector):
         features[cr0:cr1, cc0:cc1] = self.extractor.window_features(
             image, mask, cell_bbox
         )
-        smoothed: np.ndarray | None = None
+        state = {"features": features}
         if self.local_smoothing > 1:
             if self.local_smoothing % 2 == 1:
                 smoothed = source["smoothed"].copy()
@@ -245,92 +247,32 @@ class SingleStageDetector(Detector):
                 smoothed[sr0:sr1, sc0:sc1] = box_filter_window_channels(
                     features, self.local_smoothing, smooth_bbox
                 )
+                state["smoothed"] = smoothed
             else:
                 # Even box sizes follow scipy's 'same'-mode alignment, which
                 # the windowed kernels do not reproduce; the grid is tiny,
                 # so recompute the smoothing stage whole-grid instead.
-                smoothed = self._smooth(features)
-        return features, smoothed
+                state["smoothed"] = self._smooth(features)
+        return state
 
-    def _delta_feature_grid(
-        self,
-        image: np.ndarray,
-        mask: np.ndarray,
-        pixel_bbox: BBox,
-        clean: CleanActivations,
-    ) -> np.ndarray | None:
-        """Finalised feature grid of the perturbed image, or ``None`` when
-        the dirty region touches no grid cell (prediction is the clean one).
-
-        The windowed splice happens in :meth:`_delta_feature_state`; this
-        finishes with the whole-grid blend and global-context stages —
-        every step bit-identical to the full pass.
-        """
-        state = self._delta_feature_state(image, mask, pixel_bbox, clean.tensors)
-        if state is None:
-            return None
-        return self._finalize_features(*state)
-
-    def _predict_delta_windowed(
-        self,
-        image: np.ndarray,
-        mask: np.ndarray,
-        pixel_bbox: BBox,
-        clean: CleanActivations,
-    ) -> Prediction:
-        grid = self._delta_feature_grid(image, mask, pixel_bbox, clean)
-        if grid is None:
-            return clean.prediction
-        probabilities = self.prototypes.probabilities(grid)
-        return self._decode(probabilities, (image.shape[0], image.shape[1]))
-
-    def _predict_delta_windowed_batch(
+    def _splice_batch(
         self,
         image: np.ndarray,
         masks: np.ndarray,
-        items: list[tuple[int, BBox]],
-        clean: CleanActivations,
-        fidelity=None,
-    ) -> list[Prediction]:
-        """Batch the classification head over the sparse population members.
-
-        The per-member windowed work happens in a loop (window sizes
-        differ), but the prototype probabilities run once over the stacked
-        grids — per-cell operations, bit-identical to the per-grid call.
-        A reduced-precision ``fidelity`` quantises the stacked grids before
-        the head (the splice itself is already windowed and stays exact);
-        exact/``None`` is the unchanged parity path.
-        """
-        grids = [
-            self._delta_feature_grid(image, masks[index], bbox, clean)
-            for index, bbox in items
-        ]
-        live = [i for i, grid in enumerate(grids) if grid is not None]
-        predictions: list[Prediction] = [clean.prediction] * len(items)
-        if live:
-            stacked = np.stack([grids[i] for i in live], axis=0)
-            if fidelity is not None and fidelity.numpy_dtype != np.float64:
-                stacked = stacked.astype(fidelity.numpy_dtype)
-            probabilities = self.prototypes.probabilities(stacked)
-            image_shape = (image.shape[0], image.shape[1])
-            decoded = self._decode_batch(probabilities, image_shape)
-            for i, prediction in zip(live, decoded):
-                predictions[i] = prediction
-        return predictions
-
-    def _predict_delta_spliced_batch(
-        self,
-        image: np.ndarray,
-        masks: np.ndarray,
-        items: list[tuple[int, BBox, dict, Prediction]],
+        items: list[SpliceItem],
+        fidelity: FidelityConfig | None = None,
+        clean: CleanActivations | None = None,
     ) -> tuple[list[Prediction], list[dict | None]]:
-        """Windowed recompute of sparse members against explicit sources.
+        """Windowed recompute of sparse members against their source grids.
 
-        Identical arithmetic to :meth:`_predict_delta_windowed_batch` — the
-        per-cell prototype probabilities are independent per grid, so the
-        stacked head gives bit-identical results however items mix clean
-        and ancestor sources — plus the pre-finalisation grids for the
-        delta store.
+        The per-member splice runs in a loop (window sizes differ), then
+        the whole-grid blend and global-context stages finish each grid and
+        the prototype probabilities run once over the stacked grids —
+        per-cell operations, so every grid is bit-identical to the full
+        forward pass however items mix clean, ancestor and previous-frame
+        sources.  A reduced-precision ``fidelity`` quantises the stacked
+        grids before the head (the splice itself is windowed and stays
+        exact), so ``clean`` is not needed.
 
         The temporal frame-to-frame derivation (:meth:`~repro.detectors.
         base.Detector.clean_activations_delta`) also routes here, with a
@@ -345,25 +287,22 @@ class SingleStageDetector(Detector):
             for index, bbox, source, _ in items
         ]
         live = [i for i, state in enumerate(states) if state is not None]
-        predictions: list[Prediction] = [fallback for _, _, _, fallback in items]
+        predictions: list[Prediction] = [fallback for *_, fallback in items]
         if live:
-            probabilities = self.prototypes.probabilities(
-                np.stack(
-                    [self._finalize_features(*states[i]) for i in live], axis=0
-                )
+            stacked = np.stack(
+                [
+                    self._finalize_features(
+                        states[i]["features"], states[i].get("smoothed")
+                    )
+                    for i in live
+                ],
+                axis=0,
             )
+            if fidelity is not None and fidelity.numpy_dtype != np.float64:
+                stacked = stacked.astype(fidelity.numpy_dtype)
+            probabilities = self.prototypes.probabilities(stacked)
             image_shape = (image.shape[0], image.shape[1])
             decoded = self._decode_batch(probabilities, image_shape)
             for i, prediction in zip(live, decoded):
                 predictions[i] = prediction
-        state_dicts: list[dict | None] = []
-        for state in states:
-            if state is None:
-                state_dicts.append(None)
-                continue
-            features, smoothed = state
-            tensors = {"features": features}
-            if smoothed is not None:
-                tensors["smoothed"] = smoothed
-            state_dicts.append(tensors)
-        return predictions, state_dicts
+        return predictions, states

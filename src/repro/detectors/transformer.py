@@ -18,9 +18,11 @@ from repro.detectors.activation_cache import CleanActivations
 from repro.detectors.base import (
     Detector,
     DetectorConfig,
+    SpliceItem,
     validate_image,
     validate_image_batch,
 )
+from repro.detectors.fidelity import FidelityConfig
 from repro.detectors.prototypes import PrototypeBank
 from repro.nn.attention import MultiHeadSelfAttention
 from repro.nn.features import CELL_FEATURE_DIM, GridFeatureExtractor
@@ -79,7 +81,6 @@ class TransformerDetector(Detector):
 
     architecture = "transformer"
     supports_incremental = True
-    supports_delta_reuse = True
 
     def __init__(
         self,
@@ -207,70 +208,6 @@ class TransformerDetector(Detector):
         clean.fidelity_state[key] = state
         return state
 
-    def _approx_windowed_grid(
-        self,
-        image: np.ndarray,
-        mask: np.ndarray,
-        pixel_bbox: BBox,
-        clean: CleanActivations,
-        fidelity,
-    ) -> np.ndarray | None:
-        """Blended (attention-mixed) feature grid under windowed attention.
-
-        The bounded-error counterpart of splice + :meth:`_mix_features`:
-
-        * dirty cells (the mask's spliced window) get exact raw features
-          and exact stage-0 embeddings;
-        * each attention layer refreshes only the rows of the dirty window
-          dilated by ``fidelity.attention_window`` cells — rows outside
-          keep the clean scene's cached outputs (layer-1 window rows are
-          exact, deeper layers accumulate bounded staleness);
-        * mixing rows inside the window are recomputed from the refreshed
-          tokens; rows outside propagate the raw-feature delta *exactly*
-          through the clean scene's stale attention weights.
-
-        ``attention_window=None`` refreshes every row (full recompute at
-        the requested dtype).  Returns ``None`` when no cell is touched.
-        """
-        grid_shape = self.extractor.grid_shape(image)
-        rows, cols = grid_shape
-        cell_bbox = pixel_bbox_to_cell_bbox(
-            dilate_bbox(pixel_bbox, 1, (image.shape[0], image.shape[1])),
-            self.config.cell,
-            grid_shape,
-        )
-        if bbox_is_empty(cell_bbox):
-            return None
-        dtype = fidelity.numpy_dtype
-        state = self._fidelity_state(clean, dtype)
-        dirty = _flat_cell_indices(cell_bbox, cols)
-        if fidelity.attention_window is None:
-            window = np.arange(rows * cols)
-        else:
-            window = _flat_cell_indices(
-                dilate_bbox(cell_bbox, fidelity.attention_window, grid_shape), cols
-            )
-        flat_p = state["flat"].copy()
-        patch = self.extractor.window_features(image, mask, cell_bbox)
-        flat_p[dirty] = np.asarray(
-            patch.reshape(-1, patch.shape[-1]), dtype=dtype
-        )
-        tokens = state["tokens"][0].copy()
-        tokens[dirty] = layer_norm(
-            self.embedding.at(flat_p[dirty], dtype) + state["pos"][dirty], axis=-1
-        )
-        for depth, layer in enumerate(self.layers):
-            refreshed = state["tokens"][depth + 1].copy()
-            refreshed[window] = layer.forward_rows(tokens, window, dtype=dtype)
-            tokens = refreshed
-        window_weights = self._mixing_weights_rows(tokens, window, dtype)
-        raw_delta = flat_p[dirty] - state["flat"][dirty]
-        mixed = state["mixed"] + state["weights"][:, dirty] @ raw_delta
-        mixed[window] = window_weights @ flat_p
-        alpha = float(self.attention_mix)
-        blended = (1.0 - alpha) * flat_p + alpha * mixed
-        return blended.reshape(rows, cols, flat_p.shape[-1])
-
     def _approx_full_grid(self, raw: np.ndarray, dtype: np.dtype) -> np.ndarray:
         """Full blended feature grid of one image at a reduced dtype.
 
@@ -384,8 +321,8 @@ class TransformerDetector(Detector):
         source: dict[str, np.ndarray],
     ) -> np.ndarray | None:
         """Raw patch tokens after splicing the ``pixel_bbox`` window into a
-        ``source`` raw grid (the clean bundle's, or an evaluated ancestor's
-        stored tokens for cross-generation reuse); ``None`` when no cell is
+        ``source`` raw grid (the clean bundle's, an evaluated ancestor's
+        stored tokens or the previous frame's); ``None`` when no cell is
         touched.  Tokens outside the window read identical input pixels, so
         the spliced grid is bit-identical to a full extraction; the global
         attention stage is always recomputed from it.
@@ -403,140 +340,156 @@ class TransformerDetector(Detector):
         raw[cr0:cr1, cc0:cc1] = self.extractor.window_features(image, mask, cell_bbox)
         return raw
 
-    def _delta_raw_grid(
-        self,
-        image: np.ndarray,
-        mask: np.ndarray,
-        pixel_bbox: BBox,
-        clean: CleanActivations,
-    ) -> np.ndarray | None:
-        """Raw patch tokens of the perturbed image, spliced into the cached
-        clean grid; ``None`` when no cell is touched (clean prediction
-        stands — unperturbed tokens produce the clean attention pattern).
-        """
-        return self._delta_raw_state(image, mask, pixel_bbox, clean.tensors)
+    def _decode_chunks(
+        self, grids: np.ndarray, image_shape: tuple[int, int], mix: bool
+    ) -> list[Prediction]:
+        """Head and decode over stacked grids in :attr:`delta_batch_chunk`
+        chunks, running the exact attention mixing first when ``mix``.
+        Attention carries the batch axis through every token operation
+        unchanged, so per-grid results are bit-identical to the
+        single-image path for every chunk size."""
+        chunk = max(1, int(self.delta_batch_chunk))
+        decoded: list[Prediction] = []
+        for start in range(0, grids.shape[0], chunk):
+            features = grids[start : start + chunk]
+            if mix:
+                features = self._mix_features(features)
+            probabilities = self.prototypes.probabilities(features)
+            decoded.extend(self._decode_batch(probabilities, image_shape))
+        return decoded
 
-    def _predict_delta_windowed(
-        self,
-        image: np.ndarray,
-        mask: np.ndarray,
-        pixel_bbox: BBox,
-        clean: CleanActivations,
-    ) -> Prediction:
-        raw = self._delta_raw_grid(image, mask, pixel_bbox, clean)
-        if raw is None:
-            return clean.prediction
-        probabilities = self.prototypes.probabilities(self._mix_features(raw))
-        return self._decode(probabilities, (image.shape[0], image.shape[1]))
-
-    def _predict_delta_windowed_batch(
+    def _splice_batch(
         self,
         image: np.ndarray,
         masks: np.ndarray,
-        items: list[tuple[int, BBox]],
-        clean: CleanActivations,
-        fidelity=None,
-    ) -> list[Prediction]:
+        items: list[SpliceItem],
+        fidelity: FidelityConfig | None = None,
+        clean: CleanActivations | None = None,
+    ) -> tuple[list[Prediction], list[dict | None]]:
         """Splice each member's dirty window, then batch the global stages.
 
         The local feature extraction runs per member on its own window (the
         window sizes differ); the global attention mixing and the
-        classification head run over the stacked spliced grids in the same
-        cache-friendly chunks as :meth:`predict_batch`.  Attention carries
-        the batch axis through every token operation unchanged, so per-grid
-        results are bit-identical to the single-image delta path.
+        classification head run over the stacked spliced grids.
+        Cross-generation reuse skips re-extracting the ancestor's patch
+        tokens — only the relative dirty window is spliced — but attention
+        (the parity-capped part of the transformer path) is always
+        recomputed from the full spliced grid, so per-grid results are
+        bit-identical however items mix clean and ancestor sources.
+
+        The temporal frame-to-frame derivation (:meth:`~repro.detectors.
+        base.Detector.clean_activations_delta`) also routes here, with a
+        *zero* mask and the previous frame's clean tensors as the source:
+        ``clip(image + 0)`` is the new frame's clean image, so splicing the
+        inter-frame diff window into the previous ``raw`` grid yields the
+        new frame's clean activations bit-exactly, and the returned state
+        dicts use the clean bundle's stage name (``raw``).
 
         An approximate ``fidelity`` routes through the windowed-attention
-        recompute (:meth:`_approx_windowed_grid`) instead — the opt-in
-        bounded-error path; ``None``/exact is the unchanged parity path.
+        recompute (:meth:`_approx_predictions`) against the ``clean``
+        bundle instead — the opt-in bounded-error path, whose grids are not
+        returned for memoisation.
         """
-        if fidelity is not None and not fidelity.is_exact:
-            return self._approx_delta_batch(image, masks, items, clean, fidelity)
+        if fidelity is not None:
+            return (
+                self._approx_predictions(image, masks, items, clean, fidelity),
+                [None] * len(items),
+            )
         grids = [
-            self._delta_raw_grid(image, masks[index], bbox, clean)
-            for index, bbox in items
+            self._delta_raw_state(image, masks[index], bbox, source)
+            for index, bbox, source, _ in items
         ]
         live = [i for i, grid in enumerate(grids) if grid is not None]
-        predictions: list[Prediction] = [clean.prediction] * len(items)
+        predictions: list[Prediction] = [fallback for *_, fallback in items]
         if live:
-            stacked = np.stack([grids[i] for i in live], axis=0)
-            image_shape = (image.shape[0], image.shape[1])
-            chunk = max(1, int(self.delta_batch_chunk))
-            decoded: list[Prediction] = []
-            for start in range(0, stacked.shape[0], chunk):
-                probabilities = self.prototypes.probabilities(
-                    self._mix_features(stacked[start : start + chunk])
-                )
-                decoded.extend(self._decode_batch(probabilities, image_shape))
+            decoded = self._decode_chunks(
+                np.stack([grids[i] for i in live], axis=0),
+                (image.shape[0], image.shape[1]),
+                mix=True,
+            )
             for i, prediction in zip(live, decoded):
                 predictions[i] = prediction
-        return predictions
+        return predictions, [
+            None if grid is None else {"raw": grid} for grid in grids
+        ]
 
-    def _approx_delta_batch(
+    def _approx_window(
+        self, image: np.ndarray, pixel_bbox: BBox, fidelity: FidelityConfig
+    ) -> tuple[BBox, np.ndarray, np.ndarray] | None:
+        """``(cell_bbox, dirty, window)`` of one mask under windowed
+        attention, or ``None`` when no cell is touched.
+
+        ``dirty`` holds the flat token indices of the mask's spliced cell
+        window, ``window`` those of the attention rows to refresh: the
+        dirty window dilated by ``fidelity.attention_window`` cells, or
+        every row when that is ``None`` (full recompute at the requested
+        dtype).
+        """
+        grid_shape = self.extractor.grid_shape(image)
+        rows, cols = grid_shape
+        cell_bbox = pixel_bbox_to_cell_bbox(
+            dilate_bbox(pixel_bbox, 1, (image.shape[0], image.shape[1])),
+            self.config.cell,
+            grid_shape,
+        )
+        if bbox_is_empty(cell_bbox):
+            return None
+        dirty = _flat_cell_indices(cell_bbox, cols)
+        if fidelity.attention_window is None:
+            window = np.arange(rows * cols)
+        else:
+            window = _flat_cell_indices(
+                dilate_bbox(cell_bbox, fidelity.attention_window, grid_shape), cols
+            )
+        return cell_bbox, dirty, window
+
+    def _approx_predictions(
         self,
         image: np.ndarray,
         masks: np.ndarray,
-        items: list[tuple[int, BBox]],
+        items: list[SpliceItem],
         clean: CleanActivations,
-        fidelity,
+        fidelity: FidelityConfig,
     ) -> list[Prediction]:
         """Windowed-attention delta evaluation of a sparse population.
 
         Members are grouped by their (dirty, window) index shapes — in the
         NSGA sparse regime most offspring share a patch geometry — and each
         group runs the bounded-error recompute *batched* over its members
-        (one BLAS call per stage instead of a per-mask Python loop); the
-        classification head and decode then run over the stacked grids in
-        the same chunks as the exact path.  Per-member results match
-        :meth:`_approx_windowed_grid` up to BLAS-blocking noise (pinned by
-        the fidelity test suite).  Untouched members answer the *exact*
-        clean prediction — approximation never degrades an evaluation the
-        cache already answers for free.
+        (:meth:`_approx_windowed_group`: one BLAS call per stage instead of
+        a per-mask Python loop); the classification head and decode then
+        run over the stacked grids in the same chunks as the exact path.
+        Untouched members answer their (exact clean) fallback prediction —
+        approximation never degrades an evaluation the cache already
+        answers for free.
         """
-        plane = (image.shape[0], image.shape[1])
-        grid_shape = self.extractor.grid_shape(image)
-        grid_rows, grid_cols = grid_shape
-        dtype = fidelity.numpy_dtype
-        state = self._fidelity_state(clean, dtype)
-        predictions: list[Prediction] = [clean.prediction] * len(items)
+        grid_rows, grid_cols = self.extractor.grid_shape(image)
+        state = self._fidelity_state(clean, fidelity.numpy_dtype)
+        predictions: list[Prediction] = [fallback for *_, fallback in items]
         groups: dict[tuple[int, int], list] = {}
-        for pos, (index, bbox) in enumerate(items):
-            cell_bbox = pixel_bbox_to_cell_bbox(
-                dilate_bbox(bbox, 1, plane), self.config.cell, grid_shape
-            )
-            if bbox_is_empty(cell_bbox):
-                continue
-            dirty = _flat_cell_indices(cell_bbox, grid_cols)
-            if fidelity.attention_window is None:
-                window = np.arange(grid_rows * grid_cols)
-            else:
-                window = _flat_cell_indices(
-                    dilate_bbox(cell_bbox, fidelity.attention_window, grid_shape),
-                    grid_cols,
+        for pos, (index, bbox, _, _) in enumerate(items):
+            member = self._approx_window(image, bbox, fidelity)
+            if member is not None:
+                _, dirty, window = member
+                groups.setdefault((dirty.size, window.size), []).append(
+                    (pos, index, *member)
                 )
-            groups.setdefault((dirty.size, window.size), []).append(
-                (pos, index, cell_bbox, dirty, window)
-            )
         live: list[int] = []
         grids: list[np.ndarray] = []
         for group in groups.values():
             blended = self._approx_windowed_group(image, masks, group, state, fidelity)
-            for (pos, _, _, _, _), grid in zip(group, blended):
+            for (pos, *_), grid in zip(group, blended):
                 live.append(pos)
                 grids.append(grid.reshape(grid_rows, grid_cols, grid.shape[-1]))
         if grids:
             # Head/decode in deterministic population order, independent of
             # the grouping that produced the grids.
             order = np.argsort(live, kind="stable")
-            stacked = np.stack([grids[i] for i in order], axis=0)
-            image_shape = plane
-            chunk = max(1, int(self.delta_batch_chunk))
-            decoded: list[Prediction] = []
-            for start in range(0, stacked.shape[0], chunk):
-                probabilities = self.prototypes.probabilities(
-                    stacked[start : start + chunk]
-                )
-                decoded.extend(self._decode_batch(probabilities, image_shape))
+            decoded = self._decode_chunks(
+                np.stack([grids[i] for i in order], axis=0),
+                (image.shape[0], image.shape[1]),
+                mix=False,
+            )
             for i, prediction in zip(order, decoded):
                 predictions[live[i]] = prediction
         return predictions
@@ -552,13 +505,18 @@ class TransformerDetector(Detector):
         """Batched windowed recompute of one same-shape group.
 
         ``group`` entries are ``(pos, index, cell_bbox, dirty, window)``
-        with equal ``dirty``/``window`` sizes; returns the ``(B, tokens,
-        dim)`` blended features.  Same algorithm as
-        :meth:`_approx_windowed_grid` with a batch axis: splice dirty raw
-        features, refresh stage-0 embeddings of dirty rows, refresh each
-        attention layer only on the window rows, then recompute mixing
-        rows inside the window and propagate the raw delta exactly through
-        the stale clean weights outside it.
+        with equal ``dirty``/``window`` sizes (see :meth:`_approx_window`);
+        returns the ``(B, tokens, dim)`` blended features, the
+        bounded-error counterpart of splice + :meth:`_mix_features`:
+
+        * dirty cells (each mask's spliced window) get exact raw features
+          and exact stage-0 embeddings;
+        * each attention layer refreshes only the window rows — rows
+          outside keep the clean scene's cached outputs (layer-1 window
+          rows are exact, deeper layers accumulate bounded staleness);
+        * mixing rows inside the window are recomputed from the refreshed
+          tokens; rows outside propagate the raw-feature delta *exactly*
+          through the clean scene's stale attention weights.
         """
         dtype = fidelity.numpy_dtype
         count = len(group)
@@ -598,49 +556,3 @@ class TransformerDetector(Detector):
         mixed[batch, window] = window_weights @ flat_p
         alpha = float(self.attention_mix)
         return (1.0 - alpha) * flat_p + alpha * mixed
-
-    def _predict_delta_spliced_batch(
-        self,
-        image: np.ndarray,
-        masks: np.ndarray,
-        items: list[tuple[int, BBox, dict, Prediction]],
-    ) -> tuple[list[Prediction], list[dict | None]]:
-        """Windowed recompute of sparse members against explicit sources.
-
-        Cross-generation reuse skips re-extracting the ancestor's patch
-        tokens — only the relative dirty window is spliced — but the global
-        attention stage (the parity-capped part of the transformer path) is
-        always recomputed from the full spliced grid, in the same chunks as
-        :meth:`_predict_delta_windowed_batch`; attention carries the batch
-        axis through every token operation unchanged, so per-grid results
-        are bit-identical however items mix clean and ancestor sources.
-
-        The temporal frame-to-frame derivation (:meth:`~repro.detectors.
-        base.Detector.clean_activations_delta`) also routes here, with a
-        *zero* mask and the previous frame's clean tensors as the source:
-        ``clip(image + 0)`` is the new frame's clean image, so splicing the
-        inter-frame diff window into the previous ``raw`` grid yields the
-        new frame's clean activations bit-exactly, and the returned state
-        dicts use the clean bundle's stage name (``raw``).
-        """
-        grids = [
-            self._delta_raw_state(image, masks[index], bbox, source)
-            for index, bbox, source, _ in items
-        ]
-        live = [i for i, grid in enumerate(grids) if grid is not None]
-        predictions: list[Prediction] = [fallback for _, _, _, fallback in items]
-        if live:
-            stacked = np.stack([grids[i] for i in live], axis=0)
-            image_shape = (image.shape[0], image.shape[1])
-            chunk = max(1, int(self.delta_batch_chunk))
-            decoded: list[Prediction] = []
-            for start in range(0, stacked.shape[0], chunk):
-                probabilities = self.prototypes.probabilities(
-                    self._mix_features(stacked[start : start + chunk])
-                )
-                decoded.extend(self._decode_batch(probabilities, image_shape))
-            for i, prediction in zip(live, decoded):
-                predictions[i] = prediction
-        return predictions, [
-            None if grid is None else {"raw": grid} for grid in grids
-        ]

@@ -21,6 +21,14 @@ Each generation's unevaluated individuals flow through one batched pass:
    detector pass for the whole population), with a sequential per-genome
    fallback otherwise.
 
+The fast path is an explicit protocol:
+``evaluate_population(masks, dirty_bounds=None, ancestry=None)`` returns
+one objective row per mask, and NSGA-II always passes both hint lists —
+the O(1) dirty-region bound of every genome and its ancestry record (own
+fingerprint, parent fingerprint, child-vs-parent diff bound).  Hints only
+cap scans and redirect which cached activations are spliced; they never
+change objective values.
+
 Both paths are bit-identical by construction (the parity test suite
 enforces it), so ``NSGAConfig.batch_evaluation`` only changes speed, never
 results.  ``NSGAResult.num_evaluations`` keeps its historical meaning — the
@@ -40,7 +48,6 @@ because they never change objective values.
 from __future__ import annotations
 
 import hashlib
-import inspect
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
@@ -199,7 +206,9 @@ class NSGAII:
     Parameters
     ----------
     objective_function:
-        Maps a genome to a minimised objective vector.
+        Maps a genome to a minimised objective vector.  It may also expose
+        the batch protocol ``evaluate_population(masks, dirty_bounds=None,
+        ancestry=None)`` (see the module docstring).
     genome_shape:
         Shape of the genomes (for the attack: the image shape).
     config:
@@ -247,24 +256,6 @@ class NSGAII:
             if self.config.batch_evaluation
             else None
         )
-        # Evaluators that understand dirty-region bounds (the incremental
-        # inference path) receive the O(1) bounds the genetic operators
-        # propagate in Individual.metadata; bounds only cap the nonzero
-        # scans, they never change objective values.
-        self._batch_accepts_bounds = False
-        # Evaluators with a cross-generation delta-reuse path additionally
-        # accept per-genome ancestry records (own fingerprint, parent
-        # fingerprint and a bound on the child-vs-parent diff); ancestry
-        # only redirects which cached activations are spliced, the exact
-        # diff is always rescanned, so results never change.
-        self._batch_accepts_ancestry = False
-        if self._batch_evaluator is not None:
-            try:
-                parameters = inspect.signature(self._batch_evaluator).parameters
-            except (TypeError, ValueError):
-                parameters = {}
-            self._batch_accepts_bounds = "dirty_bounds" in parameters
-            self._batch_accepts_ancestry = "ancestry" in parameters
 
     def _apply_constraint(self, genome: np.ndarray) -> np.ndarray:
         if self.constraint is None:
@@ -282,7 +273,7 @@ class NSGAII:
 
     @staticmethod
     def _ancestry_record(individual: Individual, key: Optional[bytes]) -> dict:
-        """Per-genome ancestry record for delta-reuse batch evaluators.
+        """Per-genome ancestry record for the batch evaluator.
 
         ``fingerprint`` is the genome's own digest (the delta store admits
         spliced activations under it); ``ancestor``/``diff_bound`` name the
@@ -312,7 +303,7 @@ class NSGAII:
         unique: list[Individual] = []
         unique_keys: list[Optional[bytes]] = []
         duplicates: list[tuple[Individual, int]] = []
-        if self.config.evaluation_cache or self._batch_accepts_ancestry:
+        if self.config.evaluation_cache or self._batch_evaluator is not None:
             # Resolve cache hits first; duplicated genomes inside one batch
             # collapse onto a single evaluation via the per-batch key map.
             # The genome digest doubles as the individual's *fingerprint* —
@@ -343,19 +334,18 @@ class NSGAII:
 
         if unique:
             if self._batch_evaluator is not None:
-                genomes = np.stack([ind.genome for ind in unique], axis=0)
-                kwargs: dict = {}
-                if self._batch_accepts_bounds:
-                    kwargs["dirty_bounds"] = [
-                        ind.metadata.get("dirty_bound") for ind in unique
-                    ]
-                if self._batch_accepts_ancestry:
-                    kwargs["ancestry"] = [
-                        self._ancestry_record(ind, key)
-                        for ind, key in zip(unique, unique_keys)
-                    ]
                 matrix = np.asarray(
-                    self._batch_evaluator(genomes, **kwargs), dtype=np.float64
+                    self._batch_evaluator(
+                        np.stack([ind.genome for ind in unique], axis=0),
+                        dirty_bounds=[
+                            ind.metadata.get("dirty_bound") for ind in unique
+                        ],
+                        ancestry=[
+                            self._ancestry_record(ind, key)
+                            for ind, key in zip(unique, unique_keys)
+                        ],
+                    ),
+                    dtype=np.float64,
                 )
                 if matrix.shape[0] != len(unique):
                     raise ValueError(

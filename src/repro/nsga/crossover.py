@@ -5,13 +5,14 @@ array: "Offspring filters are generated by using randomly sampled pixel
 indexes.  Those pixel values are swapped and two offspring images are
 returned."
 
-The ``*_tracked`` variant additionally propagates *dirty-region bounds*:
+The ``*_lineage`` variant additionally propagates *dirty-region bounds*:
 given bounding boxes known to contain every nonzero pixel of each parent,
 it derives O(1) bounds for the children (child A is parent A's head rows
 plus parent B's tail rows, so its support is covered by the union of the
-parents' bounds clipped to those row bands).  The bounds feed the
-incremental-inference path, which uses them to cap its exact nonzero scans;
-a loose bound never changes results, only the scan cost.
+parents' bounds clipped to those row bands), plus bounds on where each
+child differs from its head parent.  The bounds feed the
+incremental-inference path, which uses them to cap its exact scans; a
+loose bound never changes results, only the scan cost.
 """
 
 from __future__ import annotations
@@ -33,37 +34,10 @@ def one_point_crossover(
     swapped between the two parents.  With probability ``1 - probability``
     the parents are returned unchanged (as copies).
     """
-    child_a, child_b, _, _ = one_point_crossover_tracked(
+    child_a, child_b, *_ = one_point_crossover_lineage(
         first, second, rng, probability=probability
     )
     return child_a, child_b
-
-
-def one_point_crossover_tracked(
-    first: np.ndarray,
-    second: np.ndarray,
-    rng: np.random.Generator,
-    probability: float = 1.0,
-    first_bound: BBox | None = None,
-    second_bound: BBox | None = None,
-) -> tuple[np.ndarray, np.ndarray, BBox | None, BBox | None]:
-    """:func:`one_point_crossover` plus dirty-bound propagation.
-
-    ``first_bound``/``second_bound`` are boxes known to contain every
-    nonzero pixel of the respective parent (``None`` = unknown).  Returns
-    ``(child_a, child_b, bound_a, bound_b)`` where each child bound covers
-    that child's nonzero support.  Consumes exactly the same random draws
-    as the untracked form, so seeded runs are unchanged.
-    """
-    child_a, child_b, bound_a, bound_b, _, _ = one_point_crossover_lineage(
-        first,
-        second,
-        rng,
-        probability=probability,
-        first_bound=first_bound,
-        second_bound=second_bound,
-    )
-    return child_a, child_b, bound_a, bound_b
 
 
 def one_point_crossover_lineage(
@@ -74,19 +48,23 @@ def one_point_crossover_lineage(
     first_bound: BBox | None = None,
     second_bound: BBox | None = None,
 ) -> tuple[np.ndarray, np.ndarray, BBox | None, BBox | None, BBox | None, BBox | None]:
-    """:func:`one_point_crossover_tracked` plus *lineage* diff bounds.
+    """:func:`one_point_crossover` plus dirty-bound and *lineage* diff bounds.
 
-    Returns ``(child_a, child_b, bound_a, bound_b, rel_a, rel_b)``.  The
-    ``rel_*`` boxes bound the pixels where each child can differ from its
-    *head parent* (child A's head parent is ``first``, child B's is
-    ``second``): a child only differs from its head parent inside the
+    ``first_bound``/``second_bound`` are boxes known to contain every
+    nonzero pixel of the respective parent (``None`` = unknown).  Returns
+    ``(child_a, child_b, bound_a, bound_b, rel_a, rel_b)`` where each
+    ``bound_*`` covers that child's nonzero support.  The ``rel_*`` boxes
+    bound the pixels where each child can differ from its *head parent*
+    (child A's head parent is ``first``, child B's is ``second``): a
+    child only differs from its head parent inside the
     swapped tail band, and only where either parent has nonzero support.
     ``EMPTY_BBOX`` means the child is pixel-identical to its head parent
     (no crossover happened); ``None`` means unknown (1-D genomes carry no
     spatial layout).  The cross-generation delta-reuse path uses these
     bounds to cap the exact child-vs-ancestor diff scan; a loose bound
-    never changes results, only scan cost.  Consumes exactly the same
-    random draws as the untracked form, so seeded runs are unchanged.
+    never changes results, only scan cost.  :func:`one_point_crossover`
+    is the projection onto the children, so both consume exactly the same
+    random draws.
     """
     if first.shape != second.shape:
         raise ValueError("parents must have the same shape")

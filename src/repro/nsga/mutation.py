@@ -13,11 +13,11 @@ Every operator only touches at most ``window_fraction`` of the pixels (the
 paper's "mutation window size", Table II: w = 1 %).
 
 Each operator also knows the bounding box of the pixels it touched, which
-:func:`mutate_tracked` combines with the parent's *dirty-region bound* (a
-box covering the parent's nonzero support) into an O(1) bound for the
-child: the child's support is contained in the parent's support plus the
-touched pixels.  The incremental-inference path uses these bounds to cap
-its exact nonzero scans; they never change results, only scan cost.
+:func:`mutate_tracked_lineage` combines with the parent's *dirty-region
+bound* (a box covering the parent's nonzero support) into an O(1) bound for
+the child: the child's support is contained in the parent's support plus
+the touched pixels.  The incremental-inference path uses these bounds to
+cap its exact nonzero scans; they never change results, only scan cost.
 """
 
 from __future__ import annotations
@@ -256,13 +256,6 @@ _TRACKED_OPERATORS = {
     "inversion": _inversion_tracked,
 }
 
-_OPERATORS = {
-    "complement": complement_mutation,
-    "shuffle": shuffle_mutation,
-    "random": random_value_mutation,
-    "inversion": inversion_mutation,
-}
-
 
 def mutate(
     genome: np.ndarray,
@@ -275,27 +268,7 @@ def mutate(
     drawn uniformly at random and applied; otherwise the genome is returned
     unchanged (as a copy).
     """
-    return mutate_tracked(genome, rng, config)[0]
-
-
-def mutate_tracked(
-    genome: np.ndarray,
-    rng: np.random.Generator,
-    config: MutationConfig | None = None,
-    parent_bound: BBox | None = None,
-) -> tuple[np.ndarray, BBox | None]:
-    """:func:`mutate` plus dirty-bound propagation.
-
-    ``parent_bound`` is a box covering the parent genome's nonzero support
-    (``None`` = unknown).  Returns ``(child, bound)`` where the bound covers
-    the child's support: the union of the parent bound and the box of the
-    pixels the operator touched (an unknown parent bound stays unknown —
-    :func:`~repro.nn.incremental.bbox_union` is absorbing in ``None``).
-    Consumes exactly the same random draws as :func:`mutate`, so seeded
-    runs are unchanged.
-    """
-    child, bound, _ = mutate_tracked_lineage(genome, rng, config, parent_bound)
-    return child, bound
+    return mutate_tracked_lineage(genome, rng, config)[0]
 
 
 def mutate_tracked_lineage(
@@ -304,15 +277,24 @@ def mutate_tracked_lineage(
     config: MutationConfig | None = None,
     parent_bound: BBox | None = None,
 ) -> tuple[np.ndarray, BBox | None, BBox]:
-    """:func:`mutate_tracked` plus the *lineage* diff bound.
+    """:func:`mutate` plus dirty-bound and *lineage* diff-bound tracking.
 
-    Returns ``(child, bound, touched)`` where ``touched`` bounds the pixels
-    where the child can differ from the input genome: the box the mutation
-    operator touched, or ``EMPTY_BBOX`` when no mutation happened (the child
-    is a pixel-identical copy).  The cross-generation delta-reuse path uses
-    it to cap the exact child-vs-ancestor diff scan; a loose bound never
-    changes results, only scan cost.  Consumes exactly the same random
-    draws as :func:`mutate`, so seeded runs are unchanged.
+    ``parent_bound`` is a box covering the parent genome's nonzero support
+    (``None`` = unknown).  Returns ``(child, bound, touched)``:
+
+    * ``bound`` covers the child's support: the union of the parent bound
+      and the box of the pixels the operator touched (an unknown parent
+      bound stays unknown — :func:`~repro.nn.incremental.bbox_union` is
+      absorbing in ``None``);
+    * ``touched`` bounds the pixels where the child can differ from the
+      input genome: the box the operator touched, or ``EMPTY_BBOX`` when no
+      mutation happened (the child is a pixel-identical copy).
+
+    The incremental-inference path caps its exact nonzero scans with
+    ``bound``, the cross-generation delta-reuse path its exact
+    child-vs-ancestor diff scan with ``touched``; a loose bound never
+    changes results, only scan cost.  :func:`mutate` is the projection onto
+    the child, so both consume exactly the same random draws.
     """
     config = config if config is not None else MutationConfig()
     if rng.random() >= config.probability:

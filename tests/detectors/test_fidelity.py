@@ -203,13 +203,16 @@ class TestTransformerWindowedInternals:
         exact_grid = detr_detector.backbone_features(perturbed)
         from repro.nn.incremental import mask_nonzero_bbox
 
-        approx_grid = detr_detector._approx_windowed_grid(
+        fidelity = FIDELITY_PRESETS["windowed"]
+        member = detr_detector._approx_window(image, mask_nonzero_bbox(mask), fidelity)
+        blended = detr_detector._approx_windowed_group(
             image,
-            mask,
-            mask_nonzero_bbox(mask),
-            clean,
-            FIDELITY_PRESETS["windowed"],
+            mask[None, ...],
+            [(0, 0, *member)],
+            detr_detector._fidelity_state(clean, fidelity.numpy_dtype),
+            fidelity,
         )
+        approx_grid = blended[0].reshape(exact_grid.shape)
         assert approx_grid is not None
         assert np.max(np.abs(approx_grid - exact_grid)) < 1e-2
 

@@ -188,8 +188,13 @@ class TestKernelSizeCoverage:
         clean = yolo_detector.clean_activations(image)
         mask = _sparse_masks(image.shape, seed=9)[1]
         perturbed = np.clip(image + mask, 0.0, 255.0)
-        grid = yolo_detector._delta_feature_grid(
-            image, mask, mask_nonzero_bbox(mask), clean
+        _, states = yolo_detector._splice_batch(
+            image,
+            mask[None, ...],
+            [(0, mask_nonzero_bbox(mask), clean.tensors, clean.prediction)],
+        )
+        grid = yolo_detector._finalize_features(
+            states[0]["features"], states[0].get("smoothed")
         )
         assert np.array_equal(grid, yolo_detector.backbone_features(perturbed))
 

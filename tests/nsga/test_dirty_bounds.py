@@ -1,19 +1,24 @@
 """Dirty-region bound propagation through the genetic operators.
 
-The tracked crossover/mutation variants return an O(1) bounding box that
+The lineage crossover/mutation variants return an O(1) bounding box that
 must (a) cover every nonzero pixel of the produced child — the incremental
 inference path relies on the bound being a superset — and (b) consume
-exactly the same random draws as the untracked forms, so seeded runs are
-unchanged.
+exactly the same random draws as the plain forms, so seeded runs are
+unchanged.  NSGA-II hands the bounds (and ancestry records) to the batch
+evaluator through its explicit ``evaluate_population`` protocol.
 """
 
 import numpy as np
 import pytest
 
+from repro.core.attack import ButterflyAttack
+from repro.core.config import AttackConfig
+from repro.core.objectives import ButterflyObjectives
+from repro.core.regions import HalfImageRegion
 from repro.nn.incremental import bbox_is_empty, mask_nonzero_bbox
 from repro.nsga.algorithm import NSGAII, NSGAConfig
-from repro.nsga.crossover import one_point_crossover, one_point_crossover_tracked
-from repro.nsga.mutation import MutationConfig, mutate, mutate_tracked
+from repro.nsga.crossover import one_point_crossover, one_point_crossover_lineage
+from repro.nsga.mutation import MutationConfig, mutate, mutate_tracked_lineage
 
 SHAPE = (12, 20, 3)
 
@@ -47,7 +52,7 @@ class TestCrossoverBounds:
         parents = np.random.default_rng(1)
         first, second = _sparse_genome(parents), _sparse_genome(parents)
         plain = one_point_crossover(first, second, rng_a, probability=0.7)
-        tracked = one_point_crossover_tracked(first, second, rng_b, probability=0.7)
+        tracked = one_point_crossover_lineage(first, second, rng_b, probability=0.7)
         assert np.array_equal(plain[0], tracked[0])
         assert np.array_equal(plain[1], tracked[1])
         # Generators advanced identically.
@@ -60,7 +65,7 @@ class TestCrossoverBounds:
             first, second = _sparse_genome(parents), _sparse_genome(parents)
             first_bound = mask_nonzero_bbox(first)
             second_bound = mask_nonzero_bbox(second)
-            child_a, child_b, bound_a, bound_b = one_point_crossover_tracked(
+            child_a, child_b, bound_a, bound_b, _, _ = one_point_crossover_lineage(
                 first,
                 second,
                 rng,
@@ -75,7 +80,7 @@ class TestCrossoverBounds:
         rng = np.random.default_rng(3)
         first = np.random.default_rng(4).normal(size=SHAPE)
         second = np.random.default_rng(5).normal(size=SHAPE)
-        child_a, child_b, bound_a, bound_b = one_point_crossover_tracked(
+        child_a, child_b, bound_a, bound_b, _, _ = one_point_crossover_lineage(
             first, second, rng, probability=1.0
         )
         # With unknown parents the bound is the union of the head/tail row
@@ -87,7 +92,7 @@ class TestCrossoverBounds:
     def test_no_crossover_passes_bounds_through(self):
         rng = np.random.default_rng(6)
         first, second = np.ones(SHAPE), np.ones(SHAPE)
-        _, _, bound_a, bound_b = one_point_crossover_tracked(
+        _, _, bound_a, bound_b, _, _ = one_point_crossover_lineage(
             first, second, rng, probability=0.0,
             first_bound=(0, 1, 0, 1), second_bound=None,
         )
@@ -105,7 +110,7 @@ class TestMutationBounds:
         for trial in range(30):
             genome = _sparse_genome(np.random.default_rng(200 + trial))
             parent_bound = mask_nonzero_bbox(genome)
-            child, bound = mutate_tracked(genome, rng, config, parent_bound)
+            child, bound, _ = mutate_tracked_lineage(genome, rng, config, parent_bound)
             assert _bound_covers(bound, child)
 
     def test_same_draws_as_untracked(self):
@@ -114,13 +119,13 @@ class TestMutationBounds:
         for trial in range(20):
             genome = _sparse_genome(np.random.default_rng(300 + trial))
             plain = mutate(genome, rng_a, config)
-            tracked, _ = mutate_tracked(genome, rng_b, config)
+            tracked, _, _ = mutate_tracked_lineage(genome, rng_b, config)
             assert np.array_equal(plain, tracked)
         assert rng_a.integers(0, 1 << 30) == rng_b.integers(0, 1 << 30)
 
     def test_unknown_parent_bound_stays_unknown(self):
         config = MutationConfig(probability=1.0, operators=("random",))
-        child, bound = mutate_tracked(
+        child, bound, _ = mutate_tracked_lineage(
             np.ones(SHAPE), np.random.default_rng(9), config, parent_bound=None
         )
         assert bound is None
@@ -128,7 +133,7 @@ class TestMutationBounds:
     def test_unmutated_child_keeps_parent_bound(self):
         config = MutationConfig(probability=0.0)
         parent_bound = (1, 3, 2, 5)
-        child, bound = mutate_tracked(
+        child, bound, _ = mutate_tracked_lineage(
             np.ones(SHAPE), np.random.default_rng(10), config, parent_bound
         )
         assert bound == parent_bound
@@ -175,7 +180,7 @@ class TestAlgorithmPropagation:
             def __call__(self, genome):
                 return np.asarray([float(np.abs(genome).sum())])
 
-            def evaluate_population(self, genomes, dirty_bounds=None):
+            def evaluate_population(self, genomes, dirty_bounds=None, ancestry=None):
                 captured["bounds"] = dirty_bounds
                 return np.abs(genomes).sum(axis=(1, 2, 3))[:, None]
 
@@ -189,18 +194,27 @@ class TestAlgorithmPropagation:
         assert captured["bounds"] is not None
         assert len(captured["bounds"]) > 0
 
-    def test_evaluator_without_bounds_parameter_still_works(self):
-        class LegacyEvaluator:
-            def __call__(self, genome):
-                return np.asarray([float(np.abs(genome).sum())])
+    def test_signature_hiding_wrapper_keeps_delta_reuse(
+        self, monkeypatch, yolo_detector, small_dataset
+    ):
+        """A plain ``*args, **kwargs`` wrapper (any decorator written
+        without ``functools.wraps``) hides the evaluator's signature; bounds
+        and ancestry must still arrive, so delta reuse stays on."""
+        received = []
+        original = ButterflyObjectives.evaluate_population
 
-            def evaluate_population(self, genomes):
-                return np.abs(genomes).sum(axis=(1, 2, 3))[:, None]
+        def wrapper(*args, **kwargs):
+            received.append(kwargs)
+            return original(*args, **kwargs)
 
-        optimizer = NSGAII(
-            objective_function=LegacyEvaluator(),
-            genome_shape=SHAPE,
-            config=NSGAConfig(num_iterations=1, population_size=6, seed=14),
+        monkeypatch.setattr(ButterflyObjectives, "evaluate_population", wrapper)
+        config = AttackConfig(
+            nsga=NSGAConfig(num_iterations=4, population_size=12, seed=0),
+            region=HalfImageRegion("right"),
         )
-        result = optimizer.run()
-        assert len(result.population) == 6
+        result = ButterflyAttack(yolo_detector, config).attack(small_dataset[0].image)
+        assert received
+        for kwargs in received:
+            assert kwargs.get("dirty_bounds") is not None
+            assert kwargs.get("ancestry") is not None
+        assert result.incremental["delta_hits"] > 0
