@@ -10,20 +10,74 @@ with paper-oriented objective values and error-type transitions.
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from repro.core.config import AttackConfig
-from repro.core.masks import FilterMask, apply_mask
+from repro.core.masks import FilterMask
 from repro.core.objectives import ButterflyObjectives
 from repro.core.results import AttackResult, ParetoSolution
 from repro.detection.errors import classify_transitions
 from repro.detection.prediction import Prediction
 from repro.detectors.activation_cache import ActivationCacheStore
 from repro.detectors.base import Detector
+from repro.nn.incremental import EMPTY_BBOX
 from repro.nsga.algorithm import NSGAII, NSGAConfig, NSGAResult
+from repro.nsga.individual import Individual
 from repro.nsga.mutation import IntensityAnnealing
+
+
+def constrain_mask(config: AttackConfig, mask: np.ndarray) -> np.ndarray:
+    """The genome constraint of every attack front-end.
+
+    Projects the mask onto ``config.region``, then rounds (when
+    ``config.round_masks``) and clips to ``[-255, 255]`` in place on the
+    projection's fresh array.
+    """
+    projected = config.region.project(mask)
+    if config.round_masks:
+        np.round(projected, out=projected)
+    return np.clip(projected, -255.0, 255.0, out=projected)
+
+
+def predict_front(
+    result: AttackResult,
+    population: Sequence[Individual],
+    evaluator: ButterflyObjectives,
+) -> None:
+    """Fill the front's perturbed predictions and error transitions.
+
+    ``result.solutions`` must be ``population`` in order.  The front goes
+    through ``evaluator.predict_population`` with each member's ancestry
+    pointing at its own fingerprint under an empty diff bound: a member
+    whose spliced grids are still in the delta store answers from the
+    stored prediction with no compute, the others splice against the clean
+    bundle (or run densely), and nothing is stored.  Every route is
+    bit-identical to ``detector.predict`` on the perturbed image.
+    """
+    members = [
+        (solution, individual)
+        for solution, individual in zip(result.solutions, population)
+        if solution.rank == 1
+    ]
+    if not members:
+        return
+    ancestry: list[dict | None] = []
+    for _, individual in members:
+        key = individual.metadata.get("fingerprint")
+        record = {"fingerprint": None, "ancestor": key, "diff_bound": EMPTY_BBOX}
+        ancestry.append(None if key is None else record)
+    predictions, _ = evaluator.predict_population(
+        np.stack([solution.mask.values for solution, _ in members], axis=0),
+        ancestry=ancestry,
+    )
+    for (solution, _), prediction in zip(members, predictions):
+        solution.perturbed_prediction = prediction
+        solution.transitions = classify_transitions(
+            evaluator.clean_prediction, prediction
+        )
 
 
 class ButterflyAttack:
@@ -113,12 +167,6 @@ class ButterflyAttack:
             )
         return nsga
 
-    def _constraint(self, mask: np.ndarray) -> np.ndarray:
-        projected = self.config.region.project(mask)
-        if self.config.round_masks:
-            projected = np.round(projected)
-        return np.clip(projected, -255.0, 255.0)
-
     def _package(
         self,
         image: np.ndarray,
@@ -153,21 +201,10 @@ class ButterflyAttack:
             incremental=nsga_result.incremental,
         )
 
-        # Fill in perturbed predictions and error transitions for the front
-        # only (re-running the detector for all 101+ solutions would double
-        # the attack cost for no benefit); one batched pass covers the front.
-        front = result.pareto_front
-        if front:
-            perturbed_images = np.stack(
-                [apply_mask(image, solution.mask.values) for solution in front], axis=0
-            )
-            for solution, perturbed in zip(
-                front, self.detector.predict_batch(perturbed_images)
-            ):
-                solution.perturbed_prediction = perturbed
-                solution.transitions = classify_transitions(
-                    objectives.clean_prediction, perturbed
-                )
+        # Perturbed predictions and error transitions for the front only
+        # (re-running the detector for all 101+ solutions would double the
+        # attack cost for no benefit).
+        predict_front(result, nsga_result.population, objectives)
         return result
 
     def attack(
@@ -182,7 +219,7 @@ class ButterflyAttack:
             objective_function=objectives,
             genome_shape=image.shape,
             config=self._nsga_config(),
-            constraint=self._constraint,
+            constraint=partial(constrain_mask, self.config),
             callback=callback,
         )
         nsga_result = optimizer.run()

@@ -19,15 +19,16 @@ bit-identical to evaluating mask by mask.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Sequence
 
 import numpy as np
 
+from repro.core.attack import constrain_mask, predict_front
 from repro.core.config import AttackConfig
 from repro.core.masks import FilterMask, apply_mask
 from repro.core.objectives import ButterflyObjectives
 from repro.core.results import AttackResult, ParetoSolution
-from repro.detection.errors import classify_transitions
 from repro.detectors.activation_cache import ActivationCacheStore
 from repro.detectors.base import Detector
 from repro.detectors.ensemble import DetectorEnsemble
@@ -182,7 +183,7 @@ class EnsembleObjectives:
             mask_nonzero_bbox(mask, within=bound)
             for mask, bound in zip(masks, bounds)
         ]
-        perturbed_images: np.ndarray | None = None
+        perturbed: np.ndarray | None = None
         member_predictions = []
         for member in self.members:
             if member.clean_activations is not None:
@@ -192,15 +193,13 @@ class EnsembleObjectives:
                     )
                 )
             else:
-                if perturbed_images is None:
+                if perturbed is None:
                     # One shared dense stack (reusing the first member's
                     # scratch buffer) serves every non-incremental member.
-                    perturbed_images = self.members[0].apply_masks(
+                    perturbed = self.members[0].apply_masks(
                         masks, out=self.members[0]._population_scratch(masks.shape)
                     )
-                member_predictions.append(
-                    member.detector.predict_batch(perturbed_images)
-                )
+                member_predictions.append(member.detector.predict_batch(perturbed))
         rows = []
         for index, mask in enumerate(masks):
             degradations = [
@@ -231,12 +230,6 @@ class EnsembleAttack:
         self.config = config if config is not None else AttackConfig()
         self.activation_store = activation_store
 
-    def _constraint(self, mask: np.ndarray) -> np.ndarray:
-        projected = self.config.region.project(mask)
-        if self.config.round_masks:
-            projected = np.round(projected)
-        return np.clip(projected, -255.0, 255.0)
-
     def attack(self, image: np.ndarray) -> AttackResult:
         """Run NSGA-II against the whole ensemble and package the result."""
         image = np.asarray(image, dtype=np.float64)
@@ -251,7 +244,7 @@ class EnsembleAttack:
             objective_function=objectives,
             genome_shape=image.shape,
             config=self.config.nsga,
-            constraint=self._constraint,
+            constraint=partial(constrain_mask, self.config),
         )
         nsga_result = optimizer.run()
 
@@ -280,16 +273,5 @@ class EnsembleAttack:
             cache_hits=nsga_result.cache_hits,
             history=nsga_result.history,
         )
-        front = result.pareto_front
-        if front:
-            perturbed_images = np.stack(
-                [apply_mask(image, solution.mask.values) for solution in front], axis=0
-            )
-            for solution, perturbed in zip(
-                front, reference.detector.predict_batch(perturbed_images)
-            ):
-                solution.perturbed_prediction = perturbed
-                solution.transitions = classify_transitions(
-                    reference.clean_prediction, perturbed
-                )
+        predict_front(result, nsga_result.population, reference)
         return result

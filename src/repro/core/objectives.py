@@ -50,7 +50,13 @@ from repro.detectors.activation_cache import (
 )
 from repro.detectors.base import Detector
 from repro.detectors.fidelity import EXACT_FIDELITY, FidelityConfig, resolve_fidelity
-from repro.nn.incremental import BBox, bbox_area, bbox_is_empty, mask_nonzero_bbox
+from repro.nn.incremental import (
+    BBox,
+    bbox_area,
+    bbox_is_empty,
+    channel_planes,
+    mask_nonzero_bbox,
+)
 
 
 def objective_intensity(mask: np.ndarray) -> float:
@@ -160,7 +166,13 @@ def objective_distance(
     if bbox_is_empty(bbox):
         return 0.0
     r0, r1, c0, c1 = bbox
-    per_pixel_max = np.max(np.abs(mask[r0:r1, c0:c1]), axis=2)
+    # Elementwise maxima over the channel planes: max is exact in any
+    # order, and the result is a fresh C-ordered (h, w) plane, so the sum
+    # below always groups its terms the same way.
+    planes = channel_planes(mask[r0:r1, c0:c1])
+    per_pixel_max = np.abs(planes[0])
+    for plane in planes[1:]:
+        np.maximum(per_pixel_max, np.abs(plane), out=per_pixel_max)
     perturbed_count = int(np.count_nonzero(per_pixel_max))
     if perturbed_count == 0:
         return 0.0
@@ -604,9 +616,12 @@ class ButterflyObjectives:
         The prediction stage of :meth:`evaluate_population`, exposed so
         composite evaluators (the sequence workload's track-level scoring)
         can see each mask's prediction per frame instead of only the folded
-        objective vector.  Same routing, same bit-parity guarantees; the
-        surrogate (``scene_scale > 1``) fidelity has no full-resolution
-        predictions to offer and is rejected.
+        objective vector, and so the attack front-ends can answer their
+        Pareto front from evaluations already made
+        (:func:`~repro.core.attack.predict_front`).  Same routing, same
+        bit-parity guarantees; the surrogate (``scene_scale > 1``)
+        fidelity has no full-resolution predictions to offer and is
+        rejected.
         """
         masks = np.asarray(masks, dtype=np.float64)
         if masks.ndim != 4 or masks.shape[1:] != self.image.shape:
@@ -654,12 +669,12 @@ class ButterflyObjectives:
                 fidelity=None if fidelity.is_exact else fidelity,
             )
         else:
-            perturbed_images = self.apply_masks(
+            perturbed = self.apply_masks(
                 masks, out=self._population_scratch(masks.shape)
             )
             predictions = (
-                self.detector.predict_batch(perturbed_images)
+                self.detector.predict_batch(perturbed)
                 if fidelity.is_exact
-                else self.detector.predict_batch_at(perturbed_images, fidelity)
+                else self.detector.predict_batch_at(perturbed, fidelity)
             )
         return predictions, bboxes

@@ -2,9 +2,9 @@
 
 The paper's evaluation "adds a restriction where the perturbations are only
 applied to the right-hand side of the images ... by forcing filters to have
-zeros in the left half".  A :class:`Region` encodes such a restriction as a
-boolean pixel mask plus a projection that zeroes the mask outside the
-allowed region.
+zeros in the left half".  A :class:`Region` encodes such a restriction as
+an axis-aligned pixel box; the boolean pixel mask and the projection that
+zeroes the mask outside the allowed region both derive from it.
 """
 
 from __future__ import annotations
@@ -14,20 +14,39 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.nn.incremental import EMPTY_BBOX, BBox
+
 
 class Region(abc.ABC):
-    """Abstract perturbable region of an image."""
+    """Abstract perturbable region of an image: one axis-aligned box."""
 
     @abc.abstractmethod
+    def allowed_box(self, image_length: int, image_width: int) -> BBox:
+        """Half-open ``(r0, r1, c0, c1)`` box where perturbation is allowed.
+
+        Clipped to the image; :data:`~repro.nn.incremental.EMPTY_BBOX` when
+        no pixel is allowed.
+        """
+
     def pixel_mask(self, image_length: int, image_width: int) -> np.ndarray:
         """Boolean array (L, W): True where perturbation is allowed."""
+        mask = np.zeros((image_length, image_width), dtype=bool)
+        r0, r1, c0, c1 = self.allowed_box(image_length, image_width)
+        mask[r0:r1, c0:c1] = True
+        return mask
 
     def project(self, mask: np.ndarray) -> np.ndarray:
-        """Zero the perturbation outside the allowed region."""
-        mask = np.asarray(mask, dtype=np.float64)
-        allowed = self.pixel_mask(mask.shape[0], mask.shape[1])
-        projected = mask.copy()
-        projected[~allowed] = 0.0
+        """Zero the perturbation outside the allowed region.
+
+        Returns a fresh float64 array (callers may modify it in place)
+        with ``+0.0`` written outside the box by four slice assignments.
+        """
+        projected = np.array(mask, dtype=np.float64)
+        r0, r1, c0, c1 = self.allowed_box(projected.shape[0], projected.shape[1])
+        projected[:r0] = 0.0
+        projected[r1:] = 0.0
+        projected[r0:r1, :c0] = 0.0
+        projected[r0:r1, c1:] = 0.0
         return projected
 
     def allowed_fraction(self, image_length: int, image_width: int) -> float:
@@ -40,8 +59,8 @@ class Region(abc.ABC):
 class FullImageRegion(Region):
     """No restriction: the whole image may be perturbed."""
 
-    def pixel_mask(self, image_length: int, image_width: int) -> np.ndarray:
-        return np.ones((image_length, image_width), dtype=bool)
+    def allowed_box(self, image_length: int, image_width: int) -> BBox:
+        return (0, image_length, 0, image_width)
 
 
 @dataclass(frozen=True)
@@ -58,14 +77,11 @@ class HalfImageRegion(Region):
         if self.half not in ("left", "right"):
             raise ValueError(f"half must be 'left' or 'right', got {self.half!r}")
 
-    def pixel_mask(self, image_length: int, image_width: int) -> np.ndarray:
-        mask = np.zeros((image_length, image_width), dtype=bool)
+    def allowed_box(self, image_length: int, image_width: int) -> BBox:
         middle = image_width // 2
         if self.half == "right":
-            mask[:, middle:] = True
-        else:
-            mask[:, :middle] = True
-        return mask
+            return (0, image_length, middle, image_width)
+        return (0, image_length, 0, middle)
 
 
 @dataclass(frozen=True)
@@ -86,13 +102,12 @@ class RectangleRegion(Region):
         if self.x_max <= self.x_min or self.y_max <= self.y_min:
             raise ValueError("rectangle bounds are empty or inverted")
 
-    def pixel_mask(self, image_length: int, image_width: int) -> np.ndarray:
-        mask = np.zeros((image_length, image_width), dtype=bool)
+    def allowed_box(self, image_length: int, image_width: int) -> BBox:
         x_lo, x_hi = max(0, self.x_min), min(image_length, self.x_max)
         y_lo, y_hi = max(0, self.y_min), min(image_width, self.y_max)
-        if x_hi > x_lo and y_hi > y_lo:
-            mask[x_lo:x_hi, y_lo:y_hi] = True
-        return mask
+        if x_hi <= x_lo or y_hi <= y_lo:
+            return EMPTY_BBOX
+        return (x_lo, x_hi, y_lo, y_hi)
 
 
 def region_from_name(name: str) -> Region:

@@ -29,18 +29,18 @@ Two evaluator/attack pairs live here:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from repro.core.config import AttackConfig
-from repro.core.attack import ButterflyAttack
-from repro.core.masks import FilterMask, apply_mask
+from repro.core.attack import ButterflyAttack, constrain_mask, predict_front
+from repro.core.masks import FilterMask
 from repro.core.objectives import ButterflyObjectives, objective_degradation
 from repro.core.results import AttackResult, ParetoSolution
 from repro.data.sequences import SceneSequence
 from repro.detection.boxes import iou_matrix
-from repro.detection.errors import classify_transitions
 from repro.detection.prediction import Prediction
 from repro.detectors.activation_cache import (
     DEFAULT_DELTA_STORE_ENTRIES,
@@ -117,12 +117,6 @@ class TemporalAttack:
         self.detector = detector
         self.config = config if config is not None else AttackConfig()
 
-    def _constraint(self, mask: np.ndarray) -> np.ndarray:
-        projected = self.config.region.project(mask)
-        if self.config.round_masks:
-            projected = np.round(projected)
-        return np.clip(projected, -255.0, 255.0)
-
     def attack(
         self, sequence: SceneSequence | Sequence[np.ndarray]
     ) -> AttackResult:
@@ -135,7 +129,7 @@ class TemporalAttack:
             objective_function=objectives,
             genome_shape=frames[0].shape,
             config=self.config.nsga,
-            constraint=self._constraint,
+            constraint=partial(constrain_mask, self.config),
         )
         nsga_result = optimizer.run()
 
@@ -480,7 +474,7 @@ class SequenceAttack(ButterflyAttack):
             objective_function=objectives,
             genome_shape=objectives.per_frame[0].image.shape,
             config=self._nsga_config(),
-            constraint=self._constraint,
+            constraint=partial(constrain_mask, self.config),
             callback=callback,
         )
         nsga_result = optimizer.run()
@@ -525,20 +519,5 @@ class SequenceAttack(ButterflyAttack):
 
         # First-frame perturbed predictions and error transitions for the
         # front only, mirroring the single-scene packaging.
-        front = result.pareto_front
-        if front:
-            perturbed_images = np.stack(
-                [
-                    apply_mask(first_frame.image, solution.mask.values)
-                    for solution in front
-                ],
-                axis=0,
-            )
-            for solution, perturbed in zip(
-                front, self.detector.predict_batch(perturbed_images)
-            ):
-                solution.perturbed_prediction = perturbed
-                solution.transitions = classify_transitions(
-                    first_frame.clean_prediction, perturbed
-                )
+        predict_front(result, nsga_result.population, first_frame)
         return result

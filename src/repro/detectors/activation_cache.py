@@ -52,6 +52,8 @@ from repro.nn.incremental import (
     EMPTY_BBOX,
     bbox_intersection,
     bbox_is_empty,
+    channels_differ,
+    support_bbox,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -279,8 +281,11 @@ class DeltaActivations:
         ``within`` must contain every differing pixel (callers intersect
         the lineage diff bound with the union of both supports); ``None``
         scans the whole frame.  The stored crop is compared against the
-        matching window of ``mask``, with zeros outside ``pixel_bbox``.
+        matching window of ``mask``, with zeros outside ``pixel_bbox``, by
+        float ``!=`` per channel: ``x`` and ``-x`` differ, ``-0.0`` and
+        ``+0.0`` do not.  Other dtypes are converted to float64 first.
         """
+        mask = np.asarray(mask, dtype=np.float64)
         if within is None:
             within = (0, mask.shape[0], 0, mask.shape[1])
         if bbox_is_empty(within):
@@ -297,19 +302,7 @@ class DeltaActivations:
                     o_r0 - p_r0 : o_r1 - p_r0, o_c0 - p_c0 : o_c1 - p_c0
                 ]
             )
-        differ = window != ancestor
-        if differ.ndim == 3:
-            differ = differ.any(axis=2)
-        rows = np.flatnonzero(differ.any(axis=1))
-        if rows.size == 0:
-            return EMPTY_BBOX
-        cols = np.flatnonzero(differ.any(axis=0))
-        return (
-            r0 + int(rows[0]),
-            r0 + int(rows[-1]) + 1,
-            c0 + int(cols[0]),
-            c0 + int(cols[-1]) + 1,
-        )
+        return support_bbox(channels_differ(window, ancestor), (r0, c0))
 
 
 class DeltaActivationStore:

@@ -126,6 +126,62 @@ def pixel_bbox_to_cell_bbox(bbox: BBox, cell: int, grid_shape: tuple[int, int]) 
     return (cr0, cr1, cc0, cc1)
 
 
+def support_bbox(plane: np.ndarray, origin: tuple[int, int] = (0, 0)) -> BBox:
+    """Half-open box of the True pixels of a 2-D boolean plane.
+
+    ``origin`` is the frame position of the plane's top-left pixel, so a
+    scan of a cropped window reports frame coordinates.  Returns
+    :data:`EMPTY_BBOX` when no pixel is set.
+    """
+    rows = np.flatnonzero(plane.any(axis=1))
+    if rows.size == 0:
+        return EMPTY_BBOX
+    cols = np.flatnonzero(plane.any(axis=0))
+    off_r, off_c = origin
+    return (
+        off_r + int(rows[0]),
+        off_r + int(rows[-1]) + 1,
+        off_c + int(cols[0]),
+        off_c + int(cols[-1]) + 1,
+    )
+
+
+def channel_planes(array: np.ndarray) -> list[np.ndarray]:
+    """The per-channel ``(H, W)`` views of a 2-D or ``(H, W, C)`` array.
+
+    Per-pixel reductions over the channels are written as elementwise
+    operations on these views instead of a reduction along the short
+    trailing axis, which costs more than the arithmetic itself.
+    """
+    if array.ndim == 2:
+        return [array]
+    return [array[..., channel] for channel in range(array.shape[2])]
+
+
+def channels_differ(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """``(H, W)`` plane: True where two windows differ (``!=``) in any channel.
+
+    Float semantics: ``x`` and ``-x`` differ, ``-0.0`` and ``+0.0`` do not,
+    and NaN differs from everything.
+    """
+    pairs = zip(channel_planes(first), channel_planes(second))
+    a, b = next(pairs)
+    differ = a != b
+    for a, b in pairs:
+        differ |= a != b
+    return differ
+
+
+def _window(
+    array: np.ndarray, within: BBox | None
+) -> tuple[np.ndarray, tuple[int, int]]:
+    """The ``within`` crop of ``array`` and its origin (all of it for ``None``)."""
+    if within is None:
+        return array, (0, 0)
+    r0, r1, c0, c1 = within
+    return array[r0:r1, c0:c1], (r0, c0)
+
+
 def mask_nonzero_bbox(mask: np.ndarray, within: BBox | None = None) -> BBox:
     """Exact bounding box of the pixels with a nonzero value in any channel.
 
@@ -133,28 +189,20 @@ def mask_nonzero_bbox(mask: np.ndarray, within: BBox | None = None) -> BBox:
     nonzero pixel (e.g. the O(1) dirty-region bound propagated by the
     NSGA-II operators); the result is identical to the full scan but costs
     only O(window).  Returns :data:`EMPTY_BBOX` for all-zero masks.
+
+    The channels are OR-ed as ``uint64`` words and the sign bit is shifted
+    out, so a pixel counts exactly when some channel is ``!= 0`` — ``-0.0``
+    is zero, NaN is not.  Other dtypes are converted to float64 first.
     """
-    mask = np.asarray(mask)
-    off_r = off_c = 0
-    if within is not None and not bbox_is_empty(within):
-        r0, r1, c0, c1 = within
-        mask = mask[r0:r1, c0:c1]
-        off_r, off_c = r0, c0
-    elif within is not None:
+    if bbox_is_empty(within):
         return EMPTY_BBOX
-    nonzero = mask != 0
-    if nonzero.ndim == 3:
-        nonzero = nonzero.any(axis=2)
-    rows = np.flatnonzero(nonzero.any(axis=1))
-    if rows.size == 0:
-        return EMPTY_BBOX
-    cols = np.flatnonzero(nonzero.any(axis=0))
-    return (
-        off_r + int(rows[0]),
-        off_r + int(rows[-1]) + 1,
-        off_c + int(cols[0]),
-        off_c + int(cols[-1]) + 1,
-    )
+    window, origin = _window(np.asarray(mask, dtype=np.float64), within)
+    planes = channel_planes(window.view(np.uint64))
+    merged = planes[0].copy()
+    for plane in planes[1:]:
+        merged |= plane
+    merged <<= 1
+    return support_bbox(merged != 0, origin)
 
 
 def bbox_symmetric_difference(first: BBox | None, second: BBox | None) -> BBox | None:
@@ -209,27 +257,11 @@ def masks_differ_bbox(
         raise ValueError(
             f"mask shapes differ: {first.shape} vs {second.shape}"
         )
-    off_r = off_c = 0
-    if within is not None and not bbox_is_empty(within):
-        r0, r1, c0, c1 = within
-        first = first[r0:r1, c0:c1]
-        second = second[r0:r1, c0:c1]
-        off_r, off_c = r0, c0
-    elif within is not None:
+    if bbox_is_empty(within):
         return EMPTY_BBOX
-    differ = first != second
-    if differ.ndim == 3:
-        differ = differ.any(axis=2)
-    rows = np.flatnonzero(differ.any(axis=1))
-    if rows.size == 0:
-        return EMPTY_BBOX
-    cols = np.flatnonzero(differ.any(axis=0))
-    return (
-        off_r + int(rows[0]),
-        off_r + int(rows[-1]) + 1,
-        off_c + int(cols[0]),
-        off_c + int(cols[-1]) + 1,
-    )
+    first, origin = _window(first, within)
+    second, _ = _window(second, within)
+    return support_bbox(channels_differ(first, second), origin)
 
 
 def frames_differ_bbox(

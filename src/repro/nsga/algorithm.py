@@ -53,7 +53,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from repro.nn.incremental import bbox_union
+from repro.nn.incremental import bbox_union, channel_planes, support_bbox
 from repro.nsga.crossover import one_point_crossover_lineage
 from repro.nsga.crowding import crowding_distance
 from repro.nsga.individual import Individual
@@ -264,11 +264,27 @@ class NSGAII:
 
     @staticmethod
     def _genome_key(genome: np.ndarray) -> bytes:
-        """Stable cache key: a digest of the genome's dtype, shape and bytes."""
+        """Stable cache key: a digest of the genome's dtype, shape and bytes.
+
+        Only the box of pixels whose *bytes* are nonzero in some channel is
+        hashed, together with the box itself: every byte outside it is
+        zero, so two keys collide exactly when the full genome bytes are
+        equal.  The box is taken over bytes, not values — ``np.round``
+        leaves ``-0.0`` behind, and a value box would merge genomes whose
+        bytes differ only by such signs.
+        """
+        genome = np.asarray(genome)
+        planes = channel_planes(genome.view(f"u{genome.itemsize}"))
+        occupied = planes[0].copy()
+        for plane in planes[1:]:
+            occupied |= plane
+        box = support_bbox(occupied != 0)
+        r0, r1, c0, c1 = box
         digest = hashlib.blake2b(digest_size=16)
         digest.update(str(genome.dtype).encode())
         digest.update(str(genome.shape).encode())
-        digest.update(np.ascontiguousarray(genome).tobytes())
+        digest.update(str(box).encode())
+        digest.update(np.ascontiguousarray(genome[r0:r1, c0:c1]))
         return digest.digest()
 
     @staticmethod

@@ -15,10 +15,16 @@ import pytest
 from repro.core.attack import ButterflyAttack
 from repro.core.config import AttackConfig
 from repro.core.ensemble import EnsembleAttack
+from repro.core.masks import apply_mask
 from repro.core.regions import HalfImageRegion
+from repro.core.temporal import SequenceAttack
+from repro.data.sequences import generate_sequence
+from repro.detection.errors import classify_transitions
 from repro.detectors import decode as cell_decode
 from repro.nsga.algorithm import NSGAConfig
 from repro.nsga.mutation import MutationConfig
+
+from tests.conftest import SMALL_LENGTH, SMALL_WIDTH
 
 
 def _nsga(batch_evaluation, evaluation_cache, iterations=4, population=8):
@@ -141,3 +147,86 @@ class TestEnsembleAttackParity:
             image
         )
         _assert_results_identical(batched, sequential)
+
+
+def _assert_front_matches_dense(result, detector, image):
+    """Every front member's prediction equals a dense forward of its image."""
+    front = result.pareto_front
+    assert front
+    for solution in front:
+        dense = detector.predict(apply_mask(image, solution.mask.values))
+        assert solution.perturbed_prediction == dense
+        assert solution.transitions == classify_transitions(
+            result.clean_prediction, dense
+        )
+
+
+class TestFrontPredictionParity:
+    """Front predictions come from evaluations already made (the delta store
+    or a clean-bundle splice); they must equal a dense forward bit for bit."""
+
+    @pytest.fixture(params=["yolo", "detr"])
+    def detector(self, request, yolo_detector, detr_detector):
+        return yolo_detector if request.param == "yolo" else detr_detector
+
+    @pytest.mark.parametrize(
+        "route",
+        [
+            {},
+            {"use_delta_reuse": False},
+            {"use_activation_cache": False},
+        ],
+        ids=["default", "delta-reuse-off", "activation-cache-off"],
+    )
+    def test_butterfly_front_matches_dense_forward(
+        self, detector, small_dataset, route
+    ):
+        image = small_dataset[0].image
+        config = replace(_attack_config(True, True), **route)
+        result = ButterflyAttack(detector, config).attack(image)
+        _assert_front_matches_dense(result, detector, image)
+
+    def test_default_route_answers_front_from_delta_store(
+        self, yolo_detector, small_dataset, monkeypatch
+    ):
+        hits = []
+        package = ButterflyAttack._package
+
+        def counting_package(self, image, objectives, nsga_result):
+            store = objectives.clean_activations.delta
+            before = store.hits
+            result = package(self, image, objectives, nsga_result)
+            hits.append(store.hits - before)
+            return result
+
+        monkeypatch.setattr(ButterflyAttack, "_package", counting_package)
+        image = small_dataset[0].image
+        result = ButterflyAttack(yolo_detector, _attack_config(True, True)).attack(
+            image
+        )
+        assert hits and hits[0] > 0
+        _assert_front_matches_dense(result, yolo_detector, image)
+
+    def test_sequence_front_matches_first_frame_dense_forward(self, yolo_detector):
+        sequence = generate_sequence(
+            num_frames=3,
+            seed=9,
+            image_length=SMALL_LENGTH,
+            image_width=SMALL_WIDTH,
+            half="left",
+        )
+        config = AttackConfig(
+            nsga=_nsga(True, True, iterations=2, population=8),
+            region=HalfImageRegion("right"),
+        )
+        result = SequenceAttack(yolo_detector, config).attack(sequence)
+        _assert_front_matches_dense(result, yolo_detector, sequence.frame(0))
+
+    def test_ensemble_front_matches_reference_member_dense_forward(
+        self, yolo_detector, detr_detector, small_dataset
+    ):
+        image = small_dataset[0].image
+        result = EnsembleAttack(
+            [yolo_detector, detr_detector], _attack_config(True, True)
+        ).attack(image)
+        _assert_front_matches_dense(result, yolo_detector, image)

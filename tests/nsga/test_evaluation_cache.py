@@ -11,7 +11,9 @@ search trajectory.
 import hashlib
 
 import numpy as np
+import pytest
 
+from repro.nn.incremental import mask_nonzero_bbox
 from repro.nsga.algorithm import NSGAConfig, NSGAII
 from repro.nsga.initialization import InitializationConfig
 from repro.nsga.mutation import MutationConfig
@@ -89,3 +91,64 @@ class TestDeterminism:
 
     def test_different_seeds_diverge(self):
         assert _population_digest(_run(seed=0)) != _population_digest(_run(seed=1))
+
+
+GENOME_SHAPES = [(4, 4), (6, 8), (4, 4, 3), (12, 20, 3)]
+
+
+def _rounded_genome(shape, seed):
+    """A rounded genome: zeros on the left half, ``-0.0`` among the rest."""
+    rng = np.random.default_rng(seed)
+    genome = np.round(rng.normal(0.0, 0.6, size=shape))
+    genome[:, : shape[1] // 2] = 0.0
+    return genome
+
+
+class TestGenomeKey:
+    """Keys collide if and only if the full genome bytes are equal."""
+
+    @pytest.mark.parametrize("shape", GENOME_SHAPES)
+    def test_signed_zero_outside_value_box_changes_key(self, shape):
+        genome = np.zeros(shape)
+        genome[1, 1] = 3.0
+        signed = genome.copy()
+        signed[-1, -1] = -0.0
+        # Same float-nonzero box, so a key over that box would collide.
+        assert mask_nonzero_bbox(genome) == mask_nonzero_bbox(signed)
+        assert NSGAII._genome_key(genome) != NSGAII._genome_key(signed)
+
+    @pytest.mark.parametrize("shape", GENOME_SHAPES)
+    def test_byte_equal_genomes_share_key(self, shape):
+        genome = _rounded_genome(shape, seed=1)
+        padded = np.zeros((2 * shape[0], 3 * shape[1]) + shape[2:])
+        padded[::2, 1::3] = genome
+        view = padded[::2, 1::3]
+        assert not view.flags.c_contiguous
+        key = NSGAII._genome_key(genome)
+        assert NSGAII._genome_key(genome.copy()) == key
+        assert NSGAII._genome_key(view) == key
+        assert NSGAII._genome_key(np.asfortranarray(genome)) == key
+
+    @pytest.mark.parametrize("shape", GENOME_SHAPES)
+    def test_keys_equal_exactly_when_bytes_equal(self, shape):
+        rng = np.random.default_rng(7)
+        genomes = [_rounded_genome(shape, seed) for seed in range(6)]
+        # Variants that differ from genome 0 only by signs of zeros or of
+        # one value, plus an all-zero pair that differs by one sign bit.
+        flipped = genomes[0].copy()
+        zeros = np.flatnonzero(flipped == 0.0)
+        flipped.flat[rng.choice(zeros)] *= -1.0
+        negated = genomes[0].copy()
+        negated.flat[np.flatnonzero(negated != 0.0)[:1]] *= -1.0
+        genomes += [flipped, negated, np.zeros(shape), np.full(shape, -0.0)]
+        genomes += [genome.copy() for genome in genomes]
+        for first in genomes:
+            for second in genomes:
+                same_bytes = first.tobytes() == second.tobytes()
+                same_key = NSGAII._genome_key(first) == NSGAII._genome_key(second)
+                assert same_key == same_bytes
+
+    def test_shape_is_part_of_the_key(self):
+        assert NSGAII._genome_key(np.zeros((4, 6))) != NSGAII._genome_key(
+            np.zeros((6, 4))
+        )
