@@ -40,7 +40,6 @@ from repro.defenses.augmentation import NoiseAugmentationConfig
 from repro.defenses.evaluation import ensemble_defense_evaluation, evaluate_defense
 from repro.defenses.jobs import DefendedModelSpec
 from repro.detectors.activation_cache import ActivationCacheStore
-from repro.detectors.fidelity import fidelity_names
 from repro.data.dataset import generate_dataset
 from repro.detectors.training import TrainingConfig
 from repro.detectors.zoo import build_detector
@@ -266,22 +265,12 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "two-phase bounded-error search: run the evolutionary search at "
-            "an approximate evaluation fidelity (--search-fidelity) and "
-            "re-score the final population bit-exactly, so the reported "
-            "Pareto front always carries exact objective values.  Default: "
-            "off (fully exact search)"
-        ),
-    )
-    attack.add_argument(
-        "--search-fidelity",
-        choices=sorted(fidelity_names()),
-        default=None,
-        help=(
-            "approximate fidelity preset for the search phase of "
-            "--fast-search: 'windowed' refreshes attention only in a band "
-            "around each mask's dirty cells, 'float32' runs the perturbed "
-            "forward in single precision, 'turbo' combines both, "
-            "'surrogate' searches on a downscaled scene (default: windowed)"
+            "the windowed evaluation fidelity (the transformer refreshes "
+            "attention only in a band around each mask's dirty cells; the "
+            "single-stage detector stays exact) and re-score the final "
+            "population bit-exactly, so the reported Pareto front always "
+            "carries exact objective values.  Default: off (fully exact "
+            "search)"
         ),
     )
     attack.add_argument(
@@ -448,8 +437,6 @@ def _attack_config(args: argparse.Namespace) -> AttackConfig:
         cache_overrides["delta_store_size"] = int(args.delta_store_size)
     if getattr(args, "fast_search", None) is not None:
         cache_overrides["fast_search"] = bool(args.fast_search)
-    if getattr(args, "search_fidelity", None) is not None:
-        cache_overrides["search_fidelity"] = str(args.search_fidelity)
     if getattr(args, "rescore_every", None) is not None:
         cache_overrides["rescore_every"] = int(args.rescore_every)
     if getattr(args, "anneal_final_window", None) is not None:

@@ -42,6 +42,39 @@ def constrain_mask(config: AttackConfig, mask: np.ndarray) -> np.ndarray:
     return np.clip(projected, -255.0, 255.0, out=projected)
 
 
+def nsga_config(config: AttackConfig) -> NSGAConfig:
+    """The NSGA-II configuration of every attack front-end.
+
+    ``config.nsga`` with the attack-level options applied:
+    ``sparse_init_fraction > 0`` rewrites the initialisation config so
+    part of the initial population is drawn as patch-confined sparse
+    masks; ``fast_search``/``rescore_every`` turn on the two-phase
+    bounded-error search; ``anneal_final_window`` installs the
+    mutation-intensity schedule.  At the defaults ``config.nsga`` is
+    returned unchanged, so default attacks are bit-exact with the original
+    path.
+    """
+    nsga = config.nsga
+    if config.sparse_init_fraction > 0.0:
+        nsga = replace(
+            nsga,
+            initialization=replace(
+                nsga.initialization, sparse_fraction=config.sparse_init_fraction
+            ),
+        )
+    if config.fast_search:
+        nsga = replace(nsga, fast_search=True, rescore_every=config.rescore_every)
+    if config.anneal_final_window is not None:
+        nsga = replace(
+            nsga,
+            annealing=IntensityAnnealing(
+                final_window_fraction=config.anneal_final_window,
+                shape=config.anneal_shape,
+            ),
+        )
+    return nsga
+
+
 def predict_front(
     result: AttackResult,
     population: Sequence[Individual],
@@ -130,43 +163,6 @@ class ButterflyAttack:
             delta_store_size=self.config.delta_store_size,
         )
 
-    def _nsga_config(self) -> "NSGAConfig":
-        """The NSGA-II configuration with attack-level options applied.
-
-        ``sparse_init_fraction > 0`` rewrites the initialisation config so
-        part of the initial population is drawn as patch-confined sparse
-        masks; ``fast_search``/``rescore_every`` turn on the two-phase
-        bounded-error search; ``anneal_final_window`` installs the
-        mutation-intensity schedule.  At the defaults the configuration
-        object is returned unchanged, so default attacks are bit-exact
-        with the original path.
-        """
-        nsga = self.config.nsga
-        if self.config.sparse_init_fraction > 0.0:
-            nsga = replace(
-                nsga,
-                initialization=replace(
-                    nsga.initialization,
-                    sparse_fraction=self.config.sparse_init_fraction,
-                ),
-            )
-        if self.config.fast_search:
-            nsga = replace(
-                nsga,
-                fast_search=True,
-                search_fidelity=self.config.search_fidelity,
-                rescore_every=self.config.rescore_every,
-            )
-        if self.config.anneal_final_window is not None:
-            nsga = replace(
-                nsga,
-                annealing=IntensityAnnealing(
-                    final_window_fraction=self.config.anneal_final_window,
-                    shape=self.config.anneal_shape,
-                ),
-            )
-        return nsga
-
     def _package(
         self,
         image: np.ndarray,
@@ -218,7 +214,7 @@ class ButterflyAttack:
         optimizer = NSGAII(
             objective_function=objectives,
             genome_shape=image.shape,
-            config=self._nsga_config(),
+            config=nsga_config(self.config),
             constraint=partial(constrain_mask, self.config),
             callback=callback,
         )

@@ -48,18 +48,14 @@ class AttackConfig:
         LRU entry cap of the per-scene delta-activation store feeding the
         cross-generation reuse path.
     fast_search:
-        Run the NSGA-II search phase at an approximate evaluation fidelity
-        and re-score the final population bit-exactly (two-phase
-        bounded-error search).  The returned Pareto front carries exact
-        objective vectors by construction; only *which* genomes survive the
-        search can differ from an all-exact run.  Default off — the default
-        attack path is bit- and RNG-identical to previous releases.
-    search_fidelity:
-        Named fidelity preset for the search phase (see
-        ``repro.detectors.fidelity.FIDELITY_PRESETS``): ``"windowed"``
-        (banded attention refresh), ``"float32"``, ``"turbo"`` (both) or
-        ``"surrogate"`` (downscaled scene).  Only used when ``fast_search``
-        is on.
+        Run the NSGA-II search phase at the ``windowed`` evaluation
+        fidelity (the transformer's banded attention refresh; see
+        :mod:`repro.detectors.fidelity`) and re-score the final population
+        bit-exactly (two-phase bounded-error search).  The returned Pareto
+        front carries exact objective vectors by construction; only *which*
+        genomes survive the search can differ from an all-exact run.
+        Default off — the default attack path is bit- and RNG-identical to
+        previous releases.
     rescore_every:
         When positive and ``fast_search`` is on, additionally re-score the
         surviving population at exact fidelity every this-many generations
@@ -84,7 +80,6 @@ class AttackConfig:
     use_delta_reuse: bool = True
     delta_store_size: int = 256
     fast_search: bool = False
-    search_fidelity: str = "windowed"
     rescore_every: int = 0
     anneal_final_window: float | None = None
     anneal_shape: str = "log"
@@ -98,9 +93,6 @@ class AttackConfig:
             raise ValueError("delta_store_size must be at least 1")
         if self.rescore_every < 0:
             raise ValueError("rescore_every must be non-negative")
-        from repro.detectors.fidelity import resolve_fidelity
-
-        resolve_fidelity(self.search_fidelity)
         if self.anneal_final_window is not None:
             from repro.nsga.mutation import IntensityAnnealing
 

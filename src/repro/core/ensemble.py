@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.attack import constrain_mask, predict_front
+from repro.core.attack import constrain_mask, nsga_config, predict_front
 from repro.core.config import AttackConfig
 from repro.core.masks import FilterMask, apply_mask
 from repro.core.objectives import ButterflyObjectives
@@ -243,7 +243,7 @@ class EnsembleAttack:
         optimizer = NSGAII(
             objective_function=objectives,
             genome_shape=image.shape,
-            config=self.config.nsga,
+            config=nsga_config(self.config),
             constraint=partial(constrain_mask, self.config),
         )
         nsga_result = optimizer.run()

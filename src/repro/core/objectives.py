@@ -34,7 +34,7 @@ bit-identical per mask, so ``use_activation_cache`` only changes speed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -263,11 +263,8 @@ class ButterflyObjectives:
         self._inc_dirty_area = 0
         self._inc_total_area = 0
         self._fidelity: FidelityConfig = EXACT_FIDELITY
-        self._surrogates: dict[int, "ButterflyObjectives"] = {}
         self.clean_activations: Optional[CleanActivations] = None
-        if self.use_activation_cache and getattr(
-            self.detector, "supports_incremental", False
-        ):
+        if self.use_activation_cache:
             if self.activation_bundle is not None:
                 if self.activation_bundle.clean_image.shape != self.image.shape:
                     raise ValueError(
@@ -332,64 +329,13 @@ class ButterflyObjectives:
         """Switch the evaluation fidelity for subsequent evaluations.
 
         ``None``/``"exact"`` restores the bit-exact default path; an
-        approximate fidelity routes evaluations through the detector's
-        bounded-error modes (and through a downscaled surrogate scene when
-        ``scene_scale > 1``).  The two-phase NSGA-II driver toggles this
+        approximate fidelity routes sparse masks through the detector's
+        windowed-attention recompute.  Two-phase NSGA-II toggles this
         around its search and re-scoring phases; values computed at
         different fidelities must never be compared as equal — callers key
         their caches by :attr:`fidelity_tag`.
         """
         self._fidelity = resolve_fidelity(value)
-
-    def _surrogate_evaluator(self, scale: int) -> "ButterflyObjectives":
-        """The cached evaluator of the ``[::scale, ::scale]`` scene.
-
-        Fully self-consistent on the downscaled scene: its own clean
-        prediction, distance matrix and normalisation scales.  Delta reuse
-        is disabled (surrogate phases are transient, lineage records refer
-        to full-resolution genomes); the activation store is shared so the
-        surrogate bundle participates in the sweep-level cache lifecycle.
-        """
-        evaluator = self._surrogates.get(scale)
-        if evaluator is None:
-            evaluator = ButterflyObjectives(
-                detector=self.detector,
-                image=np.ascontiguousarray(self.image[::scale, ::scale]),
-                epsilon=self.epsilon,
-                extra_objectives=self.extra_objectives,
-                normalize_intensity=self.normalize_intensity,
-                normalize_distance=self.normalize_distance,
-                use_activation_cache=self.use_activation_cache,
-                activation_store=self.activation_store,
-                use_delta_reuse=False,
-            )
-            self._surrogates[scale] = evaluator
-        return evaluator
-
-    def _surrogate_vectors(
-        self, masks: np.ndarray, fidelity: FidelityConfig
-    ) -> np.ndarray:
-        """Objective vectors from the downscaled surrogate scene.
-
-        Degradation and distance are evaluated on the subsampled scene and
-        masks (any residual windowed/precision modes apply there too);
-        intensity is always recomputed *exactly* on the full-resolution
-        mask, so the phase's intensity axis stays comparable with exact
-        values.
-        """
-        scale = fidelity.scene_scale
-        surrogate = self._surrogate_evaluator(scale)
-        inner = replace(fidelity, scene_scale=1)
-        surrogate.set_fidelity(None if inner.is_exact else inner)
-        try:
-            vectors = surrogate.evaluate_population(
-                np.ascontiguousarray(masks[:, ::scale, ::scale])
-            )
-        finally:
-            surrogate.set_fidelity(None)
-        for index in range(masks.shape[0]):
-            vectors[index, 0] = self.intensity(masks[index])
-        return vectors
 
     @property
     def intensity_scale(self) -> float:
@@ -439,23 +385,18 @@ class ButterflyObjectives:
         """Detector prediction on the perturbed image, via the incremental
         path when clean activations are cached (bit-identical either way).
 
-        An approximate fidelity (other than a surrogate scene) is forwarded
-        to the detector; the default exact path is unchanged.
+        An approximate fidelity is forwarded to the incremental path; the
+        dense path is always exact.
         """
-        fidelity = self._fidelity
-        approximate = not fidelity.is_exact and fidelity.scene_scale == 1
         if self.clean_activations is not None:
             return self.detector.predict_delta_batch(
                 self.image,
                 mask[None, ...],
                 [bbox],
                 self.clean_activations,
-                fidelity=fidelity if approximate else None,
+                fidelity=self._fidelity,
             )[0]
-        perturbed = apply_mask(self.image, mask)
-        if approximate:
-            return self.detector.predict_batch_at(perturbed[None, ...], fidelity)[0]
-        return self.detector.predict(perturbed)
+        return self.detector.predict(apply_mask(self.image, mask))
 
     def raw_objectives(self, mask: np.ndarray) -> dict[str, float]:
         """The paper-oriented objective values for reporting.
@@ -485,8 +426,6 @@ class ButterflyObjectives:
         propagate one per offspring); it never changes the result.
         """
         mask = np.asarray(mask, dtype=np.float64)
-        if self._fidelity.scene_scale > 1:
-            return self._surrogate_vectors(mask[None, ...], self._fidelity)[0]
         bbox = mask_nonzero_bbox(mask, within=dirty_bound)
         if self.clean_activations is not None:
             self._record_incremental([bbox])
@@ -593,9 +532,6 @@ class ButterflyObjectives:
             raise ValueError(
                 f"expected masks of shape (B, *{self.image.shape}), got {masks.shape}"
             )
-        fidelity = self._fidelity
-        if fidelity.scene_scale > 1:
-            return self._surrogate_vectors(masks, fidelity)
         predictions, bboxes = self.predict_population(masks, dirty_bounds, ancestry)
         return np.stack(
             [
@@ -619,20 +555,12 @@ class ButterflyObjectives:
         objective vector, and so the attack front-ends can answer their
         Pareto front from evaluations already made
         (:func:`~repro.core.attack.predict_front`).  Same routing, same
-        bit-parity guarantees; the surrogate (``scene_scale > 1``)
-        fidelity has no full-resolution predictions to offer and is
-        rejected.
+        bit-parity guarantees.
         """
         masks = np.asarray(masks, dtype=np.float64)
         if masks.ndim != 4 or masks.shape[1:] != self.image.shape:
             raise ValueError(
                 f"expected masks of shape (B, *{self.image.shape}), got {masks.shape}"
-            )
-        fidelity = self._fidelity
-        if fidelity.scene_scale > 1:
-            raise ValueError(
-                "predict_population has no full-resolution predictions under "
-                "a surrogate (scene_scale > 1) fidelity"
             )
         bounds: list[BBox | None]
         if dirty_bounds is None:
@@ -666,15 +594,11 @@ class ButterflyObjectives:
                     if ancestry is not None and self._delta_reuse_active
                     else None
                 ),
-                fidelity=None if fidelity.is_exact else fidelity,
+                fidelity=self._fidelity,
             )
         else:
             perturbed = self.apply_masks(
                 masks, out=self._population_scratch(masks.shape)
             )
-            predictions = (
-                self.detector.predict_batch(perturbed)
-                if fidelity.is_exact
-                else self.detector.predict_batch_at(perturbed, fidelity)
-            )
+            predictions = self.detector.predict_batch(perturbed)
         return predictions, bboxes

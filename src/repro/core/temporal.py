@@ -35,7 +35,12 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from repro.core.config import AttackConfig
-from repro.core.attack import ButterflyAttack, constrain_mask, predict_front
+from repro.core.attack import (
+    ButterflyAttack,
+    constrain_mask,
+    nsga_config,
+    predict_front,
+)
 from repro.core.masks import FilterMask
 from repro.core.objectives import ButterflyObjectives, objective_degradation
 from repro.core.results import AttackResult, ParetoSolution
@@ -128,7 +133,7 @@ class TemporalAttack:
         optimizer = NSGAII(
             objective_function=objectives,
             genome_shape=frames[0].shape,
-            config=self.config.nsga,
+            config=nsga_config(self.config),
             constraint=partial(constrain_mask, self.config),
         )
         nsga_result = optimizer.run()
@@ -151,6 +156,7 @@ class TemporalAttack:
             solutions=solutions,
             detector_name=f"{getattr(self.detector, 'name', 'detector')}@{len(frames)}frames",
             num_evaluations=nsga_result.num_evaluations,
+            cache_hits=nsga_result.cache_hits,
             history=nsga_result.history,
         )
         return result
@@ -473,7 +479,7 @@ class SequenceAttack(ButterflyAttack):
         optimizer = NSGAII(
             objective_function=objectives,
             genome_shape=objectives.per_frame[0].image.shape,
-            config=self._nsga_config(),
+            config=nsga_config(self.config),
             constraint=partial(constrain_mask, self.config),
             callback=callback,
         )

@@ -22,7 +22,6 @@ from repro.detectors.fidelity import (
     EXACT_FIDELITY,
     FIDELITY_PRESETS,
     FidelityConfig,
-    fidelity_names,
     resolve_fidelity,
 )
 from repro.detectors.prototypes import PrototypeBank
@@ -40,7 +39,6 @@ __all__ = [
     "EXACT_FIDELITY",
     "FIDELITY_PRESETS",
     "FidelityConfig",
-    "fidelity_names",
     "resolve_fidelity",
     "PrototypeBank",
     "SingleStageDetector",

@@ -84,12 +84,12 @@ class Detector(abc.ABC):
     utilities (feature heatmaps).
 
     A third-party detector joins the incremental (dirty-region) path by
-    setting :attr:`supports_incremental` and implementing two methods:
-    :meth:`clean_activations`, which caches the clean scene's tensors, and
-    :meth:`_splice_batch`, which recomputes a list of pixel windows against
-    given source tensors.  Everything else — empty and dense routing,
-    cross-generation delta reuse and the temporal frame derivation — is
-    built on those two here.
+    implementing two methods: :meth:`clean_activations`, which caches the
+    clean scene's tensors (the base returns ``None``, which keeps every
+    mask on the dense path), and :meth:`_splice_batch`, which recomputes a
+    list of pixel windows against given source tensors.  Everything else —
+    empty and dense routing, cross-generation delta reuse and the temporal
+    frame derivation — is built on those two here.
     """
 
     #: Short architecture name, e.g. ``"single_stage"`` or ``"transformer"``.
@@ -100,10 +100,6 @@ class Detector(abc.ABC):
     #: measures faster than one monolithic batch at these image sizes; the
     #: results are bit-identical for every chunk size.
     batch_chunk: int = 2
-
-    #: Whether :meth:`clean_activations` returns a usable cache (i.e. the
-    #: detector implements :meth:`_splice_batch`).
-    supports_incremental: bool = False
 
     #: Dirty-bounding-box area fraction (of the image plane) above which the
     #: delta path routes a mask through the dense batched forward pass
@@ -144,19 +140,6 @@ class Detector(abc.ABC):
         images = validate_image_batch(images)
         return [self.predict(image) for image in images]
 
-    def predict_batch_at(
-        self, images: np.ndarray, fidelity: "FidelityConfig | None" = None
-    ) -> list[Prediction]:
-        """Batch prediction at a requested evaluation fidelity.
-
-        A fidelity is a *permission to approximate*, never an obligation:
-        the generic base ignores it and answers exactly (exact results are
-        within any error budget), so third-party detectors support the
-        fidelity API for free.  Architectures that implement cheap modes
-        (see :mod:`repro.detectors.fidelity`) override this.
-        """
-        return self.predict_batch(images)
-
     def clean_activations(self, image: np.ndarray) -> CleanActivations | None:
         """Precompute the clean scene's activations for the delta path.
 
@@ -188,8 +171,8 @@ class Detector(abc.ABC):
         Returns ``(bundle, used_incremental)`` where ``used_incremental``
         reports whether the bundle was derived through the windowed splice
         (a *frame hit*) or rebuilt densely (``previous`` missing, shapes
-        differing, the diff too large to profit, or the architecture not
-        supporting incremental inference).  Either way the bundle is
+        differing, the diff too large to profit, or a detector whose
+        :meth:`clean_activations` returns ``None``).  Either way the bundle is
         bit-identical to :meth:`clean_activations` on ``image`` — the
         splice runs with an all-zero mask, so the recomputed window sees
         exactly the new frame's clean pixels, and identical frames share
@@ -197,7 +180,7 @@ class Detector(abc.ABC):
         contract).
         """
         image = validate_image(image)
-        if previous is None or not self.supports_incremental:
+        if previous is None:
             return self.clean_activations(image), False
         clean_image = np.clip(image + 0.0, 0.0, 255.0)
         if previous.clean_image.shape != clean_image.shape:
@@ -294,14 +277,15 @@ class Detector(abc.ABC):
         only decides which grids a mask splices against and whether its
         spliced grids are stored for its descendants.
 
-        ``fidelity`` opts the whole batch into approximate evaluation
-        (windowed attention / reduced precision; see
-        :mod:`repro.detectors.fidelity`).  Exact (or ``None``) fidelity is
-        the unchanged bit-identical path.  Approximate fidelities disable
-        cross-generation reuse for the batch: the delta store's spliced
-        grids are exact and may be reused later at exact fidelity, but its
-        stored *predictions* (served on an empty relative diff) are not,
-        so approximate batches never touch it in either direction.
+        ``fidelity`` opts the batch's sparse masks into the windowed
+        attention recompute (see :mod:`repro.detectors.fidelity`); dense
+        masks still run the exact :meth:`predict_batch`.  Exact (or
+        ``None``) fidelity is the unchanged bit-identical path.  An
+        approximate fidelity disables cross-generation reuse for the batch:
+        the delta store's spliced grids are exact and may be reused later at
+        exact fidelity, but its stored *predictions* (served on an empty
+        relative diff) are not, so approximate batches never touch it in
+        either direction.
         """
         image = validate_image(image)
         if fidelity is not None and fidelity.is_exact:
@@ -321,7 +305,7 @@ class Detector(abc.ABC):
                 f"expected {count} dirty bounds, got {len(dirty_bounds)}"
             )
         delta_store: DeltaActivationStore | None = None
-        if ancestry is not None and clean is not None and self.supports_incremental:
+        if ancestry is not None and clean is not None:
             if len(ancestry) != count:
                 raise ValueError(
                     f"expected {count} ancestry entries, got {len(ancestry)}"
@@ -333,7 +317,7 @@ class Detector(abc.ABC):
         # (``None``: not stored) and the mask's own exact dirty box.
         stored: list[tuple[bytes | None, BBox]] = []
         dense: list[int] = []
-        if clean is None or not self.supports_incremental:
+        if clean is None:
             dense = list(range(count))
         else:
             plane = (image.shape[0], image.shape[1])
@@ -359,12 +343,7 @@ class Detector(abc.ABC):
                 stored.append((info.get("fingerprint") if info else None, bbox))
         if dense:
             stacked = np.clip(image[None, ...] + masks[dense], 0.0, 255.0)
-            batch = (
-                self.predict_batch(stacked)
-                if fidelity is None
-                else self.predict_batch_at(stacked, fidelity)
-            )
-            for index, prediction in zip(dense, batch):
+            for index, prediction in zip(dense, self.predict_batch(stacked)):
                 predictions[index] = prediction
         if items:
             spliced, states = self._splice_batch(image, masks, items, fidelity, clean)
@@ -465,15 +444,16 @@ class Detector(abc.ABC):
         *pre-finalisation* spliced grids (``None`` where the fallback was
         returned) for the caller to memoize.
 
-        ``fidelity`` (``None`` = exact, the bit-identical path) permits an
-        approximate recompute; approximate batches only carry clean-bundle
-        sources, ``clean`` is that bundle (for memoised fidelity state),
-        and their returned grids are never memoized.  Only reached when
-        :attr:`supports_incremental` is True; such detectors must override
-        it.
+        ``fidelity`` (``None`` = exact, the bit-identical path) permits
+        the windowed recompute, which architectures without attention
+        ignore; approximate batches only carry clean-bundle sources,
+        ``clean`` is that bundle (for memoised fidelity state), and their
+        returned grids are never memoized.  Only reached when
+        :meth:`clean_activations` returns a bundle; such detectors must
+        override it.
         """
         raise NotImplementedError(
-            f"{type(self).__name__} declares incremental support but does not "
+            f"{type(self).__name__} returns clean activations but does not "
             "implement _splice_batch"
         )
 

@@ -4,41 +4,30 @@ The bit-parity contract that governs every fast path in this repository
 (batched, incremental, delta-reuse) caps the transformer incremental path
 near ~1.6x: the global softmax mixing must be recomputed exactly for every
 offspring.  :class:`FidelityConfig` is the escape hatch — an explicitly
-opt-in description of *how cheap* an evaluation is allowed to be:
-
-* ``attention_window`` — recompute the transformer's attention only for
-  token rows inside the mask's dirty cell window (dilated by this radius);
-  rows outside reuse the clean scene's cached attention state, with the
-  raw-feature delta still propagated exactly through the stale weights.
-* ``dtype`` — run the approximate forward pass at reduced precision
-  (``"float32"``), quantising activations before the classification head.
-* ``scene_scale`` — evaluate degradation/distance on a ``[::s, ::s]``
-  subsampled surrogate scene; intensity is always computed on the full
-  mask so it stays comparable with exact-phase values.
+opt-in description of *how cheap* an evaluation is allowed to be.  It has
+one knob, ``attention_window``: recompute the transformer's attention only
+for token rows inside the mask's dirty cell window (dilated by this
+radius); rows outside reuse the clean scene's cached attention state, with
+the raw-feature delta still propagated exactly through the stale weights.
 
 A fidelity is a *permission to approximate, never an obligation*: code
-that does not implement a mode evaluates it exactly (exact results are
-always within any error budget).  The exact fidelity routes through the
-unchanged bit-parity paths, so the default search is bit-identical to a
-run without this module.  The two-phase NSGA-II driver
-(:mod:`repro.nsga.algorithm`) searches at an approximate fidelity and
-re-scores survivors at :data:`EXACT_FIDELITY`, so *reported* Pareto fronts
-remain bit-exact.
+that does not implement it (the single-stage detector, dense masks,
+third-party detectors) evaluates exactly (exact results are always within
+any error budget).  The exact fidelity routes through the unchanged
+bit-parity paths, so the default search is bit-identical to a run without
+this module.  Two-phase NSGA-II (:mod:`repro.nsga.algorithm`) searches
+at the ``windowed`` preset and re-scores survivors at
+:data:`EXACT_FIDELITY`, so *reported* Pareto fronts remain bit-exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-#: Activation dtypes a fidelity may request.
-_DTYPES = ("float64", "float32")
-
 
 @dataclass(frozen=True)
 class FidelityConfig:
-    """One evaluation fidelity (see the module docstring for the modes).
+    """One evaluation fidelity (see the module docstring).
 
     Attributes
     ----------
@@ -46,73 +35,42 @@ class FidelityConfig:
         Human-readable label (preset name, or free-form for custom configs).
     attention_window:
         Dilation radius, in grid cells, of the token window whose attention
-        rows are recomputed around a mask's dirty region; ``None`` keeps the
-        exact global attention.  ``0`` recomputes only the dirty cells
-        themselves.  Only the transformer architecture interprets it.
-    dtype:
-        Activation dtype of the approximate forward pass (``"float64"`` or
-        ``"float32"``).
-    scene_scale:
-        Subsampling stride of the surrogate scene (``1`` = full scene).
+        rows are recomputed around a mask's dirty region; ``None`` is the
+        exact fidelity.  ``0`` recomputes only the dirty cells themselves.
+        Only the transformer architecture interprets it.
     """
 
     name: str = "exact"
     attention_window: int | None = None
-    dtype: str = "float64"
-    scene_scale: int = 1
 
     def __post_init__(self) -> None:
-        if self.dtype not in _DTYPES:
-            raise ValueError(f"dtype must be one of {_DTYPES}, got {self.dtype!r}")
         if self.attention_window is not None and self.attention_window < 0:
             raise ValueError("attention_window must be None or non-negative")
-        if self.scene_scale < 1:
-            raise ValueError("scene_scale must be at least 1")
 
     @property
     def is_exact(self) -> bool:
         """True when this fidelity requests no approximation at all."""
-        return (
-            self.attention_window is None
-            and self.dtype == "float64"
-            and self.scene_scale == 1
-        )
-
-    @property
-    def numpy_dtype(self) -> np.dtype:
-        """The requested activation dtype as a NumPy dtype."""
-        return np.dtype(self.dtype)
+        return self.attention_window is None
 
     @property
     def tag(self) -> str:
         """Canonical value-derived key for caches keyed per fidelity.
 
-        Two configs with identical approximation parameters share a tag
-        regardless of their ``name``, so cache entries can never collide
-        across genuinely different fidelities nor split across aliases.
+        Two configs with the same window share a tag regardless of their
+        ``name``, so cache entries can never collide across genuinely
+        different fidelities nor split across aliases.
         """
-        if self.is_exact:
-            return "exact"
-        window = "-" if self.attention_window is None else str(self.attention_window)
-        return f"w{window}:{self.dtype}:s{self.scene_scale}"
+        return "exact" if self.is_exact else f"w{self.attention_window}"
 
 
 #: The fidelity of every pre-existing evaluation path (no approximation).
 EXACT_FIDELITY = FidelityConfig()
 
-#: Named presets selectable from ``AttackConfig`` / the CLI.
+#: Named presets accepted by :func:`resolve_fidelity`.
 FIDELITY_PRESETS: dict[str, FidelityConfig] = {
     "exact": EXACT_FIDELITY,
     "windowed": FidelityConfig(name="windowed", attention_window=2),
-    "float32": FidelityConfig(name="float32", dtype="float32"),
-    "turbo": FidelityConfig(name="turbo", attention_window=2, dtype="float32"),
-    "surrogate": FidelityConfig(name="surrogate", scene_scale=2),
 }
-
-
-def fidelity_names() -> tuple[str, ...]:
-    """The selectable preset names, in a stable order."""
-    return tuple(FIDELITY_PRESETS)
 
 
 def resolve_fidelity(value: "FidelityConfig | str | None") -> FidelityConfig:

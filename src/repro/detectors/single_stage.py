@@ -57,7 +57,6 @@ class SingleStageDetector(Detector):
     """
 
     architecture = "single_stage"
-    supports_incremental = True
 
     def __init__(
         self,
@@ -155,27 +154,6 @@ class SingleStageDetector(Detector):
             predictions.extend(self._decode_batch(probabilities, image_shape))
         return predictions
 
-    def predict_batch_at(self, images: np.ndarray, fidelity=None) -> list[Prediction]:
-        """Batch prediction at a fidelity.
-
-        The single-stage forward has no attention stage to window, so only
-        reduced precision applies: features are quantised to the requested
-        dtype before the classification head.  Exact/float64 fidelities
-        answer through the unchanged bit-identical path.
-        """
-        if fidelity is None or fidelity.numpy_dtype == np.float64:
-            return self.predict_batch(images)
-        images = validate_image_batch(images)
-        image_shape = (images.shape[1], images.shape[2])
-        dtype = fidelity.numpy_dtype
-        chunk = max(1, int(self.batch_chunk))
-        predictions: list[Prediction] = []
-        for start in range(0, images.shape[0], chunk):
-            features = self.backbone_features_batch(images[start : start + chunk])
-            probabilities = self.prototypes.probabilities(features.astype(dtype))
-            predictions.extend(self._decode_batch(probabilities, image_shape))
-        return predictions
-
     # ------------------------------------------------------------------
     # Incremental (dirty-region) inference
     # ------------------------------------------------------------------
@@ -270,9 +248,8 @@ class SingleStageDetector(Detector):
         the prototype probabilities run once over the stacked grids —
         per-cell operations, so every grid is bit-identical to the full
         forward pass however items mix clean, ancestor and previous-frame
-        sources.  A reduced-precision ``fidelity`` quantises the stacked
-        grids before the head (the splice itself is windowed and stays
-        exact), so ``clean`` is not needed.
+        sources.  The forward has no attention stage to window, so every
+        ``fidelity`` answers exactly and ``clean`` is not needed.
 
         The temporal frame-to-frame derivation (:meth:`~repro.detectors.
         base.Detector.clean_activations_delta`) also routes here, with a
@@ -298,8 +275,6 @@ class SingleStageDetector(Detector):
                 ],
                 axis=0,
             )
-            if fidelity is not None and fidelity.numpy_dtype != np.float64:
-                stacked = stacked.astype(fidelity.numpy_dtype)
             probabilities = self.prototypes.probabilities(stacked)
             image_shape = (image.shape[0], image.shape[1])
             decoded = self._decode_batch(probabilities, image_shape)

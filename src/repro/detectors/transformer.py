@@ -80,7 +80,6 @@ class TransformerDetector(Detector):
     """
 
     architecture = "transformer"
-    supports_incremental = True
 
     def __init__(
         self,
@@ -157,47 +156,41 @@ class TransformerDetector(Detector):
         return self._attention_from_raw(self.extractor(image))
 
     def _mixing_weights_rows(
-        self,
-        tokens: np.ndarray,
-        rows: np.ndarray | None = None,
-        dtype: np.dtype = np.float64,
+        self, tokens: np.ndarray, rows: np.ndarray | None = None
     ) -> np.ndarray:
-        """Mixing-attention rows for a subset of query tokens at a dtype.
+        """Mixing-attention rows for a subset of query tokens.
 
-        Same scores/softmax as the tail of :meth:`_attention_from_raw`
-        (python-float temperature so float32 activations stay float32);
+        Same scores/softmax as the tail of :meth:`_attention_from_raw`;
         ``rows=None`` yields the full (tokens, tokens) matrix.
         """
         row_tokens = tokens if rows is None else tokens[rows]
-        query = self.query_proj.at(row_tokens, dtype)
-        key = self.key_proj.at(tokens, dtype)
-        temperature = float(np.sqrt(self.embed_dim) / self.attention_sharpness)
+        query = self.query_proj(row_tokens)
+        key = self.key_proj(tokens)
+        temperature = np.sqrt(self.embed_dim) / self.attention_sharpness
         scores = query @ key.T / temperature
         return softmax(scores, axis=-1)
 
-    def _fidelity_state(self, clean: CleanActivations, dtype: np.dtype) -> dict:
+    def _fidelity_state(self, clean: CleanActivations) -> dict:
         """Clean-scene attention state for the approximate delta path.
 
-        Everything the windowed recompute splices against, derived once per
-        activation dtype from the bundle's cached raw grid and memoized on
+        Everything the windowed recompute splices against, derived once
+        from the bundle's cached raw grid and memoized on
         ``clean.fidelity_state``: the flat raw features, the token
         embeddings *after each attention layer*, the full mixing-attention
         matrix and the mixed features.  Pure recompute cache — rebuilt
         lazily per worker when a bundle crosses a process boundary.
         """
-        key = f"attn:{dtype.name}"
-        state = clean.fidelity_state.get(key)
-        if state is not None:
-            return state
+        if clean.fidelity_state is not None:
+            return clean.fidelity_state
         raw = clean.tensors["raw"]
         rows, cols = raw.shape[0], raw.shape[1]
-        flat = np.asarray(raw.reshape(rows * cols, raw.shape[-1]), dtype=dtype)
-        pos = np.asarray(self._positional(rows, cols), dtype=dtype)
-        tokens = [layer_norm(self.embedding.at(flat, dtype) + pos, axis=-1)]
+        flat = raw.reshape(rows * cols, raw.shape[-1])
+        pos = self._positional(rows, cols)
+        tokens = [layer_norm(self.embedding(flat) + pos, axis=-1)]
         for layer in self.layers:
-            tokens.append(layer.forward_rows(tokens[-1], None, dtype=dtype))
-        weights = self._mixing_weights_rows(tokens[-1], None, dtype)
-        state = {
+            tokens.append(layer.forward_rows(tokens[-1]))
+        weights = self._mixing_weights_rows(tokens[-1])
+        clean.fidelity_state = {
             "grid": (rows, cols),
             "flat": flat,
             "pos": pos,
@@ -205,41 +198,7 @@ class TransformerDetector(Detector):
             "weights": weights,
             "mixed": weights @ flat,
         }
-        clean.fidelity_state[key] = state
-        return state
-
-    def _approx_full_grid(self, raw: np.ndarray, dtype: np.dtype) -> np.ndarray:
-        """Full blended feature grid of one image at a reduced dtype.
-
-        Dense masks have no dirty window to bound, so the only available
-        approximation is precision; attention itself is computed in full.
-        """
-        rows, cols = raw.shape[0], raw.shape[1]
-        flat = np.asarray(raw.reshape(rows * cols, raw.shape[-1]), dtype=dtype)
-        pos = np.asarray(self._positional(rows, cols), dtype=dtype)
-        tokens = layer_norm(self.embedding.at(flat, dtype) + pos, axis=-1)
-        for layer in self.layers:
-            tokens = layer.forward_rows(tokens, None, dtype=dtype)
-        weights = self._mixing_weights_rows(tokens, None, dtype)
-        mixed = weights @ flat
-        alpha = float(self.attention_mix)
-        blended = (1.0 - alpha) * flat + alpha * mixed
-        return blended.reshape(raw.shape)
-
-    def predict_batch_at(self, images: np.ndarray, fidelity=None) -> list:
-        """Batch prediction at a fidelity; only reduced precision applies
-        to dense (windowless) evaluation — anything else answers exactly."""
-        if fidelity is None or fidelity.numpy_dtype == np.float64:
-            return self.predict_batch(images)
-        images = validate_image_batch(images)
-        image_shape = (images.shape[1], images.shape[2])
-        dtype = fidelity.numpy_dtype
-        predictions = []
-        for image in images:
-            blended = self._approx_full_grid(self.extractor(image), dtype)
-            probabilities = self.prototypes.probabilities(blended)
-            predictions.append(self._decode(probabilities, image_shape))
-        return predictions
+        return clean.fidelity_state
 
     def _mix_features(self, raw: np.ndarray) -> np.ndarray:
         """Blend raw cell features with their attention-mixed counterpart."""
@@ -421,12 +380,10 @@ class TransformerDetector(Detector):
 
         ``dirty`` holds the flat token indices of the mask's spliced cell
         window, ``window`` those of the attention rows to refresh: the
-        dirty window dilated by ``fidelity.attention_window`` cells, or
-        every row when that is ``None`` (full recompute at the requested
-        dtype).
+        dirty window dilated by ``fidelity.attention_window`` cells.
         """
         grid_shape = self.extractor.grid_shape(image)
-        rows, cols = grid_shape
+        cols = grid_shape[1]
         cell_bbox = pixel_bbox_to_cell_bbox(
             dilate_bbox(pixel_bbox, 1, (image.shape[0], image.shape[1])),
             self.config.cell,
@@ -435,12 +392,9 @@ class TransformerDetector(Detector):
         if bbox_is_empty(cell_bbox):
             return None
         dirty = _flat_cell_indices(cell_bbox, cols)
-        if fidelity.attention_window is None:
-            window = np.arange(rows * cols)
-        else:
-            window = _flat_cell_indices(
-                dilate_bbox(cell_bbox, fidelity.attention_window, grid_shape), cols
-            )
+        window = _flat_cell_indices(
+            dilate_bbox(cell_bbox, fidelity.attention_window, grid_shape), cols
+        )
         return cell_bbox, dirty, window
 
     def _approx_predictions(
@@ -464,7 +418,7 @@ class TransformerDetector(Detector):
         answers for free.
         """
         grid_rows, grid_cols = self.extractor.grid_shape(image)
-        state = self._fidelity_state(clean, fidelity.numpy_dtype)
+        state = self._fidelity_state(clean)
         predictions: list[Prediction] = [fallback for *_, fallback in items]
         groups: dict[tuple[int, int], list] = {}
         for pos, (index, bbox, _, _) in enumerate(items):
@@ -477,7 +431,7 @@ class TransformerDetector(Detector):
         live: list[int] = []
         grids: list[np.ndarray] = []
         for group in groups.values():
-            blended = self._approx_windowed_group(image, masks, group, state, fidelity)
+            blended = self._approx_windowed_group(image, masks, group, state)
             for (pos, *_), grid in zip(group, blended):
                 live.append(pos)
                 grids.append(grid.reshape(grid_rows, grid_cols, grid.shape[-1]))
@@ -500,7 +454,6 @@ class TransformerDetector(Detector):
         masks: np.ndarray,
         group: list,
         state: dict,
-        fidelity,
     ) -> np.ndarray:
         """Batched windowed recompute of one same-shape group.
 
@@ -518,7 +471,6 @@ class TransformerDetector(Detector):
           tokens; rows outside propagate the raw-feature delta *exactly*
           through the clean scene's stale attention weights.
         """
-        dtype = fidelity.numpy_dtype
         count = len(group)
         tokens_n, feature_dim = state["flat"].shape
         dirty = np.stack([entry[3] for entry in group])
@@ -527,26 +479,22 @@ class TransformerDetector(Detector):
         flat_p = np.broadcast_to(state["flat"], (count, tokens_n, feature_dim)).copy()
         for g, (_, index, cell_bbox, dirty_i, _) in enumerate(group):
             patch = self.extractor.window_features(image, masks[index], cell_bbox)
-            flat_p[g, dirty_i] = np.asarray(
-                patch.reshape(-1, feature_dim), dtype=dtype
-            )
+            flat_p[g, dirty_i] = patch.reshape(-1, feature_dim)
         flat_dirty = flat_p[batch, dirty]
         tokens = np.broadcast_to(
             state["tokens"][0], (count,) + state["tokens"][0].shape
         ).copy()
         tokens[batch, dirty] = layer_norm(
-            self.embedding.at(flat_dirty, dtype) + state["pos"][dirty], axis=-1
+            self.embedding(flat_dirty) + state["pos"][dirty], axis=-1
         )
         for depth, layer in enumerate(self.layers):
             refreshed = np.broadcast_to(state["tokens"][depth + 1], tokens.shape).copy()
-            refreshed[batch, window] = layer.forward_rows_batch(
-                tokens, window, dtype=dtype
-            )
+            refreshed[batch, window] = layer.forward_rows_batch(tokens, window)
             tokens = refreshed
         row_tokens = tokens[batch, window]
-        query = self.query_proj.at(row_tokens, dtype)
-        key = self.key_proj.at(tokens, dtype)
-        temperature = float(np.sqrt(self.embed_dim) / self.attention_sharpness)
+        query = self.query_proj(row_tokens)
+        key = self.key_proj(tokens)
+        temperature = np.sqrt(self.embed_dim) / self.attention_sharpness
         window_weights = softmax(
             query @ np.swapaxes(key, -1, -2) / temperature, axis=-1
         )
@@ -554,5 +502,4 @@ class TransformerDetector(Detector):
         stale = np.swapaxes(state["weights"][:, dirty], 0, 1)
         mixed = state["mixed"] + stale @ raw_delta
         mixed[batch, window] = window_weights @ flat_p
-        alpha = float(self.attention_mix)
-        return (1.0 - alpha) * flat_p + alpha * mixed
+        return (1.0 - self.attention_mix) * flat_p + self.attention_mix * mixed

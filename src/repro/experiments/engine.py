@@ -77,23 +77,13 @@ def effective_cache_size(plan: ExperimentPlan) -> int:
     A cap smaller than the plan's distinct-model count guarantees lifecycle
     thrash — every model's bundle is evicted before its next scene arrives —
     so the cap is auto-grown to the model count (with a one-line warning
-    naming both sizes).  A fast-search plan whose fidelity searches on a
-    downscaled surrogate scene caches *two* scenes per (detector, scene)
-    pair (full plus downscaled), so its floor is twice the model count;
-    a streaming plan whose jobs keep a rolling window of frame bundles
-    alive (``frame_cache_size``) needs that many entries per model.
-    Growth never changes results, only hit rates.
+    naming both sizes).  A streaming plan whose jobs keep a rolling window
+    of frame bundles alive (``frame_cache_size``) needs that many entries
+    per model.  Growth never changes results, only hit rates.
     """
     configured = int(plan.attack_config.activation_cache_size)
     distinct = len(plan.model_specs())
     per_model = 1
-    config = plan.attack_config
-    if getattr(config, "fast_search", False):
-        from repro.detectors.fidelity import resolve_fidelity
-
-        fidelity = resolve_fidelity(getattr(config, "search_fidelity", None))
-        if fidelity.scene_scale > 1:
-            per_model = 2
     for job in plan.jobs:
         per_model = max(per_model, int(getattr(job, "frame_cache_size", 1)))
     floor = distinct * per_model

@@ -111,10 +111,7 @@ class MultiHeadSelfAttention:
         return layer_norm(tokens + output, axis=-1)
 
     def forward_rows(
-        self,
-        tokens: np.ndarray,
-        rows: np.ndarray | None = None,
-        dtype: np.dtype | str = np.float64,
+        self, tokens: np.ndarray, rows: np.ndarray | None = None
     ) -> np.ndarray:
         """Self-attention restricted to a subset of query rows.
 
@@ -125,41 +122,33 @@ class MultiHeadSelfAttention:
         the windowed-attention fidelity primitive: the caller keeps clean
         cached outputs for rows outside the window.
 
-        With ``rows=None`` and float64 the arithmetic mirrors
-        :meth:`__call__` (same projections, scale, softmax and residual
-        norm); row subsets and float32 are approximate — BLAS blocking
-        means a row-sliced matmul need not be bit-identical to a slice of
-        the full product.  ``_last_attention`` is never touched.
+        With ``rows=None`` the arithmetic mirrors :meth:`__call__` (same
+        projections, scale, softmax and residual norm); row subsets are
+        approximate — BLAS blocking means a row-sliced matmul need not be
+        bit-identical to a slice of the full product.  ``_last_attention``
+        is never touched.
         """
-        dtype = np.dtype(dtype)
-        tokens = np.asarray(tokens, dtype=dtype)
+        tokens = np.asarray(tokens, dtype=np.float64)
         if tokens.ndim != 2 or tokens.shape[-1] != self.dim:
             raise ValueError(
                 f"expected tokens of shape (n, {self.dim}), got {tokens.shape}"
             )
         row_tokens = tokens if rows is None else tokens[rows]
         head_shape = (-1, self.num_heads, self.head_dim)
-        query = self.query_proj.at(row_tokens, dtype).reshape(head_shape)
-        key = self.key_proj.at(tokens, dtype).reshape(head_shape)
-        value = self.value_proj.at(tokens, dtype).reshape(head_shape)
-        # Python-float scale: an np.float64 scalar would silently promote
-        # float32 activations back to float64.
-        scale = float(np.sqrt(self.head_dim))
+        query = self.query_proj(row_tokens).reshape(head_shape)
+        key = self.key_proj(tokens).reshape(head_shape)
+        value = self.value_proj(tokens).reshape(head_shape)
+        scale = np.sqrt(self.head_dim)
         head_outputs = []
         for head in range(self.num_heads):
             scores = query[:, head, :] @ key[:, head, :].T / scale
             weights = softmax(scores, axis=-1)
             head_outputs.append(weights @ value[:, head, :])
         concatenated = np.concatenate(head_outputs, axis=-1)
-        output = self.out_proj.at(concatenated, dtype)
+        output = self.out_proj(concatenated)
         return layer_norm(row_tokens + output, axis=-1)
 
-    def forward_rows_batch(
-        self,
-        tokens: np.ndarray,
-        rows: np.ndarray,
-        dtype: np.dtype | str = np.float64,
-    ) -> np.ndarray:
+    def forward_rows_batch(self, tokens: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """Batched :meth:`forward_rows` with per-element query row subsets.
 
         ``tokens`` is ``(B, n, dim)`` and ``rows`` an integer ``(B, R)``
@@ -169,8 +158,7 @@ class MultiHeadSelfAttention:
         arithmetic mirrors :meth:`forward_rows` with a batch axis carried
         through every operation.
         """
-        dtype = np.dtype(dtype)
-        tokens = np.asarray(tokens, dtype=dtype)
+        tokens = np.asarray(tokens, dtype=np.float64)
         if tokens.ndim != 3 or tokens.shape[-1] != self.dim:
             raise ValueError(
                 f"expected tokens of shape (B, n, {self.dim}), got {tokens.shape}"
@@ -184,10 +172,10 @@ class MultiHeadSelfAttention:
         row_tokens = tokens[batch, rows]
         head_shape_q = row_tokens.shape[:-1] + (self.num_heads, self.head_dim)
         head_shape_kv = tokens.shape[:-1] + (self.num_heads, self.head_dim)
-        query = self.query_proj.at(row_tokens, dtype).reshape(head_shape_q)
-        key = self.key_proj.at(tokens, dtype).reshape(head_shape_kv)
-        value = self.value_proj.at(tokens, dtype).reshape(head_shape_kv)
-        scale = float(np.sqrt(self.head_dim))
+        query = self.query_proj(row_tokens).reshape(head_shape_q)
+        key = self.key_proj(tokens).reshape(head_shape_kv)
+        value = self.value_proj(tokens).reshape(head_shape_kv)
+        scale = np.sqrt(self.head_dim)
         head_outputs = []
         for head in range(self.num_heads):
             scores = (
@@ -196,5 +184,5 @@ class MultiHeadSelfAttention:
             weights = softmax(scores, axis=-1)
             head_outputs.append(weights @ value[..., head, :])
         concatenated = np.concatenate(head_outputs, axis=-1)
-        output = self.out_proj.at(concatenated, dtype)
+        output = self.out_proj(concatenated)
         return layer_norm(row_tokens + output, axis=-1)

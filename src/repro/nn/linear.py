@@ -39,42 +39,3 @@ class Linear:
         if self.bias is not None:
             out = out + self.bias
         return out
-
-    def at(self, x: np.ndarray, dtype: np.dtype | str = np.float64) -> np.ndarray:
-        """Forward pass at a requested activation dtype.
-
-        ``float64`` delegates to :meth:`__call__` (bit-identical to the
-        exact path); reduced precision runs the matmul entirely in that
-        dtype against lazily cached casts of the parameters, so repeated
-        approximate evaluations do not re-cast the weights.
-        """
-        dtype = np.dtype(dtype)
-        if dtype == np.float64:
-            return self(x)
-        x = np.asarray(x, dtype=dtype)
-        if x.shape[-1] != self.in_features:
-            raise ValueError(
-                f"expected input with last dim {self.in_features}, got {x.shape[-1]}"
-            )
-        weight, bias = self._params_at(dtype)
-        out = x @ weight
-        if bias is not None:
-            out = out + bias
-        return out
-
-    def _params_at(self, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray | None]:
-        # getattr rather than __init__ so instances pickled by older code
-        # (worker-shipped models) grow the cache lazily.
-        cache = getattr(self, "_param_casts", None)
-        if cache is None:
-            cache = {}
-            self._param_casts = cache
-        entry = cache.get(dtype.name)
-        # Weights may be reassigned after construction; identity-check the
-        # source arrays so a stale cast can never be served.
-        if entry is not None and entry[0] is self.weight and entry[1] is self.bias:
-            return entry[2], entry[3]
-        weight = np.asarray(self.weight, dtype=dtype)
-        bias = None if self.bias is None else np.asarray(self.bias, dtype=dtype)
-        cache[dtype.name] = (self.weight, self.bias, weight, bias)
-        return weight, bias

@@ -26,13 +26,8 @@ def softmax(x: np.ndarray, axis: int = -1, temperature: float = 1.0) -> np.ndarr
         raise ValueError("temperature must be positive")
     # One fresh buffer mutated in place: the values are identical to the
     # textbook exp(shifted)/sum(exp) form, but large attention batches avoid
-    # three extra array-sized temporaries.  float32 input stays float32 (the
-    # reduced-precision fidelity path); everything else is computed in
-    # float64 exactly as before.
-    arr = np.asarray(x)
-    if arr.dtype != np.float32:
-        arr = np.asarray(arr, dtype=np.float64)
-    scaled = arr / float(temperature)
+    # three extra array-sized temporaries.
+    scaled = np.asarray(x, dtype=np.float64) / float(temperature)
     scaled -= np.max(scaled, axis=axis, keepdims=True)
     np.exp(scaled, out=scaled)
     scaled /= np.sum(scaled, axis=axis, keepdims=True)

@@ -72,6 +72,10 @@ ObjectiveFunction = Callable[[np.ndarray], np.ndarray]
 #: Optional constraint applied to every genome (e.g. zero out the left half).
 GenomeConstraint = Callable[[np.ndarray], np.ndarray]
 
+#: The fidelity preset a ``fast_search`` run searches at (see
+#: ``repro.detectors.fidelity.FIDELITY_PRESETS``).
+SEARCH_FIDELITY = "windowed"
+
 
 @dataclass(frozen=True)
 class NSGAConfig:
@@ -109,17 +113,13 @@ class NSGAConfig:
         (default) keeps the constant ``mutation.window_fraction`` and the
         exact historical RNG draw stream.
     fast_search:
-        Run the evolutionary search at an approximate evaluation fidelity
+        Run the evolutionary search at the :data:`SEARCH_FIDELITY` preset
         and re-score at exact fidelity (two-phase bounded-error search).
         Requires an objective function exposing ``set_fidelity``; the final
         population is always re-evaluated bit-exactly, so the returned
         objective vectors match a from-scratch exact evaluation of the same
         genomes.  Default off — the default path is bit- and RNG-identical
         to previous releases.
-    search_fidelity:
-        Name of the approximate fidelity preset used during the search
-        phase when ``fast_search`` is on (see
-        ``repro.detectors.fidelity.FIDELITY_PRESETS``).
     rescore_every:
         When positive and ``fast_search`` is on, additionally re-score the
         surviving population at exact fidelity every this-many generations
@@ -137,7 +137,6 @@ class NSGAConfig:
     evaluation_cache: bool = True
     annealing: IntensityAnnealing | None = None
     fast_search: bool = False
-    search_fidelity: str = "windowed"
     rescore_every: int = 0
 
     def __post_init__(self) -> None:
@@ -587,7 +586,7 @@ class NSGAII:
         # sees came from the exact evaluation path.
         fast = self.config.fast_search
         if fast:
-            self._enter_fidelity(self.config.search_fidelity)
+            self._enter_fidelity(SEARCH_FIDELITY)
 
         population = self._initial_population()
         self._evaluate(population)
@@ -610,7 +609,7 @@ class NSGAII:
                 # exact objective values, then continue searching
                 # approximately from the corrected ranking.
                 self._rescore(population)
-                self._enter_fidelity(self.config.search_fidelity)
+                self._enter_fidelity(SEARCH_FIDELITY)
 
             objectives = np.stack([ind.objectives for ind in population], axis=0)
             history.append(

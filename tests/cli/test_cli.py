@@ -89,6 +89,17 @@ class TestCommands:
         assert (tmp_path / "run" / "meta.json").exists()
         assert (tmp_path / "run" / "arrays.npz").exists()
 
+    def test_attack_fast_search_runs_and_has_one_fidelity(self, capsys):
+        base = ["attack", "--detector", "detr", "--iterations", "2"]
+        base += ["--population", "6", "--fast-search", "--rescore-every", "1"]
+        assert main(base) == 0
+        assert "transformer-seed1" in capsys.readouterr().out
+        # fast search always searches at the windowed fidelity; there is no
+        # preset to choose.
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(base + ["--search-fidelity", "windowed"])
+        assert excinfo.value.code == 2
+
     def test_compare_command_pooled_smoke(self, capsys):
         """Tiny sweep under --jobs 2: the pooled engine end to end."""
         exit_code = main(

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.attack import ButterflyAttack
+from repro.core.attack import ButterflyAttack, nsga_config
 from repro.core.config import AttackConfig
 from repro.core.regions import HalfImageRegion
 from repro.nsga.algorithm import NSGAConfig
@@ -108,16 +108,14 @@ class TestAttackReproducibility:
 class TestSparseInitializationFlag:
     def test_default_leaves_nsga_config_untouched(self):
         config = AttackConfig(nsga=NSGAConfig(num_iterations=2, population_size=6))
-        attack = ButterflyAttack(detector=None, config=config)
-        assert attack._nsga_config() is config.nsga
+        assert nsga_config(config) is config.nsga
 
     def test_flag_rewrites_initialization_only(self):
         config = AttackConfig(
             nsga=NSGAConfig(num_iterations=2, population_size=6, seed=5),
             sparse_init_fraction=0.3,
         )
-        attack = ButterflyAttack(detector=None, config=config)
-        nsga = attack._nsga_config()
+        nsga = nsga_config(config)
         assert nsga.initialization.sparse_fraction == 0.3
         assert nsga.seed == 5
         assert nsga.num_iterations == config.nsga.num_iterations

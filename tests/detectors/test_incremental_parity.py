@@ -252,3 +252,15 @@ class TestGenericFallback:
         mask = _sparse_masks(image.shape, seed=11)[0]
         expected = wrapper.predict(np.clip(image + mask, 0.0, 255.0))
         _assert_same_prediction(expected, wrapper.predict_delta(image, mask))
+
+        # A population evaluated with the activation cache requested takes
+        # the same dense route as one evaluated without it.
+        from repro.core.objectives import ButterflyObjectives
+
+        masks = np.stack(_sparse_masks(image.shape, seed=12), axis=0)
+        cached = ButterflyObjectives(wrapper, image, use_activation_cache=True)
+        assert cached.clean_activations is None
+        plain = ButterflyObjectives(wrapper, image, use_activation_cache=False)
+        assert np.array_equal(
+            cached.evaluate_population(masks), plain.evaluate_population(masks)
+        )

@@ -191,8 +191,6 @@ class TestSequenceActivationCache:
 
     def test_non_incremental_detector_returns_none(self, sequence):
         class Opaque:
-            supports_incremental = False
-
             def clean_activations_delta(self, image, previous, dirty_bound=None):
                 return None, False
 

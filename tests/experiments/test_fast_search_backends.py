@@ -49,7 +49,7 @@ def dataset():
     )
 
 
-def _fast_config(fidelity="windowed"):
+def _fast_config():
     return AttackConfig(
         nsga=NSGAConfig(
             num_iterations=3,
@@ -59,7 +59,6 @@ def _fast_config(fidelity="windowed"):
         ),
         region=HalfImageRegion("right"),
         fast_search=True,
-        search_fidelity=fidelity,
     )
 
 
@@ -102,13 +101,14 @@ def _assert_solutions_exactly_scored(result, detector, image):
 
 
 class TestAttackLevel:
-    @pytest.mark.parametrize("fidelity", ["windowed", "turbo", "surrogate"])
+    @pytest.mark.parametrize("architecture", ["yolo", "detr"])
     def test_fast_attack_front_is_exactly_scored(
-        self, detr_detector, small_dataset, fidelity
+        self, request, small_dataset, architecture
     ):
+        detector = request.getfixturevalue(f"{architecture}_detector")
         image = small_dataset[0].image
-        result = ButterflyAttack(detr_detector, _fast_config(fidelity)).attack(image)
-        _assert_solutions_exactly_scored(result, detr_detector, image)
+        result = ButterflyAttack(detector, _fast_config()).attack(image)
+        _assert_solutions_exactly_scored(result, detector, image)
         assert all("fidelity" in entry for entry in result.history)
 
     def test_fast_attack_is_deterministic(self, detr_detector, small_dataset):
