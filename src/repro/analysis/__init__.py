@@ -6,7 +6,8 @@
 * :mod:`repro.analysis.errors` — aggregation of the Section V-B error
   taxonomy over attack results,
 * :mod:`repro.analysis.front_quality` — Pareto-front quality metrics
-  (hypervolume, damage) for the bounded-error two-phase search,
+  (hypervolume, damage) comparing a candidate front with a reference
+  front,
 * :mod:`repro.analysis.reporting` — tabular summaries for the experiment
   harness (plain-text tables, CSV export),
 * :mod:`repro.analysis.visualization` — text rendering of predictions and

@@ -1,16 +1,16 @@
-"""Pareto-front quality metrics for the bounded-error two-phase search.
+"""Pareto-front quality metrics.
 
-The two-phase search (``AttackConfig.fast_search``) trades *which genomes
-the evolution explores* for speed while keeping the reported objective
-values bit-exact.  The question it leaves open — how much front quality the
-approximate search phase costs — is what this module quantifies:
+Search options such as sparse initialisation or intensity annealing change
+*which genomes the evolution explores*, not how a genome is scored.  How
+much front quality such an option gains or costs against a baseline run is
+what this module quantifies:
 
 * :func:`front_quality` condenses one front into scalar metrics
   (hypervolume against a fixed reference, best degradation, best distance,
   front size),
-* :func:`compare_front_quality` relates an approximate-search front to an
-  exact-search front under a *shared* reference point, yielding the
-  hypervolume ratio and damage deltas the benchmark gates on.
+* :func:`compare_front_quality` relates a candidate front to a reference
+  front under a *shared* reference point, yielding the hypervolume ratio
+  and damage deltas the anneal sweep reports.
 
 All objectives follow the repository's minimisation convention: the raw
 NSGA objective vectors are ``(obj_intensity, obj_degrad, -obj_dist)``.
@@ -74,15 +74,17 @@ def front_quality(
 def compare_front_quality(
     approx_front: np.ndarray, exact_front: np.ndarray
 ) -> dict[str, object]:
-    """Approximate-search vs exact-search front quality, shared reference.
+    """Candidate vs reference front quality under a shared reference point.
 
-    Both inputs are (n, d) arrays of *exactly scored* objective vectors
-    (the two-phase search re-scores its front bit-exactly, so the
-    comparison measures search quality, not scoring error).  Returns the
-    per-front metrics plus ``hypervolume_ratio`` (approx / exact, 1.0 when
-    both are empty or exact has zero volume while approx matches) and the
-    damage deltas (approx minus exact; negative ``degradation_delta``
-    means the approximate search found a *stronger* attack).
+    ``approx_front`` is the candidate front and ``exact_front`` the
+    reference front it is judged against; both are (n, d) arrays of
+    objective vectors scored by the same evaluator, so the comparison
+    measures search quality, not scoring error.  Returns the per-front
+    metrics (under ``"approx"`` and ``"exact"``) plus
+    ``hypervolume_ratio`` (candidate / reference, 1.0 when both are empty
+    or the reference has zero volume while the candidate matches) and the
+    damage deltas (candidate minus reference; negative
+    ``degradation_delta`` means the candidate found a *stronger* attack).
     """
     approx_front = np.asarray(approx_front, dtype=np.float64)
     exact_front = np.asarray(exact_front, dtype=np.float64)

@@ -260,30 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="entry cap of the per-scene delta-activation store (default 256)",
     )
     attack.add_argument(
-        "--fast-search",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help=(
-            "two-phase bounded-error search: run the evolutionary search at "
-            "the windowed evaluation fidelity (the transformer refreshes "
-            "attention only in a band around each mask's dirty cells; the "
-            "single-stage detector stays exact) and re-score the final "
-            "population bit-exactly, so the reported Pareto front always "
-            "carries exact objective values.  Default: off (fully exact "
-            "search)"
-        ),
-    )
-    attack.add_argument(
-        "--rescore-every",
-        type=_positive_int,
-        default=None,
-        help=(
-            "with --fast-search, additionally re-score the surviving "
-            "population at exact fidelity every N generations (periodic "
-            "drift correction; default: only at the end)"
-        ),
-    )
-    attack.add_argument(
         "--anneal-final-window",
         type=float,
         default=None,
@@ -435,10 +411,6 @@ def _attack_config(args: argparse.Namespace) -> AttackConfig:
         cache_overrides["use_delta_reuse"] = bool(args.delta_reuse)
     if getattr(args, "delta_store_size", None) is not None:
         cache_overrides["delta_store_size"] = int(args.delta_store_size)
-    if getattr(args, "fast_search", None) is not None:
-        cache_overrides["fast_search"] = bool(args.fast_search)
-    if getattr(args, "rescore_every", None) is not None:
-        cache_overrides["rescore_every"] = int(args.rescore_every)
     if getattr(args, "anneal_final_window", None) is not None:
         cache_overrides["anneal_final_window"] = float(args.anneal_final_window)
         cache_overrides["anneal_shape"] = str(getattr(args, "anneal_shape", "log"))

@@ -48,11 +48,9 @@ def nsga_config(config: AttackConfig) -> NSGAConfig:
     ``config.nsga`` with the attack-level options applied:
     ``sparse_init_fraction > 0`` rewrites the initialisation config so
     part of the initial population is drawn as patch-confined sparse
-    masks; ``fast_search``/``rescore_every`` turn on the two-phase
-    bounded-error search; ``anneal_final_window`` installs the
-    mutation-intensity schedule.  At the defaults ``config.nsga`` is
-    returned unchanged, so default attacks are bit-exact with the original
-    path.
+    masks; ``anneal_final_window`` installs the mutation-intensity
+    schedule.  At the defaults ``config.nsga`` is returned unchanged, so
+    default attacks are bit-exact with the original path.
     """
     nsga = config.nsga
     if config.sparse_init_fraction > 0.0:
@@ -62,8 +60,6 @@ def nsga_config(config: AttackConfig) -> NSGAConfig:
                 nsga.initialization, sparse_fraction=config.sparse_init_fraction
             ),
         )
-    if config.fast_search:
-        nsga = replace(nsga, fast_search=True, rescore_every=config.rescore_every)
     if config.anneal_final_window is not None:
         nsga = replace(
             nsga,

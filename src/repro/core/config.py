@@ -47,19 +47,6 @@ class AttackConfig:
     delta_store_size:
         LRU entry cap of the per-scene delta-activation store feeding the
         cross-generation reuse path.
-    fast_search:
-        Run the NSGA-II search phase at the ``windowed`` evaluation
-        fidelity (the transformer's banded attention refresh; see
-        :mod:`repro.detectors.fidelity`) and re-score the final population
-        bit-exactly (two-phase bounded-error search).  The returned Pareto
-        front carries exact objective vectors by construction; only *which*
-        genomes survive the search can differ from an all-exact run.
-        Default off — the default attack path is bit- and RNG-identical to
-        previous releases.
-    rescore_every:
-        When positive and ``fast_search`` is on, additionally re-score the
-        surviving population at exact fidelity every this-many generations
-        (periodic drift correction); 0 re-scores only at the end.
     anneal_final_window:
         When set, anneal the mutation ``window_fraction`` from its base
         value down (or up) to this value across the run — dense exploration
@@ -79,8 +66,6 @@ class AttackConfig:
     sparse_init_fraction: float = 0.0
     use_delta_reuse: bool = True
     delta_store_size: int = 256
-    fast_search: bool = False
-    rescore_every: int = 0
     anneal_final_window: float | None = None
     anneal_shape: str = "log"
 
@@ -91,8 +76,6 @@ class AttackConfig:
             raise ValueError("activation_cache_size must be at least 1")
         if self.delta_store_size < 1:
             raise ValueError("delta_store_size must be at least 1")
-        if self.rescore_every < 0:
-            raise ValueError("rescore_every must be non-negative")
         if self.anneal_final_window is not None:
             from repro.nsga.mutation import IntensityAnnealing
 

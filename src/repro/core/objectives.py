@@ -49,7 +49,6 @@ from repro.detectors.activation_cache import (
     DeltaActivationStore,
 )
 from repro.detectors.base import Detector
-from repro.detectors.fidelity import EXACT_FIDELITY, FidelityConfig, resolve_fidelity
 from repro.nn.incremental import (
     BBox,
     bbox_area,
@@ -262,7 +261,6 @@ class ButterflyObjectives:
         self._inc_masks = 0
         self._inc_dirty_area = 0
         self._inc_total_area = 0
-        self._fidelity: FidelityConfig = EXACT_FIDELITY
         self.clean_activations: Optional[CleanActivations] = None
         if self.use_activation_cache:
             if self.activation_bundle is not None:
@@ -315,29 +313,6 @@ class ButterflyObjectives:
         return 3 + len(self.extra_objectives)
 
     @property
-    def fidelity(self) -> FidelityConfig:
-        """The evaluation fidelity currently in force (exact by default)."""
-        return self._fidelity
-
-    @property
-    def fidelity_tag(self) -> str:
-        """Value-derived cache key of the current fidelity (see
-        :attr:`~repro.detectors.fidelity.FidelityConfig.tag`)."""
-        return self._fidelity.tag
-
-    def set_fidelity(self, value: FidelityConfig | str | None) -> None:
-        """Switch the evaluation fidelity for subsequent evaluations.
-
-        ``None``/``"exact"`` restores the bit-exact default path; an
-        approximate fidelity routes sparse masks through the detector's
-        windowed-attention recompute.  Two-phase NSGA-II toggles this
-        around its search and re-scoring phases; values computed at
-        different fidelities must never be compared as equal — callers key
-        their caches by :attr:`fidelity_tag`.
-        """
-        self._fidelity = resolve_fidelity(value)
-
-    @property
     def intensity_scale(self) -> float:
         """L2 norm of the worst-case mask, used to normalise obj_intensity."""
         return self._intensity_scale
@@ -383,18 +358,10 @@ class ButterflyObjectives:
         self, mask: np.ndarray, bbox: BBox | None = None
     ) -> Prediction:
         """Detector prediction on the perturbed image, via the incremental
-        path when clean activations are cached (bit-identical either way).
-
-        An approximate fidelity is forwarded to the incremental path; the
-        dense path is always exact.
-        """
+        path when clean activations are cached (bit-identical either way)."""
         if self.clean_activations is not None:
             return self.detector.predict_delta_batch(
-                self.image,
-                mask[None, ...],
-                [bbox],
-                self.clean_activations,
-                fidelity=self._fidelity,
+                self.image, mask[None, ...], [bbox], self.clean_activations
             )[0]
         return self.detector.predict(apply_mask(self.image, mask))
 
@@ -582,8 +549,8 @@ class ButterflyObjectives:
                 # Population boundary: shared-memory mappings of entries
                 # evicted during the previous batch are safe to close now.
                 delta.release_evicted()
-            # Ancestry only while reuse is active; the detector ignores it
-            # in an approximate phase (stored predictions are exact-only).
+            # Ancestry only while reuse is active: without a delta store
+            # there is nothing to splice against or store into.
             predictions = self.detector.predict_delta_batch(
                 self.image,
                 masks,
@@ -594,7 +561,6 @@ class ButterflyObjectives:
                     if ancestry is not None and self._delta_reuse_active
                     else None
                 ),
-                fidelity=self._fidelity,
             )
         else:
             perturbed = self.apply_masks(

@@ -190,10 +190,6 @@ class SequenceObjectives:
     speed.  Each frame's bundle is injected into a per-frame
     :class:`~repro.core.objectives.ButterflyObjectives`, whose batched
     incremental path then serves population evaluation.
-
-    Only exact fidelity is supported: the workload has no
-    ``set_fidelity``, so requesting ``fast_search`` fails with NSGA-II's
-    typed error.
     """
 
     detector: Detector
@@ -470,11 +466,6 @@ class SequenceAttack(ButterflyAttack):
         callback: Optional[Callable[[int, list], None]] = None,
     ) -> AttackResult:
         """Run the full NSGA-II search against one scene sequence."""
-        if self.config.fast_search:
-            raise ValueError(
-                "the sequence workload has no bounded-error fidelity path; "
-                "disable fast_search"
-            )
         objectives = self.build_sequence_objectives(sequence)
         optimizer = NSGAII(
             objective_function=objectives,

@@ -18,12 +18,6 @@ construction — the paper's starting assumption.
 
 from repro.detectors.activation_cache import ActivationCacheStore, CleanActivations
 from repro.detectors.base import Detector, DetectorConfig
-from repro.detectors.fidelity import (
-    EXACT_FIDELITY,
-    FIDELITY_PRESETS,
-    FidelityConfig,
-    resolve_fidelity,
-)
 from repro.detectors.prototypes import PrototypeBank
 from repro.detectors.single_stage import SingleStageDetector
 from repro.detectors.transformer import TransformerDetector
@@ -36,10 +30,6 @@ __all__ = [
     "CleanActivations",
     "Detector",
     "DetectorConfig",
-    "EXACT_FIDELITY",
-    "FIDELITY_PRESETS",
-    "FidelityConfig",
-    "resolve_fidelity",
     "PrototypeBank",
     "SingleStageDetector",
     "TransformerDetector",

@@ -220,19 +220,12 @@ class CleanActivations:
         Attached by the owning :class:`ActivationCacheStore` when delta
         reuse is configured, or lazily by an evaluator; dropped with the
         bundle.
-    fidelity_state:
-        Lazily built, architecture-private derived state for the windowed
-        fidelity (the transformer's clean attention tensors), ``None``
-        until first needed.  Purely a recompute cache of the clean scene —
-        safe to drop or rebuild at any time; a bundle re-wrapped for shared
-        memory simply starts without it per worker.
     """
 
     clean_image: np.ndarray
     prediction: Prediction
     tensors: dict[str, np.ndarray] = field(default_factory=dict)
     delta: "DeltaActivationStore | None" = None
-    fidelity_state: dict | None = None
 
 
 #: Default LRU cap of a per-bundle delta store — a couple of generations of

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -25,9 +24,6 @@ from repro.nn.incremental import (
     frames_differ_bbox,
     mask_nonzero_bbox,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.detectors.fidelity import FidelityConfig
 
 #: One item of :meth:`Detector._splice_batch`: the population index, the
 #: pixel window to recompute, the source grids to splice into, and the
@@ -245,7 +241,6 @@ class Detector(abc.ABC):
         dirty_bounds: list[BBox | None] | None = None,
         clean: CleanActivations | None = None,
         ancestry: list[dict | None] | None = None,
-        fidelity: "FidelityConfig | None" = None,
     ) -> list[Prediction]:
         """Per-mask predictions on ``clip(image + masks[b], 0, 255)``.
 
@@ -276,22 +271,8 @@ class Detector(abc.ABC):
         route remains bit-identical to :meth:`predict`.  The delta store
         only decides which grids a mask splices against and whether its
         spliced grids are stored for its descendants.
-
-        ``fidelity`` opts the batch's sparse masks into the windowed
-        attention recompute (see :mod:`repro.detectors.fidelity`); dense
-        masks still run the exact :meth:`predict_batch`.  Exact (or
-        ``None``) fidelity is the unchanged bit-identical path.  An
-        approximate fidelity disables cross-generation reuse for the batch:
-        the delta store's spliced grids are exact and may be reused later at
-        exact fidelity, but its stored *predictions* (served on an empty
-        relative diff) are not, so approximate batches never touch it in
-        either direction.
         """
         image = validate_image(image)
-        if fidelity is not None and fidelity.is_exact:
-            fidelity = None
-        if fidelity is not None:
-            ancestry = None
         masks = np.asarray(masks, dtype=np.float64)
         if masks.ndim != 4 or masks.shape[1:] != image.shape:
             raise ValueError(
@@ -346,7 +327,7 @@ class Detector(abc.ABC):
             for index, prediction in zip(dense, self.predict_batch(stacked)):
                 predictions[index] = prediction
         if items:
-            spliced, states = self._splice_batch(image, masks, items, fidelity, clean)
+            spliced, states = self._splice_batch(image, masks, items)
             for (index, *_), (fingerprint, bbox), prediction, state in zip(
                 items, stored, spliced, states
             ):
@@ -428,8 +409,6 @@ class Detector(abc.ABC):
         image: np.ndarray,
         masks: np.ndarray,
         items: list[SpliceItem],
-        fidelity: "FidelityConfig | None" = None,
-        clean: CleanActivations | None = None,
     ) -> tuple[list[Prediction], list[dict | None]]:
         """Architecture hook: windowed recompute of sparse masks.
 
@@ -442,15 +421,10 @@ class Detector(abc.ABC):
         prediction to return when the window touches no grid cell.
         Returns the per-item predictions plus the per-item
         *pre-finalisation* spliced grids (``None`` where the fallback was
-        returned) for the caller to memoize.
-
-        ``fidelity`` (``None`` = exact, the bit-identical path) permits
-        the windowed recompute, which architectures without attention
-        ignore; approximate batches only carry clean-bundle sources,
-        ``clean`` is that bundle (for memoised fidelity state), and their
-        returned grids are never memoized.  Only reached when
-        :meth:`clean_activations` returns a bundle; such detectors must
-        override it.
+        returned) for the caller to memoize.  Every prediction must be
+        bit-identical to :meth:`predict` on the perturbed image.  Only
+        reached when :meth:`clean_activations` returns a bundle; such
+        detectors must override it.
         """
         raise NotImplementedError(
             f"{type(self).__name__} returns clean activations but does not "

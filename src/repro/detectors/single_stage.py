@@ -23,7 +23,6 @@ from repro.detectors.base import (
     validate_image,
     validate_image_batch,
 )
-from repro.detectors.fidelity import FidelityConfig
 from repro.detectors.prototypes import PrototypeBank
 from repro.nn.conv import box_filter, box_filter_batch
 from repro.nn.features import GridFeatureExtractor
@@ -238,8 +237,6 @@ class SingleStageDetector(Detector):
         image: np.ndarray,
         masks: np.ndarray,
         items: list[SpliceItem],
-        fidelity: FidelityConfig | None = None,
-        clean: CleanActivations | None = None,
     ) -> tuple[list[Prediction], list[dict | None]]:
         """Windowed recompute of sparse members against their source grids.
 
@@ -248,8 +245,7 @@ class SingleStageDetector(Detector):
         the prototype probabilities run once over the stacked grids —
         per-cell operations, so every grid is bit-identical to the full
         forward pass however items mix clean, ancestor and previous-frame
-        sources.  The forward has no attention stage to window, so every
-        ``fidelity`` answers exactly and ``clean`` is not needed.
+        sources.
 
         The temporal frame-to-frame derivation (:meth:`~repro.detectors.
         base.Detector.clean_activations_delta`) also routes here, with a

@@ -22,7 +22,6 @@ from repro.detectors.base import (
     validate_image,
     validate_image_batch,
 )
-from repro.detectors.fidelity import FidelityConfig
 from repro.detectors.prototypes import PrototypeBank
 from repro.nn.attention import MultiHeadSelfAttention
 from repro.nn.features import CELL_FEATURE_DIM, GridFeatureExtractor
@@ -34,16 +33,6 @@ from repro.nn.incremental import (
 )
 from repro.nn.linear import Linear
 from repro.nn.ops import grid_positional_encoding, layer_norm, softmax
-
-
-def _flat_cell_indices(cell_bbox: BBox, cols: int) -> np.ndarray:
-    """Row-major flat token indices of a cell rectangle.
-
-    The rectangle order matches ``window_features``' (wr, wc, dim) reshape,
-    so spliced windows and flat-index scatters agree element for element.
-    """
-    r0, r1, c0, c1 = cell_bbox
-    return (np.arange(r0, r1)[:, None] * cols + np.arange(c0, c1)[None, :]).ravel()
 
 
 class TransformerDetector(Detector):
@@ -155,51 +144,6 @@ class TransformerDetector(Detector):
         image = validate_image(image)
         return self._attention_from_raw(self.extractor(image))
 
-    def _mixing_weights_rows(
-        self, tokens: np.ndarray, rows: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Mixing-attention rows for a subset of query tokens.
-
-        Same scores/softmax as the tail of :meth:`_attention_from_raw`;
-        ``rows=None`` yields the full (tokens, tokens) matrix.
-        """
-        row_tokens = tokens if rows is None else tokens[rows]
-        query = self.query_proj(row_tokens)
-        key = self.key_proj(tokens)
-        temperature = np.sqrt(self.embed_dim) / self.attention_sharpness
-        scores = query @ key.T / temperature
-        return softmax(scores, axis=-1)
-
-    def _fidelity_state(self, clean: CleanActivations) -> dict:
-        """Clean-scene attention state for the approximate delta path.
-
-        Everything the windowed recompute splices against, derived once
-        from the bundle's cached raw grid and memoized on
-        ``clean.fidelity_state``: the flat raw features, the token
-        embeddings *after each attention layer*, the full mixing-attention
-        matrix and the mixed features.  Pure recompute cache — rebuilt
-        lazily per worker when a bundle crosses a process boundary.
-        """
-        if clean.fidelity_state is not None:
-            return clean.fidelity_state
-        raw = clean.tensors["raw"]
-        rows, cols = raw.shape[0], raw.shape[1]
-        flat = raw.reshape(rows * cols, raw.shape[-1])
-        pos = self._positional(rows, cols)
-        tokens = [layer_norm(self.embedding(flat) + pos, axis=-1)]
-        for layer in self.layers:
-            tokens.append(layer.forward_rows(tokens[-1]))
-        weights = self._mixing_weights_rows(tokens[-1])
-        clean.fidelity_state = {
-            "grid": (rows, cols),
-            "flat": flat,
-            "pos": pos,
-            "tokens": tokens,
-            "weights": weights,
-            "mixed": weights @ flat,
-        }
-        return clean.fidelity_state
-
     def _mix_features(self, raw: np.ndarray) -> np.ndarray:
         """Blend raw cell features with their attention-mixed counterpart."""
         rows, cols = raw.shape[-3], raw.shape[-2]
@@ -300,19 +244,16 @@ class TransformerDetector(Detector):
         return raw
 
     def _decode_chunks(
-        self, grids: np.ndarray, image_shape: tuple[int, int], mix: bool
+        self, grids: np.ndarray, image_shape: tuple[int, int]
     ) -> list[Prediction]:
-        """Head and decode over stacked grids in :attr:`delta_batch_chunk`
-        chunks, running the exact attention mixing first when ``mix``.
-        Attention carries the batch axis through every token operation
-        unchanged, so per-grid results are bit-identical to the
-        single-image path for every chunk size."""
+        """Attention mixing, head and decode over stacked raw grids in
+        :attr:`delta_batch_chunk` chunks.  Attention carries the batch axis
+        through every token operation unchanged, so per-grid results are
+        bit-identical to the single-image path for every chunk size."""
         chunk = max(1, int(self.delta_batch_chunk))
         decoded: list[Prediction] = []
         for start in range(0, grids.shape[0], chunk):
-            features = grids[start : start + chunk]
-            if mix:
-                features = self._mix_features(features)
+            features = self._mix_features(grids[start : start + chunk])
             probabilities = self.prototypes.probabilities(features)
             decoded.extend(self._decode_batch(probabilities, image_shape))
         return decoded
@@ -322,8 +263,6 @@ class TransformerDetector(Detector):
         image: np.ndarray,
         masks: np.ndarray,
         items: list[SpliceItem],
-        fidelity: FidelityConfig | None = None,
-        clean: CleanActivations | None = None,
     ) -> tuple[list[Prediction], list[dict | None]]:
         """Splice each member's dirty window, then batch the global stages.
 
@@ -343,17 +282,7 @@ class TransformerDetector(Detector):
         inter-frame diff window into the previous ``raw`` grid yields the
         new frame's clean activations bit-exactly, and the returned state
         dicts use the clean bundle's stage name (``raw``).
-
-        An approximate ``fidelity`` routes through the windowed-attention
-        recompute (:meth:`_approx_predictions`) against the ``clean``
-        bundle instead — the opt-in bounded-error path, whose grids are not
-        returned for memoisation.
         """
-        if fidelity is not None:
-            return (
-                self._approx_predictions(image, masks, items, clean, fidelity),
-                [None] * len(items),
-            )
         grids = [
             self._delta_raw_state(image, masks[index], bbox, source)
             for index, bbox, source, _ in items
@@ -364,142 +293,9 @@ class TransformerDetector(Detector):
             decoded = self._decode_chunks(
                 np.stack([grids[i] for i in live], axis=0),
                 (image.shape[0], image.shape[1]),
-                mix=True,
             )
             for i, prediction in zip(live, decoded):
                 predictions[i] = prediction
         return predictions, [
             None if grid is None else {"raw": grid} for grid in grids
         ]
-
-    def _approx_window(
-        self, image: np.ndarray, pixel_bbox: BBox, fidelity: FidelityConfig
-    ) -> tuple[BBox, np.ndarray, np.ndarray] | None:
-        """``(cell_bbox, dirty, window)`` of one mask under windowed
-        attention, or ``None`` when no cell is touched.
-
-        ``dirty`` holds the flat token indices of the mask's spliced cell
-        window, ``window`` those of the attention rows to refresh: the
-        dirty window dilated by ``fidelity.attention_window`` cells.
-        """
-        grid_shape = self.extractor.grid_shape(image)
-        cols = grid_shape[1]
-        cell_bbox = pixel_bbox_to_cell_bbox(
-            dilate_bbox(pixel_bbox, 1, (image.shape[0], image.shape[1])),
-            self.config.cell,
-            grid_shape,
-        )
-        if bbox_is_empty(cell_bbox):
-            return None
-        dirty = _flat_cell_indices(cell_bbox, cols)
-        window = _flat_cell_indices(
-            dilate_bbox(cell_bbox, fidelity.attention_window, grid_shape), cols
-        )
-        return cell_bbox, dirty, window
-
-    def _approx_predictions(
-        self,
-        image: np.ndarray,
-        masks: np.ndarray,
-        items: list[SpliceItem],
-        clean: CleanActivations,
-        fidelity: FidelityConfig,
-    ) -> list[Prediction]:
-        """Windowed-attention delta evaluation of a sparse population.
-
-        Members are grouped by their (dirty, window) index shapes — in the
-        NSGA sparse regime most offspring share a patch geometry — and each
-        group runs the bounded-error recompute *batched* over its members
-        (:meth:`_approx_windowed_group`: one BLAS call per stage instead of
-        a per-mask Python loop); the classification head and decode then
-        run over the stacked grids in the same chunks as the exact path.
-        Untouched members answer their (exact clean) fallback prediction —
-        approximation never degrades an evaluation the cache already
-        answers for free.
-        """
-        grid_rows, grid_cols = self.extractor.grid_shape(image)
-        state = self._fidelity_state(clean)
-        predictions: list[Prediction] = [fallback for *_, fallback in items]
-        groups: dict[tuple[int, int], list] = {}
-        for pos, (index, bbox, _, _) in enumerate(items):
-            member = self._approx_window(image, bbox, fidelity)
-            if member is not None:
-                _, dirty, window = member
-                groups.setdefault((dirty.size, window.size), []).append(
-                    (pos, index, *member)
-                )
-        live: list[int] = []
-        grids: list[np.ndarray] = []
-        for group in groups.values():
-            blended = self._approx_windowed_group(image, masks, group, state)
-            for (pos, *_), grid in zip(group, blended):
-                live.append(pos)
-                grids.append(grid.reshape(grid_rows, grid_cols, grid.shape[-1]))
-        if grids:
-            # Head/decode in deterministic population order, independent of
-            # the grouping that produced the grids.
-            order = np.argsort(live, kind="stable")
-            decoded = self._decode_chunks(
-                np.stack([grids[i] for i in order], axis=0),
-                (image.shape[0], image.shape[1]),
-                mix=False,
-            )
-            for i, prediction in zip(order, decoded):
-                predictions[live[i]] = prediction
-        return predictions
-
-    def _approx_windowed_group(
-        self,
-        image: np.ndarray,
-        masks: np.ndarray,
-        group: list,
-        state: dict,
-    ) -> np.ndarray:
-        """Batched windowed recompute of one same-shape group.
-
-        ``group`` entries are ``(pos, index, cell_bbox, dirty, window)``
-        with equal ``dirty``/``window`` sizes (see :meth:`_approx_window`);
-        returns the ``(B, tokens, dim)`` blended features, the
-        bounded-error counterpart of splice + :meth:`_mix_features`:
-
-        * dirty cells (each mask's spliced window) get exact raw features
-          and exact stage-0 embeddings;
-        * each attention layer refreshes only the window rows — rows
-          outside keep the clean scene's cached outputs (layer-1 window
-          rows are exact, deeper layers accumulate bounded staleness);
-        * mixing rows inside the window are recomputed from the refreshed
-          tokens; rows outside propagate the raw-feature delta *exactly*
-          through the clean scene's stale attention weights.
-        """
-        count = len(group)
-        tokens_n, feature_dim = state["flat"].shape
-        dirty = np.stack([entry[3] for entry in group])
-        window = np.stack([entry[4] for entry in group])
-        batch = np.arange(count)[:, None]
-        flat_p = np.broadcast_to(state["flat"], (count, tokens_n, feature_dim)).copy()
-        for g, (_, index, cell_bbox, dirty_i, _) in enumerate(group):
-            patch = self.extractor.window_features(image, masks[index], cell_bbox)
-            flat_p[g, dirty_i] = patch.reshape(-1, feature_dim)
-        flat_dirty = flat_p[batch, dirty]
-        tokens = np.broadcast_to(
-            state["tokens"][0], (count,) + state["tokens"][0].shape
-        ).copy()
-        tokens[batch, dirty] = layer_norm(
-            self.embedding(flat_dirty) + state["pos"][dirty], axis=-1
-        )
-        for depth, layer in enumerate(self.layers):
-            refreshed = np.broadcast_to(state["tokens"][depth + 1], tokens.shape).copy()
-            refreshed[batch, window] = layer.forward_rows_batch(tokens, window)
-            tokens = refreshed
-        row_tokens = tokens[batch, window]
-        query = self.query_proj(row_tokens)
-        key = self.key_proj(tokens)
-        temperature = np.sqrt(self.embed_dim) / self.attention_sharpness
-        window_weights = softmax(
-            query @ np.swapaxes(key, -1, -2) / temperature, axis=-1
-        )
-        raw_delta = flat_dirty - state["flat"][dirty]
-        stale = np.swapaxes(state["weights"][:, dirty], 0, 1)
-        mixed = state["mixed"] + stale @ raw_delta
-        mixed[batch, window] = window_weights @ flat_p
-        return (1.0 - self.attention_mix) * flat_p + self.attention_mix * mixed

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.experiments.engine import BACKEND_NAMES
 from repro.nsga.algorithm import NSGAConfig
 from repro.nsga.mutation import MutationConfig
 
@@ -55,8 +56,10 @@ class ExperimentConfig:
     execution_backend:
         ``"auto"`` (serial for ``n_jobs == 1``, a process pool otherwise),
         ``"serial"`` (always the in-process reference executor, even with
-        ``n_jobs > 1``) or ``"process"`` (``multiprocessing`` pool of
-        ``n_jobs`` workers, each with its own activation-cache store).
+        ``n_jobs > 1``), ``"process"`` (``multiprocessing`` pool of
+        ``n_jobs`` workers, each with its own activation-cache store) or
+        ``"persistent"`` (long-lived shared-memory worker runtime of
+        ``n_jobs`` workers; see :mod:`repro.experiments.persistent`).
         Explicit ``n_jobs``/``backend`` arguments to
         :func:`~repro.experiments.runner.run_architecture_comparison`
         override these.
@@ -74,9 +77,10 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.n_jobs < 1:
             raise ValueError("n_jobs must be at least 1")
-        if self.execution_backend not in ("auto", "serial", "process"):
+        backends = ("auto",) + BACKEND_NAMES
+        if self.execution_backend not in backends:
             raise ValueError(
-                "execution_backend must be 'auto', 'serial' or 'process', "
+                f"execution_backend must be one of {backends}, "
                 f"got {self.execution_backend!r}"
             )
         if self.models_per_architecture < 1:

@@ -109,80 +109,3 @@ class MultiHeadSelfAttention:
         concatenated = np.concatenate(head_outputs, axis=-1)
         output = self.out_proj(concatenated)
         return layer_norm(tokens + output, axis=-1)
-
-    def forward_rows(
-        self, tokens: np.ndarray, rows: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Self-attention restricted to a subset of query rows.
-
-        Computes the layer output only for the tokens indexed by ``rows``
-        (all tokens when ``rows`` is None), while keys and values still span
-        the full token set — the approximation is in *which rows are
-        refreshed*, never in what each refreshed row attends to.  This is
-        the windowed-attention fidelity primitive: the caller keeps clean
-        cached outputs for rows outside the window.
-
-        With ``rows=None`` the arithmetic mirrors :meth:`__call__` (same
-        projections, scale, softmax and residual norm); row subsets are
-        approximate — BLAS blocking means a row-sliced matmul need not be
-        bit-identical to a slice of the full product.  ``_last_attention``
-        is never touched.
-        """
-        tokens = np.asarray(tokens, dtype=np.float64)
-        if tokens.ndim != 2 or tokens.shape[-1] != self.dim:
-            raise ValueError(
-                f"expected tokens of shape (n, {self.dim}), got {tokens.shape}"
-            )
-        row_tokens = tokens if rows is None else tokens[rows]
-        head_shape = (-1, self.num_heads, self.head_dim)
-        query = self.query_proj(row_tokens).reshape(head_shape)
-        key = self.key_proj(tokens).reshape(head_shape)
-        value = self.value_proj(tokens).reshape(head_shape)
-        scale = np.sqrt(self.head_dim)
-        head_outputs = []
-        for head in range(self.num_heads):
-            scores = query[:, head, :] @ key[:, head, :].T / scale
-            weights = softmax(scores, axis=-1)
-            head_outputs.append(weights @ value[:, head, :])
-        concatenated = np.concatenate(head_outputs, axis=-1)
-        output = self.out_proj(concatenated)
-        return layer_norm(row_tokens + output, axis=-1)
-
-    def forward_rows_batch(self, tokens: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """Batched :meth:`forward_rows` with per-element query row subsets.
-
-        ``tokens`` is ``(B, n, dim)`` and ``rows`` an integer ``(B, R)``
-        array selecting each element's refreshed rows (equal count per
-        element — the caller groups by window shape).  Returns ``(B, R,
-        dim)``.  Keys/values span each element's full token set; the
-        arithmetic mirrors :meth:`forward_rows` with a batch axis carried
-        through every operation.
-        """
-        tokens = np.asarray(tokens, dtype=np.float64)
-        if tokens.ndim != 3 or tokens.shape[-1] != self.dim:
-            raise ValueError(
-                f"expected tokens of shape (B, n, {self.dim}), got {tokens.shape}"
-            )
-        rows = np.asarray(rows)
-        if rows.ndim != 2 or rows.shape[0] != tokens.shape[0]:
-            raise ValueError(
-                f"expected rows of shape ({tokens.shape[0]}, R), got {rows.shape}"
-            )
-        batch = np.arange(tokens.shape[0])[:, None]
-        row_tokens = tokens[batch, rows]
-        head_shape_q = row_tokens.shape[:-1] + (self.num_heads, self.head_dim)
-        head_shape_kv = tokens.shape[:-1] + (self.num_heads, self.head_dim)
-        query = self.query_proj(row_tokens).reshape(head_shape_q)
-        key = self.key_proj(tokens).reshape(head_shape_kv)
-        value = self.value_proj(tokens).reshape(head_shape_kv)
-        scale = np.sqrt(self.head_dim)
-        head_outputs = []
-        for head in range(self.num_heads):
-            scores = (
-                query[..., head, :] @ np.swapaxes(key[..., head, :], -1, -2) / scale
-            )
-            weights = softmax(scores, axis=-1)
-            head_outputs.append(weights @ value[..., head, :])
-        concatenated = np.concatenate(head_outputs, axis=-1)
-        output = self.out_proj(concatenated)
-        return layer_norm(row_tokens + output, axis=-1)

@@ -11,11 +11,9 @@ Evaluation pipeline
 
 Each generation's unevaluated individuals flow through one batched pass:
 
-1. a **keyed evaluation cache** ((fidelity key, genome digest) → objective
-   vector) answers genomes that were already evaluated this run *at the
-   current fidelity* — duplicated elites and no-op offspring never
-   re-query the detector, and approximate vectors never leak into exact
-   requests;
+1. a **keyed evaluation cache** (genome digest → objective vector)
+   answers genomes that were already evaluated this run — duplicated
+   elites and no-op offspring never re-query the detector;
 2. the remaining genomes are stacked and handed to the objective function's
    ``evaluate_population`` fast path when it has one (one vectorised
    detector pass for the whole population), with a sequential per-genome
@@ -72,10 +70,6 @@ ObjectiveFunction = Callable[[np.ndarray], np.ndarray]
 #: Optional constraint applied to every genome (e.g. zero out the left half).
 GenomeConstraint = Callable[[np.ndarray], np.ndarray]
 
-#: The fidelity preset a ``fast_search`` run searches at (see
-#: ``repro.detectors.fidelity.FIDELITY_PRESETS``).
-SEARCH_FIDELITY = "windowed"
-
 
 @dataclass(frozen=True)
 class NSGAConfig:
@@ -112,19 +106,6 @@ class NSGAConfig:
         (:class:`~repro.nsga.mutation.IntensityAnnealing`).  ``None``
         (default) keeps the constant ``mutation.window_fraction`` and the
         exact historical RNG draw stream.
-    fast_search:
-        Run the evolutionary search at the :data:`SEARCH_FIDELITY` preset
-        and re-score at exact fidelity (two-phase bounded-error search).
-        Requires an objective function exposing ``set_fidelity``; the final
-        population is always re-evaluated bit-exactly, so the returned
-        objective vectors match a from-scratch exact evaluation of the same
-        genomes.  Default off — the default path is bit- and RNG-identical
-        to previous releases.
-    rescore_every:
-        When positive and ``fast_search`` is on, additionally re-score the
-        surviving population at exact fidelity every this-many generations
-        (periodic drift correction).  0 (default) re-scores only at the
-        end.
     """
 
     num_iterations: int = 100
@@ -136,8 +117,6 @@ class NSGAConfig:
     batch_evaluation: bool = True
     evaluation_cache: bool = True
     annealing: IntensityAnnealing | None = None
-    fast_search: bool = False
-    rescore_every: int = 0
 
     def __post_init__(self) -> None:
         if self.num_iterations < 0:
@@ -146,8 +125,6 @@ class NSGAConfig:
             raise ValueError("population_size must be at least 2")
         if not 0.0 <= self.crossover_probability <= 1.0:
             raise ValueError("crossover_probability must be in [0, 1]")
-        if self.rescore_every < 0:
-            raise ValueError("rescore_every must be non-negative")
 
     @staticmethod
     def paper_defaults(seed: int = 0) -> "NSGAConfig":
@@ -236,20 +213,7 @@ class NSGAII:
         self.rng = np.random.default_rng(self.config.seed)
         self.num_evaluations = 0
         self.cache_hits = 0
-        # The evaluation cache is keyed by (fidelity key, genome digest):
-        # objective vectors computed at an approximate fidelity must never
-        # answer exact-fidelity requests (or vice versa), so each fidelity
-        # gets its own namespace.  The default exact-only run uses a single
-        # constant key and behaves exactly as before.
-        self._fidelity_key: str = "exact"
-        self._cache: dict[tuple[str, bytes], np.ndarray] = {}
-        self._fidelity_setter = getattr(objective_function, "set_fidelity", None)
-        if self.config.fast_search and not callable(self._fidelity_setter):
-            raise ValueError(
-                "fast_search requires an objective function with a "
-                "set_fidelity method (e.g. ButterflyObjectives); "
-                f"{type(objective_function).__name__} has none"
-            )
+        self._cache: dict[bytes, np.ndarray] = {}
         self._batch_evaluator = (
             getattr(objective_function, "evaluate_population", None)
             if self.config.batch_evaluation
@@ -332,7 +296,7 @@ class NSGAII:
                     unique.append(individual)
                     unique_keys.append(key)
                     continue
-                cached = self._cache.get((self._fidelity_key, key))
+                cached = self._cache.get(key)
                 if cached is not None:
                     individual.set_objectives(cached.copy())
                     self.cache_hits += 1
@@ -377,9 +341,7 @@ class NSGAII:
             if self.config.evaluation_cache:
                 for individual, key in zip(unique, unique_keys):
                     if key is not None:
-                        self._cache[(self._fidelity_key, key)] = (
-                            individual.objectives.copy()
-                        )
+                        self._cache[key] = individual.objectives.copy()
 
         for individual, position in duplicates:
             individual.set_objectives(unique[position].objectives.copy())
@@ -389,36 +351,6 @@ class NSGAII:
         for front in fronts:
             crowding_distance(population, front)
         return fronts
-
-    def _enter_fidelity(self, value: str | None) -> None:
-        """Switch the objective function's evaluation fidelity.
-
-        ``None`` means exact.  The cache namespace follows the objective
-        function's own ``fidelity_tag`` when it has one (so semantically
-        identical configurations share entries), falling back to the raw
-        value.  No-op unless fast search is configured.
-        """
-        if not callable(self._fidelity_setter):
-            return
-        self._fidelity_setter(value)
-        tag = getattr(self.objective_function, "fidelity_tag", None)
-        self._fidelity_key = tag if tag is not None else (value or "exact")
-
-    def _rescore(self, population: list[Individual]) -> None:
-        """Re-evaluate a population bit-exactly at full fidelity.
-
-        Enters exact fidelity, discards every approximate objective vector
-        and re-runs the normal evaluation pipeline — the literal code path
-        a from-scratch exact run would take, so the resulting vectors are
-        bit-identical to evaluating the same genomes without fast search.
-        The caller is responsible for restoring the search fidelity if the
-        run continues.
-        """
-        self._enter_fidelity(None)
-        for individual in population:
-            individual.reset_evaluation()
-        self._evaluate(population)
-        self._rank_population(population)
 
     def _initial_population(self) -> list[Individual]:
         init_config = InitializationConfig(
@@ -579,15 +511,6 @@ class NSGAII:
         baseline = snapshot() if callable(snapshot) else None
         run_start = baseline
 
-        # Two-phase bounded-error search: the evolutionary loop runs at an
-        # approximate fidelity, the final population (and optionally
-        # periodic checkpoints) are re-scored bit-exactly.  The run always
-        # *ends* at exact fidelity, so every objective vector the caller
-        # sees came from the exact evaluation path.
-        fast = self.config.fast_search
-        if fast:
-            self._enter_fidelity(SEARCH_FIDELITY)
-
         population = self._initial_population()
         self._evaluate(population)
         self._rank_population(population)
@@ -595,21 +518,10 @@ class NSGAII:
             baseline = snapshot()
 
         history: list[dict] = []
-        rescore_every = self.config.rescore_every if fast else 0
         for generation in range(self.config.num_iterations):
             offspring = self._make_offspring(population, generation)
             self._evaluate(offspring)
             population = self._environmental_selection(population + offspring)
-            if (
-                rescore_every > 0
-                and (generation + 1) % rescore_every == 0
-                and generation + 1 < self.config.num_iterations
-            ):
-                # Periodic drift correction: pin the survivors to their
-                # exact objective values, then continue searching
-                # approximately from the corrected ranking.
-                self._rescore(population)
-                self._enter_fidelity(SEARCH_FIDELITY)
 
             objectives = np.stack([ind.objectives for ind in population], axis=0)
             history.append(
@@ -620,8 +532,6 @@ class NSGAII:
                     "front_size": sum(1 for ind in population if ind.rank == 1),
                 }
             )
-            if fast:
-                history[-1]["fidelity"] = self._fidelity_key
             if callable(snapshot):
                 current = snapshot()
                 entry = self._incremental_delta(baseline, current)
@@ -631,10 +541,6 @@ class NSGAII:
             if self.callback is not None:
                 self.callback(generation, population)
 
-        if fast:
-            # Final exact re-score: the returned fronts are computed from
-            # bit-exact objective vectors of the searched genomes.
-            self._rescore(population)
         fronts = self._rank_population(population)
         return NSGAResult(
             population=population,

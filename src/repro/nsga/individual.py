@@ -67,9 +67,3 @@ class Individual:
             crowding=self.crowding,
             metadata=dict(self.metadata),
         )
-
-    def reset_evaluation(self) -> None:
-        """Clear objectives / rank / crowding after the genome changed."""
-        self.objectives = None
-        self.rank = None
-        self.crowding = None

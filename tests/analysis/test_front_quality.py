@@ -1,4 +1,4 @@
-"""Front-quality metrics used by the fast-search benchmark gates."""
+"""Front-quality metrics comparing a candidate front with a reference front."""
 
 import numpy as np
 import pytest

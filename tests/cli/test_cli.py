@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _attack_config, build_parser, main
+from repro.core.attack import nsga_config
+from repro.nsga.mutation import IntensityAnnealing
 
 
 class TestParser:
@@ -17,6 +19,14 @@ class TestParser:
         assert args.detector == "detr"
         assert args.region == "right"
         assert args.paper_budget is False
+
+    def test_attack_anneal_options_reach_nsga_config(self):
+        args = build_parser().parse_args(
+            ["attack", "--anneal-final-window", "0.004", "--anneal-shape", "linear"]
+        )
+        assert nsga_config(_attack_config(args)).annealing == IntensityAnnealing(
+            0.004, "linear"
+        )
 
     def test_compare_arguments(self):
         args = build_parser().parse_args(["compare", "--models", "3", "--images", "2"])
@@ -89,16 +99,16 @@ class TestCommands:
         assert (tmp_path / "run" / "meta.json").exists()
         assert (tmp_path / "run" / "arrays.npz").exists()
 
-    def test_attack_fast_search_runs_and_has_one_fidelity(self, capsys):
+    def test_attack_anneal_runs_and_fast_search_is_gone(self, capsys):
         base = ["attack", "--detector", "detr", "--iterations", "2"]
-        base += ["--population", "6", "--fast-search", "--rescore-every", "1"]
-        assert main(base) == 0
+        base += ["--population", "6"]
+        anneal = ["--anneal-final-window", "0.004", "--anneal-shape", "linear"]
+        assert main(base + anneal) == 0
         assert "transformer-seed1" in capsys.readouterr().out
-        # fast search always searches at the windowed fidelity; there is no
-        # preset to choose.
-        with pytest.raises(SystemExit) as excinfo:
-            build_parser().parse_args(base + ["--search-fidelity", "windowed"])
-        assert excinfo.value.code == 2
+        for removed in (["--fast-search"], ["--rescore-every", "1"]):
+            with pytest.raises(SystemExit) as excinfo:
+                main(base + removed)
+            assert excinfo.value.code == 2
 
     def test_compare_command_pooled_smoke(self, capsys):
         """Tiny sweep under --jobs 2: the pooled engine end to end."""

@@ -1,12 +1,10 @@
 """Attack-level NSGA-II options reach every attack front-end.
 
 ``AttackConfig`` carries options that rewrite the NSGA-II configuration
-(``sparse_init_fraction``, annealing, ``fast_search``/``rescore_every``).
-The ensemble and temporal front-ends must apply them exactly like the
-single-detector attack does: setting ``sparse_init_fraction`` must be the
-same search as setting the NSGA-II initialisation field directly, and
-``fast_search`` on an evaluator without a fidelity switch must fail loudly
-instead of silently running exact.  The temporal result must also report
+(``sparse_init_fraction`` and annealing).  The ensemble and temporal
+front-ends must apply them exactly like the single-detector attack does:
+setting either option on the attack must be the same search as setting
+the matching NSGA-II field directly.  The temporal result must also report
 the evaluation cache's hits.  :func:`~repro.core.attack.nsga_config`, the
 one mapping every front-end calls, is pinned directly as well.
 """
@@ -112,11 +110,6 @@ def test_anneal_final_window_applies(run_attack):
     assert via_attack != default
 
 
-def test_fast_search_is_not_silently_exact(run_attack):
-    with pytest.raises(ValueError, match="set_fidelity"):
-        run_attack(_config(fast_search=True))
-
-
 def test_temporal_result_reports_cache_hits(monkeypatch, detector, frames):
     hits = []
     run = NSGAII.run
@@ -131,19 +124,6 @@ def test_temporal_result_reports_cache_hits(monkeypatch, detector, frames):
     assert hits[0] > 0
     assert result.cache_hits == hits[0]
     assert result.num_queries == result.num_evaluations - hits[0]
-
-
-def test_nsga_config_forwards_fast_search_and_rescore_every():
-    config = _config(fast_search=True, rescore_every=3)
-    nsga = nsga_config(config)
-    assert nsga.fast_search
-    assert nsga.rescore_every == 3
-    assert replace(nsga, fast_search=False, rescore_every=0) == config.nsga
-
-
-def test_nsga_config_ignores_rescore_every_without_fast_search():
-    config = _config(rescore_every=3)
-    assert nsga_config(config) is config.nsga
 
 
 def test_nsga_config_forwards_anneal_shape():

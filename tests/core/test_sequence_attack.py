@@ -218,11 +218,3 @@ class TestSequenceAttack:
         )
         dense = SequenceAttack(detr_detector, dense_config).attack(sequence)
         assert cached.fingerprint() == dense.fingerprint()
-
-    def test_fast_search_rejected(self, yolo_detector, sequence):
-        config = AttackConfig(
-            nsga=NSGAConfig(num_iterations=2, population_size=8, seed=0),
-            fast_search=True,
-        )
-        with pytest.raises(ValueError, match="fast_search"):
-            SequenceAttack(yolo_detector, config).attack(sequence)

@@ -40,9 +40,10 @@ class TestExperimentConfig:
         config = ExperimentConfig()
         assert config.n_jobs == 1
         assert config.execution_backend == "auto"
-        reduced = ExperimentConfig.reduced(n_jobs=4, execution_backend="process")
-        assert reduced.n_jobs == 4
-        assert reduced.execution_backend == "process"
+        for backend in ("process", "persistent"):
+            reduced = ExperimentConfig.reduced(n_jobs=4, execution_backend=backend)
+            assert reduced.n_jobs == 4
+            assert reduced.execution_backend == backend
         with pytest.raises(ValueError):
             ExperimentConfig(n_jobs=0)
         with pytest.raises(ValueError):

@@ -101,3 +101,18 @@ class TestPositionalEncoding:
         # Same row, different column -> only the second half changes.
         assert np.allclose(encoding[0, 0, :4], encoding[0, 1, :4])
         assert not np.allclose(encoding[0, 0, 4:], encoding[0, 1, 4:])
+
+
+class TestSoftmaxDtype:
+    def test_float64_unchanged(self):
+        x = np.random.default_rng(2).normal(size=(4, 9))
+        out = softmax(x, axis=-1)
+        assert out.dtype == np.float64
+        reference = np.exp(x - x.max(axis=-1, keepdims=True))
+        reference /= reference.sum(axis=-1, keepdims=True)
+        assert np.allclose(out, reference, atol=1e-12)
+
+    def test_integer_input_promotes_to_float64(self):
+        for dtype in (np.int64, np.float32):
+            out = softmax(np.array([[0, 1, 2]], dtype=dtype), axis=-1)
+            assert out.dtype == np.float64

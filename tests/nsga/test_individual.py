@@ -29,15 +29,6 @@ class TestIndividual:
         assert clone.rank == 1
         assert clone.objectives is not individual.objectives
 
-    def test_reset_evaluation(self):
-        individual = Individual(genome=np.zeros(3), objectives=np.array([1.0]))
-        individual.rank = 2
-        individual.crowding = 0.5
-        individual.reset_evaluation()
-        assert not individual.is_evaluated
-        assert individual.rank is None
-        assert individual.crowding is None
-
     def test_metadata_dict(self):
         individual = Individual(genome=np.zeros(3))
         individual.metadata["origin"] = "mutation"

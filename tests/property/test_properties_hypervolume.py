@@ -1,8 +1,8 @@
 """Property-based tests (hypothesis) for the general hypervolume indicator.
 
-The two-phase search benchmark gates on hypervolume ratios, so the
-indicator itself must be trustworthy on arbitrary (including degenerate)
-fronts.  The properties pinned here are the standard ones: invariance
+The anneal sweep and the end-to-end benchmark report hypervolumes, so
+the indicator itself must be trustworthy on arbitrary (including
+degenerate) fronts.  The properties pinned here are the standard ones: invariance
 under point order and under adding dominated points, monotonicity under
 adding points, the scaling/translation laws of a Lebesgue measure, and
 agreement with an independent Monte-Carlo estimate.
