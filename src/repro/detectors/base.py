@@ -108,7 +108,7 @@ class Detector(abc.ABC):
     #: Spliced feature grids are two orders of magnitude smaller than full
     #: images, so much larger chunks fit in cache than
     #: :attr:`batch_chunk` allows; results are bit-identical for every
-    #: chunk size (the predict_batch parity suite pins that property).
+    #: chunk size (the exact-routing suite pins that property).
     delta_batch_chunk: int = 16
 
     def __init__(self, config: DetectorConfig | None = None, seed: int = 0) -> None:

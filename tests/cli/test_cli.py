@@ -1,9 +1,12 @@
 """Tests for the command-line interface."""
 
+import os
+
 import pytest
 
 from repro.cli import _attack_config, build_parser, main
 from repro.core.attack import nsga_config
+from repro.experiments.shm import list_segments
 from repro.nsga.mutation import IntensityAnnealing
 
 
@@ -27,6 +30,17 @@ class TestParser:
         assert nsga_config(_attack_config(args)).annealing == IntensityAnnealing(
             0.004, "linear"
         )
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--fast-search"], ["--no-fast-search"], ["--rescore-every", "1"]],
+        ids=["fast-search", "no-fast-search", "rescore-every"],
+    )
+    def test_attack_rejects_two_phase_search_flags(self, flags, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["attack"] + flags)
+        assert excinfo.value.code == 2
+        assert flags[0] in capsys.readouterr().err
 
     def test_compare_arguments(self):
         args = build_parser().parse_args(["compare", "--models", "3", "--images", "2"])
@@ -135,6 +149,21 @@ class TestCommands:
         assert "backend=process" in output
         assert "jobs=2" in output
         assert "Activation cache (sweep total)" in output
+
+    def test_compare_command_persistent_smoke(self, capsys):
+        """Tiny sweep on the persistent runtime; it leaves no segment."""
+        prefix = f"rpr{os.getpid()}"
+        before = list_segments(prefix)
+        exit_code = main(
+            ["compare", "--models", "1", "--images", "2", "--iterations", "1"]
+            + ["--population", "4", "--jobs", "2", "--backend", "persistent"]
+        )
+        assert exit_code == 0
+        output = capsys.readouterr().out
+        assert "best obj_degrad" in output
+        assert "backend=persistent" in output
+        assert "jobs=2" in output
+        assert list_segments(prefix) == before
 
     def test_transfer_command_saves_roundtrippable_report(self, capsys, tmp_path):
         """`repro transfer` persists a report that round-trips through io."""

@@ -16,6 +16,7 @@ from repro.core.attack import ButterflyAttack
 from repro.core.config import AttackConfig
 from repro.core.ensemble import EnsembleAttack
 from repro.core.masks import apply_mask
+from repro.core.objectives import ButterflyObjectives
 from repro.core.regions import HalfImageRegion
 from repro.core.temporal import SequenceAttack
 from repro.data.sequences import generate_sequence
@@ -185,6 +186,30 @@ class TestFrontPredictionParity:
         config = replace(_attack_config(True, True), **route)
         result = ButterflyAttack(detector, config).attack(image)
         _assert_front_matches_dense(result, detector, image)
+
+    @pytest.mark.parametrize(
+        "route",
+        [
+            {},
+            {"use_delta_reuse": False},
+            {"use_activation_cache": False},
+        ],
+        ids=["default", "delta-reuse-off", "activation-cache-off"],
+    )
+    def test_every_solution_scored_like_a_dense_evaluation(
+        self, detector, small_dataset, route
+    ):
+        """Each reported objective triple, front or not, equals a fresh
+        evaluation of its mask on the dense forward pass."""
+        image = small_dataset[0].image
+        config = replace(_attack_config(True, True), **route)
+        result = ButterflyAttack(detector, config).attack(image)
+        reference = ButterflyObjectives(detector, image, use_activation_cache=False)
+        for solution in result.solutions:
+            exact = reference(solution.mask.values)
+            assert solution.intensity == float(exact[0])
+            assert solution.degradation == float(exact[1])
+            assert solution.distance == float(-exact[2])
 
     def test_default_route_answers_front_from_delta_store(
         self, yolo_detector, small_dataset, monkeypatch

@@ -1,5 +1,9 @@
 """Tests for attack configuration."""
 
+import dataclasses
+
+import pytest
+
 from repro.core.config import AttackConfig
 from repro.core.regions import FullImageRegion, HalfImageRegion
 
@@ -34,3 +38,24 @@ class TestAttackConfig:
     def test_fast_config_accepts_region(self):
         config = AttackConfig.fast(region=HalfImageRegion("left"))
         assert config.region.half == "left"
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"activation_cache_size": 0},
+            {"delta_store_size": 0},
+            {"anneal_final_window": 0.0},
+            {"anneal_final_window": 0.01, "anneal_shape": "cubic"},
+        ],
+        ids=["cache-size", "delta-store-size", "anneal-window", "anneal-shape"],
+    )
+    def test_invalid_values_rejected(self, overrides):
+        with pytest.raises(ValueError):
+            AttackConfig(**overrides)
+
+    @pytest.mark.parametrize("name", ["fast_search", "rescore_every"])
+    def test_no_two_phase_search_options(self, name):
+        """Every attack searches exactly; the two-phase options are gone."""
+        assert name not in {field.name for field in dataclasses.fields(AttackConfig)}
+        with pytest.raises(TypeError, match=name):
+            AttackConfig(**{name: 1})

@@ -8,6 +8,7 @@ from repro.experiments.config import (
     experiment_table_rows,
     nsga_table_rows,
 )
+from repro.experiments.engine import BACKEND_NAMES
 
 
 class TestExperimentConfig:
@@ -48,6 +49,19 @@ class TestExperimentConfig:
             ExperimentConfig(n_jobs=0)
         with pytest.raises(ValueError):
             ExperimentConfig(execution_backend="threads")
+
+    @pytest.mark.parametrize("backend", ("auto",) + BACKEND_NAMES)
+    def test_accepts_every_engine_backend(self, backend):
+        assert ExperimentConfig(execution_backend=backend).execution_backend == backend
+
+    @pytest.mark.parametrize("backend", ["threads", "Persistent", ""])
+    def test_unknown_backend_error_names_every_choice(self, backend):
+        with pytest.raises(ValueError) as excinfo:
+            ExperimentConfig(execution_backend=backend)
+        message = str(excinfo.value)
+        assert repr(backend) in message
+        for name in ("auto",) + BACKEND_NAMES:
+            assert repr(name) in message
 
 
 class TestTableRows:

@@ -1,5 +1,7 @@
 """Tests for the NSGA-II main loop on analytic benchmark problems."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,13 @@ class TestNSGAConfig:
             NSGAConfig(population_size=1)
         with pytest.raises(ValueError):
             NSGAConfig(crossover_probability=1.5)
+
+    @pytest.mark.parametrize("name", ["fast_search", "rescore_every"])
+    def test_no_two_phase_search_options(self, name):
+        """The loop has one exact phase; the two-phase options are gone."""
+        assert name not in {field.name for field in dataclasses.fields(NSGAConfig)}
+        with pytest.raises(TypeError, match=name):
+            NSGAConfig(**{name: 1})
 
 
 class TestNSGAIIRun:
