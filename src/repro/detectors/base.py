@@ -91,10 +91,11 @@ class Detector(abc.ABC):
     #: Short architecture name, e.g. ``"single_stage"`` or ``"transformer"``.
     architecture: str = "abstract"
 
-    #: Images per internal chunk of the vectorised batch path.  Small chunks
-    #: keep the attention/softmax temporaries inside the CPU caches, which
-    #: measures faster than one monolithic batch at these image sizes; the
-    #: results are bit-identical for every chunk size.
+    #: Images per internal chunk of the vectorised batch path.  A chunk
+    #: bounds the stacked temporaries that grow with images x pixels:
+    #: feature extraction, token stacks and the prototype head.  Attention
+    #: scores do not grow with it (the row-blocked kernel holds one block
+    #: per call).  Results are bit-identical for every chunk size.
     batch_chunk: int = 2
 
     #: Dirty-bounding-box area fraction (of the image plane) above which the
@@ -104,11 +105,13 @@ class Detector(abc.ABC):
     #: are bit-identical, so this only affects speed.
     incremental_dense_fraction: float = 0.5
 
-    #: Chunk size for the batched tail stages of the windowed delta path.
-    #: Spliced feature grids are two orders of magnitude smaller than full
-    #: images, so much larger chunks fit in cache than
-    #: :attr:`batch_chunk` allows; results are bit-identical for every
-    #: chunk size (the exact-routing suite pins that property).
+    #: Grids per chunk for the batched tail stages of the windowed delta
+    #: path (attention mixing, prototype head, decode).  A chunk bounds the
+    #: stacked token and head temporaries, which grow with grids x cells;
+    #: spliced grids are two orders of magnitude smaller than full images,
+    #: so chunks are larger than :attr:`batch_chunk`.  Attention scores do
+    #: not grow with it.  Results are bit-identical for every chunk size
+    #: (the exact-routing suite pins that property).
     delta_batch_chunk: int = 16
 
     def __init__(self, config: DetectorConfig | None = None, seed: int = 0) -> None:

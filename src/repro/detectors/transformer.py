@@ -23,7 +23,7 @@ from repro.detectors.base import (
     validate_image_batch,
 )
 from repro.detectors.prototypes import PrototypeBank
-from repro.nn.attention import MultiHeadSelfAttention
+from repro.nn.attention import MultiHeadSelfAttention, attention_rows
 from repro.nn.features import CELL_FEATURE_DIM, GridFeatureExtractor
 from repro.nn.incremental import (
     BBox,
@@ -86,6 +86,10 @@ class TransformerDetector(Detector):
             raise ValueError("attention_mix must be in [0, 1]")
         if attention_sharpness <= 0:
             raise ValueError("attention_sharpness must be positive")
+        if embed_dim <= 0 or embed_dim % 2:
+            # The 2-D positional encoding splits the channels between rows
+            # and columns.
+            raise ValueError(f"embed_dim must be positive and even, got {embed_dim}")
         self.prototypes = prototypes
         self.attention_mix = attention_mix
         self.embed_dim = embed_dim
@@ -100,13 +104,7 @@ class TransformerDetector(Detector):
         ]
         self.query_proj = Linear(embed_dim, embed_dim, rng)
         self.key_proj = Linear(embed_dim, embed_dim, rng)
-        self._last_mixing_attention: np.ndarray | None = None
         self._positional_cache: dict[tuple[int, int], np.ndarray] = {}
-
-    @property
-    def last_mixing_attention(self) -> np.ndarray | None:
-        """The (tokens, tokens) attention matrix of the last forward pass."""
-        return self._last_mixing_attention
 
     def _positional(self, rows: int, cols: int) -> np.ndarray:
         key = (rows, cols)
@@ -116,8 +114,11 @@ class TransformerDetector(Detector):
             )
         return self._positional_cache[key]
 
-    def _attention_from_raw(self, raw: np.ndarray) -> np.ndarray:
-        """Attention matrix from raw cell features ``(..., rows, cols, dim)``.
+    def _mixing_inputs(
+        self, raw: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, float]:
+        """Mixing query, key and temperature from raw cell features
+        ``(..., rows, cols, dim)``.
 
         Works on single images and batches alike; leading axes are carried
         through all token operations unchanged, so batched results are
@@ -129,28 +130,27 @@ class TransformerDetector(Detector):
         tokens = layer_norm(tokens + self._positional(rows, cols), axis=-1)
         for layer in self.layers:
             tokens = layer(tokens)
-        query = self.query_proj(tokens)
-        key = self.key_proj(tokens)
-        # Same scores/softmax as scaled_dot_product_attention, minus the
-        # ``weights @ value`` product that function would also compute —
-        # the mixing stage applies the weights to the *raw* features
-        # itself, so the attended embeddings would be thrown away.
         temperature = np.sqrt(self.embed_dim) / self.attention_sharpness
-        scores = query @ np.swapaxes(key, -1, -2) / temperature
-        return softmax(scores, axis=-1)
+        return self.query_proj(tokens), self.key_proj(tokens), temperature
 
     def attention_matrix(self, image: np.ndarray) -> np.ndarray:
-        """Content-dependent (tokens, tokens) attention matrix for an image."""
+        """Content-dependent (tokens, tokens) mixing attention of an image.
+
+        The only place the full matrix is built: the forward pass applies
+        the same weights one block of rows at a time.
+        """
         image = validate_image(image)
-        return self._attention_from_raw(self.extractor(image))
+        query, key, temperature = self._mixing_inputs(self.extractor(image))
+        return softmax(query @ key.T / temperature, axis=-1)
 
     def _mix_features(self, raw: np.ndarray) -> np.ndarray:
         """Blend raw cell features with their attention-mixed counterpart."""
         rows, cols = raw.shape[-3], raw.shape[-2]
         flat_raw = raw.reshape(raw.shape[:-3] + (rows * cols, raw.shape[-1]))
-        weights = self._attention_from_raw(raw)
-        self._last_mixing_attention = weights
-        mixed = weights @ flat_raw
+        query, key, temperature = self._mixing_inputs(raw)
+        # This module's ``softmax`` is resolved per call, so a profiler that
+        # patches the name sees the mixing stage's normalisation.
+        mixed = attention_rows(query, key, flat_raw, temperature, normalize=softmax)
         blended = (1.0 - self.attention_mix) * flat_raw + self.attention_mix * mixed
         return blended.reshape(raw.shape)
 
@@ -163,10 +163,7 @@ class TransformerDetector(Detector):
         """Batched :meth:`backbone_features`; returns (B, rows, cols, dim).
 
         One embedding/attention pass serves the whole stack; per-image
-        results are bit-identical to the single-image path.  The
-        :attr:`last_mixing_attention` buffer holds the (B, tokens, tokens)
-        stack of the most recent forward pass (the last internal chunk when
-        called through :meth:`predict_batch`).
+        results are bit-identical to the single-image path.
         """
         images = validate_image_batch(images)
         return self._mix_features(self.extractor.batch(images))
@@ -185,7 +182,7 @@ class TransformerDetector(Detector):
         return self._decode(probabilities, (image.shape[0], image.shape[1]))
 
     def predict_batch(self, images: np.ndarray) -> list[Prediction]:
-        """Vectorised batch prediction, processed in cache-friendly chunks."""
+        """Vectorised batch prediction, in :attr:`batch_chunk`-image chunks."""
         images = validate_image_batch(images)
         image_shape = (images.shape[1], images.shape[2])
         chunk = max(1, int(self.batch_chunk))

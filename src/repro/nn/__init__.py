@@ -27,7 +27,7 @@ from repro.nn.conv import (
     std_pool_batch,
 )
 from repro.nn.features import GridFeatureExtractor, cell_grid_shape
-from repro.nn.attention import MultiHeadSelfAttention, scaled_dot_product_attention
+from repro.nn.attention import MultiHeadSelfAttention
 from repro.nn.incremental import (
     BBox,
     bbox_area,
@@ -71,6 +71,5 @@ __all__ = [
     "GridFeatureExtractor",
     "cell_grid_shape",
     "MultiHeadSelfAttention",
-    "scaled_dot_product_attention",
     "Linear",
 ]

@@ -20,14 +20,23 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def softmax(x: np.ndarray, axis: int = -1, temperature: float = 1.0) -> np.ndarray:
-    """Numerically stable softmax along ``axis`` with optional temperature."""
+def softmax(
+    x: np.ndarray,
+    axis: int = -1,
+    temperature: float = 1.0,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """Numerically stable softmax along ``axis`` with optional temperature.
+
+    ``out`` (as in numpy) is a float64 array of ``x``'s shape that receives
+    the result, and may be ``x`` itself; by default a new array is returned.
+    """
     if temperature <= 0:
         raise ValueError("temperature must be positive")
-    # One fresh buffer mutated in place: the values are identical to the
-    # textbook exp(shifted)/sum(exp) form, but large attention batches avoid
-    # three extra array-sized temporaries.
-    scaled = np.asarray(x, dtype=np.float64) / float(temperature)
+    # One buffer mutated in place: the values are identical to the
+    # textbook exp(shifted)/sum(exp) form without its three array-sized
+    # temporaries.
+    scaled = np.divide(np.asarray(x, dtype=np.float64), float(temperature), out=out)
     scaled -= np.max(scaled, axis=axis, keepdims=True)
     np.exp(scaled, out=scaled)
     scaled /= np.sum(scaled, axis=axis, keepdims=True)

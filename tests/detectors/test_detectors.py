@@ -102,6 +102,17 @@ class TestDetectorInterface:
         with pytest.raises(ValueError):
             TransformerDetector(detr_detector.prototypes, attention_sharpness=0.0)
 
+    @pytest.mark.parametrize("embed_dim, num_heads", [(9, 3), (0, 2)])
+    def test_embed_dim_must_be_positive_and_even(
+        self, detr_detector, embed_dim, num_heads
+    ):
+        # An odd width used to construct and fail at the first predict, in
+        # the 2-D positional encoding.
+        with pytest.raises(ValueError, match="embed_dim"):
+            TransformerDetector(
+                detr_detector.prototypes, embed_dim=embed_dim, num_heads=num_heads
+            )
+
 
 class TestConnectivity:
     """The architectural asymmetry the paper studies."""
@@ -147,9 +158,3 @@ class TestConnectivity:
         assert weights.shape[0] == weights.shape[1]
         assert np.allclose(weights.sum(axis=-1), 1.0)
         assert weights.min() >= 0.0
-
-    def test_transformer_records_mixing_attention(
-        self, detr_detector, evaluation_dataset
-    ):
-        detr_detector.backbone_features(evaluation_dataset[0].image)
-        assert detr_detector.last_mixing_attention is not None

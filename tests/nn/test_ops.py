@@ -50,6 +50,16 @@ class TestSoftmax:
         soft = softmax(x, temperature=10.0)
         assert sharp[1] > soft[1]
 
+    def test_out_receives_the_same_bits(self):
+        x = np.random.default_rng(4).normal(size=(4, 9))
+        expected = softmax(x, temperature=0.7).view(np.uint64)
+        out = np.empty_like(x)
+        assert softmax(x, temperature=0.7, out=out) is out
+        assert np.array_equal(out.view(np.uint64), expected)
+        in_place = x.copy()
+        assert softmax(in_place, temperature=0.7, out=in_place) is in_place
+        assert np.array_equal(in_place.view(np.uint64), expected)
+
     def test_invalid_temperature_rejected(self):
         with pytest.raises(ValueError):
             softmax(np.array([1.0]), temperature=0.0)
