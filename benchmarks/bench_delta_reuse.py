@@ -46,7 +46,7 @@ from repro.detectors.activation_cache import (
 )
 from repro.detectors.zoo import build_detector
 from repro.experiments.shm import list_segments
-from repro.nn.incremental import mask_nonzero_bbox, masks_differ_bbox
+from repro.nn.incremental import mask_nonzero_bbox
 from repro.nsga.algorithm import NSGAConfig
 
 #: Gate: the single-stage lineage scenario must reach this speedup.
@@ -130,13 +130,11 @@ def run_lineage_benchmarks(image, repeats):
         label = detector.architecture
         ancestor, children = _lineage_population(image.shape)
         bounds = [mask_nonzero_bbox(mask) for mask in children]
-        diffs = [masks_differ_bbox(child, ancestor) for child in children]
         # Children carry no fingerprint of their own, so repeated timing
         # runs keep exercising the ancestor-splice path instead of exact
         # self-hits — the honest steady-state cost of one generation.
         ancestry = [
-            {"fingerprint": None, "ancestor": b"ancestor", "diff_bound": diff}
-            for diff in diffs
+            {"fingerprint": None, "ancestor": b"ancestor"} for _ in children
         ]
 
         baseline = ButterflyObjectives(
@@ -149,9 +147,7 @@ def run_lineage_benchmarks(image, repeats):
         reuse.evaluate_population(
             ancestor[None],
             dirty_bounds=[mask_nonzero_bbox(ancestor)],
-            ancestry=[
-                {"fingerprint": b"ancestor", "ancestor": None, "diff_bound": None}
-            ],
+            ancestry=[{"fingerprint": b"ancestor", "ancestor": None}],
         )
         _assert_identical(
             baseline.evaluate_population(children, dirty_bounds=bounds),
@@ -186,8 +182,7 @@ def run_dense_benchmark(image, repeats):
     detector = build_detector("yolo", seed=1, training=bench_training_config())
     masks = _dense_population(image.shape)
     ancestry = [
-        {"fingerprint": None, "ancestor": None, "diff_bound": None}
-        for _ in range(masks.shape[0])
+        {"fingerprint": None, "ancestor": None} for _ in range(masks.shape[0])
     ]
     baseline = ButterflyObjectives(
         detector=detector, image=image, use_delta_reuse=False
@@ -241,18 +236,14 @@ def run_shm_audit(image):
         image,
         ancestor[None],
         clean=clean,
-        ancestry=[{"fingerprint": b"a", "ancestor": None, "diff_bound": None}],
+        ancestry=[{"fingerprint": b"a", "ancestor": None}],
     )
     detector.predict_delta_batch(
         image,
         children[:4],
         clean=clean,
         ancestry=[
-            {
-                "fingerprint": f"c{index}".encode(),
-                "ancestor": b"a",
-                "diff_bound": masks_differ_bbox(children[index], ancestor),
-            }
+            {"fingerprint": f"c{index}".encode(), "ancestor": b"a"}
             for index in range(4)
         ],
     )

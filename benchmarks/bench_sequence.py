@@ -117,7 +117,6 @@ def _assert_bundle_identical(bundle, dense, label):
 
 def run_frame_derivation_benchmarks(sequence, repeats):
     """Temporal derivation vs dense per-frame builds on both architectures."""
-    bounds = sequence.dirty_bounds()
     frames = list(sequence)
     scenarios = {}
     for architecture in ("yolo", "detr"):
@@ -129,8 +128,8 @@ def run_frame_derivation_benchmarks(sequence, repeats):
         # Hard parity gate first: walk the whole sequence through the
         # rolling cache and compare every bundle to a dense build.
         cache = SequenceActivationCache(detector, max_frames=2)
-        for index, (frame, bound) in enumerate(zip(frames, bounds)):
-            bundle = cache.advance(frame, bound)
+        for index, frame in enumerate(frames):
+            bundle = cache.advance(frame)
             _assert_bundle_identical(
                 bundle, detector.clean_activations(frame), f"{label} frame {index}"
             )
@@ -147,9 +146,7 @@ def run_frame_derivation_benchmarks(sequence, repeats):
 
         def derive_chain():
             for index in range(1, len(frames)):
-                detector.clean_activations_delta(
-                    frames[index], previous[index - 1], bounds[index]
-                )
+                detector.clean_activations_delta(frames[index], previous[index - 1])
 
         def dense_chain():
             for index in range(1, len(frames)):
@@ -196,8 +193,8 @@ def run_shm_audit(sequence):
     prefix = store.segment_prefix
     try:
         cache = SequenceActivationCache(detector, max_frames=2, store=store)
-        for frame, bound in zip(sequence.images, sequence.dirty_bounds()):
-            cache.advance(frame, bound)
+        for frame in sequence.images:
+            cache.advance(frame)
         segments_while_live = len(list_segments(prefix))
     finally:
         store.shutdown()

@@ -23,7 +23,6 @@ from repro.detection.errors import classify_transitions
 from repro.detection.prediction import Prediction
 from repro.detectors.activation_cache import ActivationCacheStore
 from repro.detectors.base import Detector
-from repro.nn.incremental import EMPTY_BBOX
 from repro.nsga.algorithm import NSGAII, NSGAConfig, NSGAResult
 from repro.nsga.individual import Individual
 from repro.nsga.mutation import IntensityAnnealing
@@ -32,13 +31,12 @@ from repro.nsga.mutation import IntensityAnnealing
 def constrain_mask(config: AttackConfig, mask: np.ndarray) -> np.ndarray:
     """The genome constraint of every attack front-end.
 
-    Projects the mask onto ``config.region``, then rounds (when
-    ``config.round_masks``) and clips to ``[-255, 255]`` in place on the
-    projection's fresh array.
+    Projects the mask onto ``config.region``, then rounds to integers (the
+    paper encodes masks as signed integers in ``[-255, 255]``) and clips to
+    that range, in place on the projection's fresh array.
     """
     projected = config.region.project(mask)
-    if config.round_masks:
-        np.round(projected, out=projected)
+    np.round(projected, out=projected)
     return np.clip(projected, -255.0, 255.0, out=projected)
 
 
@@ -80,8 +78,8 @@ def predict_front(
 
     ``result.solutions`` must be ``population`` in order.  The front goes
     through ``evaluator.predict_population`` with each member's ancestry
-    pointing at its own fingerprint under an empty diff bound: a member
-    whose spliced grids are still in the delta store answers from the
+    pointing at its own fingerprint: a member whose spliced grids are still
+    in the delta store scans as identical to them and answers from the
     stored prediction with no compute, the others splice against the clean
     bundle (or run densely), and nothing is stored.  Every route is
     bit-identical to ``detector.predict`` on the perturbed image.
@@ -96,7 +94,7 @@ def predict_front(
     ancestry: list[dict | None] = []
     for _, individual in members:
         key = individual.metadata.get("fingerprint")
-        record = {"fingerprint": None, "ancestor": key, "diff_bound": EMPTY_BBOX}
+        record = {"fingerprint": None, "ancestor": key}
         ancestry.append(None if key is None else record)
     predictions, _ = evaluator.predict_population(
         np.stack([solution.mask.values for solution, _ in members], axis=0),

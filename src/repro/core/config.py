@@ -20,9 +20,6 @@ class AttackConfig:
         Spatial constraint on the perturbation (paper: right half only).
     epsilon:
         Buffer ``ϵ`` around bounding boxes used by Algorithm 2.
-    round_masks:
-        Round filter masks to integer values (the paper encodes masks as
-        signed integers in ``[-255, 255]``).
     use_activation_cache:
         Cache the clean scene's activations and evaluate masks through the
         detectors' incremental (dirty-region) path where supported.
@@ -60,7 +57,6 @@ class AttackConfig:
     nsga: NSGAConfig = field(default_factory=NSGAConfig)
     region: Region = field(default_factory=FullImageRegion)
     epsilon: float = 2.0
-    round_masks: bool = True
     use_activation_cache: bool = True
     activation_cache_size: int = 4
     sparse_init_fraction: float = 0.0

@@ -389,8 +389,8 @@ class ButterflyObjectives:
         """Minimisation vector for NSGA-II.
 
         ``dirty_bound`` optionally restricts the nonzero scan to a window
-        known to contain every nonzero pixel (the NSGA-II operators
-        propagate one per offspring); it never changes the result.
+        known to contain every nonzero pixel (e.g. the mask's exact box,
+        when the caller already holds it); it never changes the result.
         """
         mask = np.asarray(mask, dtype=np.float64)
         bbox = mask_nonzero_bbox(mask, within=dirty_bound)
@@ -486,10 +486,11 @@ class ButterflyObjectives:
         one broadcast pass into a reused scratch buffer and the detector
         runs once over the stacked batch.  ``dirty_bounds`` optionally caps
         the per-mask nonzero scans (one bound per mask, ``None`` entries
-        meaning unknown).  ``ancestry`` optionally carries one lineage
-        record per mask (own fingerprint, parent fingerprint, diff bound)
-        for the cross-generation delta-reuse path; records are forwarded
-        only when reuse is active and never change objective values.
+        meaning unknown; NSGA-II passes none, so every mask is scanned in
+        full).  ``ancestry`` optionally carries one lineage record per mask
+        (own fingerprint, parent fingerprint) for the cross-generation
+        delta-reuse path; records are forwarded only when reuse is active
+        and never change objective values.
         Per-mask objective vectors are identical to calling the evaluator
         mask by mask on every route, which is what lets NSGA-II switch
         freely between the evaluation paths.

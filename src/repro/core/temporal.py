@@ -18,10 +18,11 @@ Two evaluator/attack pairs live here:
   workload: frame t's clean activations are *derived* from frame t−1's
   cached bundle through :meth:`~repro.detectors.base.Detector.
   clean_activations_delta` (recomputing only the inter-frame dirty region,
-  bounded by the scene-spec motion union), population evaluation rides the
-  batched incremental path per frame, and a fourth *track-survival*
-  objective scores track-level damage — the fraction of ground-truth
-  objects the attack fails to suppress for ``track_k`` consecutive frames.
+  found by an exact scan of both frames' pixels), population evaluation
+  rides the batched incremental path per frame, and a fourth
+  *track-survival* objective scores track-level damage — the fraction of
+  ground-truth objects the attack fails to suppress for ``track_k``
+  consecutive frames.
   Every temporal route is bit-identical to the dense per-frame forward;
   the sequence parity suite enforces it.
 """
@@ -182,12 +183,12 @@ class SequenceObjectives:
     Clean activations are built *temporally*: each frame's bundle is
     derived from the previous frame's through a rolling
     :class:`~repro.detectors.activation_cache.SequenceActivationCache`,
-    recomputing only the inter-frame dirty region (bounded by the
-    scene-spec motion union from :meth:`~repro.data.sequences.
-    SceneSequence.dirty_bounds`) and splicing the rest.  The derivation is
-    bit-identical to a dense per-frame ``clean_activations`` build — the
-    sequence parity suite enforces it — so the temporal path only changes
-    speed.  Each frame's bundle is injected into a per-frame
+    recomputing only the inter-frame dirty region (the exact pixel diff of
+    the two frames, so any frame content is safe) and splicing the rest.
+    The derivation is bit-identical to a dense per-frame
+    ``clean_activations`` build — the sequence parity suite enforces it —
+    so the temporal path only changes speed.  Each frame's bundle is
+    injected into a per-frame
     :class:`~repro.core.objectives.ButterflyObjectives`, whose batched
     incremental path then serves population evaluation.
     """
@@ -208,9 +209,9 @@ class SequenceObjectives:
     def __post_init__(self) -> None:
         if not isinstance(self.sequence, SceneSequence):
             raise TypeError(
-                "SequenceObjectives needs a SceneSequence (scene specs drive "
-                "the inter-frame dirty bounds and the ground-truth tracks); "
-                "for plain frame lists use TemporalObjectives"
+                "SequenceObjectives needs a SceneSequence (its scene specs "
+                "give the ground-truth tracks); for plain frame lists use "
+                "TemporalObjectives"
             )
         if len(self.sequence) == 0:
             raise ValueError("the sequence must contain at least one frame")
@@ -228,7 +229,6 @@ class SequenceObjectives:
                 "track correspondence requires a constant object count "
                 f"across the sequence, got counts {sorted(counts)}"
             )
-        bounds = self.sequence.dirty_bounds()
         if self.use_activation_cache:
             self.frame_cache = SequenceActivationCache(
                 self.detector,
@@ -236,9 +236,9 @@ class SequenceObjectives:
                 store=self.activation_store,
             )
         self.per_frame = []
-        for frame, bound in zip(frames, bounds):
+        for frame in frames:
             bundle = (
-                self.frame_cache.advance(frame, bound)
+                self.frame_cache.advance(frame)
                 if self.frame_cache is not None
                 else None
             )

@@ -17,73 +17,6 @@ from repro.data.renderer import render_scene
 from repro.data.scene import ObjectSpec, SceneSpec, random_scene
 from repro.data.templates import KittiClass
 from repro.detection.prediction import Prediction
-from repro.nn.incremental import BBox, EMPTY_BBOX, bbox_union
-
-
-def _object_footprint(
-    obj: ObjectSpec, image_length: int, image_width: int
-) -> tuple[tuple[int, int, int, int], BBox]:
-    """One object's integer draw placement and its clipped pixel rect.
-
-    Mirrors :func:`repro.data.renderer.render_scene`'s patch arithmetic
-    exactly (rounded nominal extent, centre-rounded placement, half-open
-    clip to the image), so two objects with equal placements draw
-    bit-identical pixels when the texture stream matches.  The placement
-    ``(x_min, y_min, patch_l, patch_w)`` is compared *unclipped*: a
-    partially off-image object shifts which rows of its patch are visible
-    even when the clipped rect is unchanged.
-    """
-    template = obj.resolved_template()
-    patch_l = max(2, int(round(template.nominal_length * obj.scale)))
-    patch_w = max(2, int(round(template.nominal_width * obj.scale)))
-    x_min = int(round(obj.x - patch_l / 2.0))
-    y_min = int(round(obj.y - patch_w / 2.0))
-    x_lo, x_hi = max(0, x_min), min(image_length, x_min + patch_l)
-    y_lo, y_hi = max(0, y_min), min(image_width, y_min + patch_w)
-    if x_hi <= x_lo or y_hi <= y_lo:
-        rect = EMPTY_BBOX
-    else:
-        rect = (x_lo, x_hi, y_lo, y_hi)
-    return (x_min, y_min, patch_l, patch_w), rect
-
-
-def moved_objects_bbox(previous: SceneSpec, current: SceneSpec) -> BBox | None:
-    """Bbox guaranteed to contain every pixel differing between two frames.
-
-    The inter-frame dirty bound of a generated sequence, computed from the
-    scene specs alone (no pixels touched): the union over moved objects of
-    their old and new clipped footprint rects.  Valid because consecutive
-    frames of :func:`generate_sequence` share the background (same seed,
-    dims and road fraction) and per-object textures (the render RNG draws
-    one size-dependent sample per object in list order, and sizes are
-    frame-invariant) — so pixels can only change where a moved object was
-    or now is.  Returns :data:`EMPTY_BBOX` for identical placements and
-    ``None`` (unknown — scan the whole frame) whenever the two scenes are
-    not recognisably the same scene in motion: differing dims, background,
-    object count, or any object's class/scale/template.
-    """
-    if (
-        previous.image_length != current.image_length
-        or previous.image_width != current.image_width
-        or previous.background_seed != current.background_seed
-        or previous.road_fraction != current.road_fraction
-        or len(previous.objects) != len(current.objects)
-    ):
-        return None
-    length, width = current.image_length, current.image_width
-    union: BBox | None = EMPTY_BBOX
-    for prev_obj, curr_obj in zip(previous.objects, current.objects):
-        if (
-            prev_obj.class_id != curr_obj.class_id
-            or prev_obj.scale != curr_obj.scale
-            or prev_obj.template is not curr_obj.template
-        ):
-            return None
-        prev_place, prev_rect = _object_footprint(prev_obj, length, width)
-        curr_place, curr_rect = _object_footprint(curr_obj, length, width)
-        if prev_place != curr_place:
-            union = bbox_union(union, bbox_union(prev_rect, curr_rect))
-    return union
 
 
 @dataclass
@@ -132,18 +65,6 @@ class SceneSequence:
         if self._ground_truths is None:
             self._ground_truths = [scene.ground_truth() for scene in self.scenes]
         return self._ground_truths
-
-    def dirty_bounds(self) -> list[BBox | None]:
-        """Per-frame inter-frame dirty bounds from consecutive scene specs.
-
-        Entry 0 is ``None`` (no predecessor — the first frame is always a
-        dense build); entry t bounds every pixel where frame t differs from
-        frame t−1 (see :func:`moved_objects_bbox`).
-        """
-        return [None] + [
-            moved_objects_bbox(self.scenes[index - 1], self.scenes[index])
-            for index in range(1, len(self.scenes))
-        ]
 
 
 def generate_sequence(

@@ -271,12 +271,12 @@ class DeltaActivations:
     def diff_bbox(self, mask: np.ndarray, within: BBox | None) -> BBox:
         """Exact bbox of the pixels where ``mask`` differs from this entry.
 
-        ``within`` must contain every differing pixel (callers intersect
-        the lineage diff bound with the union of both supports); ``None``
-        scans the whole frame.  The stored crop is compared against the
-        matching window of ``mask``, with zeros outside ``pixel_bbox``, by
-        float ``!=`` per channel: ``x`` and ``-x`` differ, ``-0.0`` and
-        ``+0.0`` do not.  Other dtypes are converted to float64 first.
+        ``within`` must contain every differing pixel (the detector passes
+        the union of both exact supports); ``None`` scans the whole frame.
+        The stored crop is compared against the matching window of
+        ``mask``, with zeros outside ``pixel_bbox``, by float ``!=`` per
+        channel: ``x`` and ``-x`` differ, ``-0.0`` and ``+0.0`` do not.
+        Other dtypes are converted to float64 first.
         """
         mask = np.asarray(mask, dtype=np.float64)
         if within is None:
@@ -920,16 +920,12 @@ class SequenceActivationCache:
             return None
         return self._frames[next(reversed(self._frames))]
 
-    def advance(
-        self, image: np.ndarray, dirty_bound: BBox | None = None
-    ) -> CleanActivations | None:
+    def advance(self, image: np.ndarray) -> CleanActivations | None:
         """The clean bundle of the sequence's next frame.
 
         Derived from the latest cached frame's bundle by splicing only the
-        inter-frame dirty region (``dirty_bound`` optionally restricts the
-        diff scan — e.g. to the moving-object union bound from consecutive
-        scene specs; the exact diff is still computed, so a loose bound
-        never changes the result) and bit-identical to
+        inter-frame dirty region, which an exact scan of both frames'
+        pixels finds, and bit-identical to
         ``detector.clean_activations(image)`` either way.  Returns ``None``
         for detectors without incremental support (nothing is cached).
         """
@@ -939,9 +935,7 @@ class SequenceActivationCache:
             self.frame_hits += 1
             self._frames[key] = self._frames.pop(key)
             return cached
-        bundle, incremental = self.detector.clean_activations_delta(
-            image, self.latest, dirty_bound
-        )
+        bundle, incremental = self.detector.clean_activations_delta(image, self.latest)
         if bundle is None:
             self.frame_misses += 1
             return None

@@ -18,7 +18,6 @@ from repro.nn.incremental import (
     BBox,
     bbox_area,
     bbox_area_fraction,
-    bbox_intersection,
     bbox_is_empty,
     bbox_union,
     frames_differ_bbox,
@@ -154,18 +153,14 @@ class Detector(abc.ABC):
         self,
         image: np.ndarray,
         previous: CleanActivations | None,
-        dirty_bound: BBox | None = None,
     ) -> tuple[CleanActivations | None, bool]:
         """Clean bundle of ``image`` derived from a previous frame's bundle.
 
         The temporal form of :meth:`clean_activations`: the inter-frame
         diff of a streaming sequence is a dirty region like any mask, so
         frame t's clean activations are recovered by splicing only the
-        changed window into frame t−1's cached grids.  ``dirty_bound``
-        optionally restricts the diff scan to a window known to contain
-        every changed pixel (e.g. the moving-object union bound derived
-        from consecutive scene specs); the exact diff is still computed,
-        so a loose bound never changes the result.
+        changed window — found by an exact scan of both frames' pixels —
+        into frame t−1's cached grids.
 
         Returns ``(bundle, used_incremental)`` where ``used_incremental``
         reports whether the bundle was derived through the windowed splice
@@ -184,7 +179,7 @@ class Detector(abc.ABC):
         clean_image = np.clip(image + 0.0, 0.0, 255.0)
         if previous.clean_image.shape != clean_image.shape:
             return self.clean_activations(image), False
-        diff = frames_differ_bbox(previous.clean_image, clean_image, within=dirty_bound)
+        diff = frames_differ_bbox(previous.clean_image, clean_image)
         if bbox_is_empty(diff):
             return (
                 CleanActivations(
@@ -255,25 +250,23 @@ class Detector(abc.ABC):
         fast path.  All three routes are bit-identical to :meth:`predict`
         per mask, so the routing only affects speed.  ``dirty_bounds``
         optionally restricts each nonzero scan to a window known to contain
-        every nonzero pixel (e.g. the O(1) bound propagated by the NSGA-II
-        operators); the exact box is still computed, so a loose bound never
-        changes the result.  Without ``clean`` every perturbed image runs
-        through the full forward pass.
+        every nonzero pixel (callers that already hold each mask's exact
+        box pass it so the detector does not rescan); the exact box is
+        still computed, so a loose bound never changes the result.  Without
+        ``clean`` every perturbed image runs through the full forward pass.
 
         ``ancestry`` (one dict or ``None`` per mask) opts a mask into
         cross-generation reuse against the bundle's delta store.  The dict
         carries ``"fingerprint"`` (the mask's own provenance key — evaluated
-        grids are stored under it), ``"ancestor"`` (the key of the evaluated
-        relative whose grids to splice against) and ``"diff_bound"`` (a bbox
-        covering every pixel where the two masks differ, or ``None`` for
-        unknown).  When the ancestor's grids are stored, only the *relative*
-        dirty window (the exact diff, rescanned) is re-spliced — and a mask
-        bit-identical to its ancestor answers from the stored prediction
-        outright.  The bound is only a scan window: the exact diff is always
-        recomputed, so a loose bound never changes the result, and every
-        route remains bit-identical to :meth:`predict`.  The delta store
-        only decides which grids a mask splices against and whether its
-        spliced grids are stored for its descendants.
+        grids are stored under it) and ``"ancestor"`` (the key of the
+        evaluated relative whose grids to splice against).  When the
+        ancestor's grids are stored, only the *relative* dirty window — the
+        exact diff of the two masks, scanned over the union of both
+        supports — is re-spliced, and a mask bit-identical to its ancestor
+        answers from the stored prediction outright.  Every route remains
+        bit-identical to :meth:`predict`: the delta store only decides
+        which grids a mask splices against and whether its spliced grids
+        are stored for its descendants.
         """
         image = validate_image(image)
         masks = np.asarray(masks, dtype=np.float64)
@@ -365,10 +358,9 @@ class Detector(abc.ABC):
         entry = delta_store.get(ancestor_key)
         if entry is None:
             return "none", None
-        window = bbox_intersection(
-            info.get("diff_bound"), bbox_union(bbox, entry.pixel_bbox)
-        )
-        rel_bbox = entry.diff_bbox(mask, window)
+        # Outside both exact supports both masks are ±0, which the diff
+        # treats as equal, so the union of the supports holds every change.
+        rel_bbox = entry.diff_bbox(mask, bbox_union(bbox, entry.pixel_bbox))
         if bbox_is_empty(rel_bbox):
             return "hit", entry.prediction
         if (

@@ -66,10 +66,7 @@ def bbox_union(first: BBox | None, second: BBox | None) -> BBox | None:
 def bbox_intersection(first: BBox | None, second: BBox | None) -> BBox | None:
     """Largest box contained in both; ``None`` (unknown extent) is neutral.
 
-    Used to tighten dirty-region bounds: intersecting a parent's bound with
-    the region an operator could have copied from keeps the bound a valid
-    superset of the child's nonzero pixels while shrinking the later exact
-    scan.  Returns :data:`EMPTY_BBOX` for disjoint boxes.
+    Returns :data:`EMPTY_BBOX` for disjoint boxes.
     """
     if first is None:
         return second
@@ -172,23 +169,13 @@ def channels_differ(first: np.ndarray, second: np.ndarray) -> np.ndarray:
     return differ
 
 
-def _window(
-    array: np.ndarray, within: BBox | None
-) -> tuple[np.ndarray, tuple[int, int]]:
-    """The ``within`` crop of ``array`` and its origin (all of it for ``None``)."""
-    if within is None:
-        return array, (0, 0)
-    r0, r1, c0, c1 = within
-    return array[r0:r1, c0:c1], (r0, c0)
-
-
 def mask_nonzero_bbox(mask: np.ndarray, within: BBox | None = None) -> BBox:
     """Exact bounding box of the pixels with a nonzero value in any channel.
 
     ``within`` restricts the scan to a window known to contain every
-    nonzero pixel (e.g. the O(1) dirty-region bound propagated by the
-    NSGA-II operators); the result is identical to the full scan but costs
-    only O(window).  Returns :data:`EMPTY_BBOX` for all-zero masks.
+    nonzero pixel (e.g. an exact box the caller already computed); the
+    result is identical to the full scan but costs only O(window).
+    Returns :data:`EMPTY_BBOX` for all-zero masks.
 
     The channels are OR-ed as ``uint64`` words and the sign bit is shifted
     out, so a pixel counts exactly when some channel is ``!= 0`` — ``-0.0``
@@ -196,7 +183,10 @@ def mask_nonzero_bbox(mask: np.ndarray, within: BBox | None = None) -> BBox:
     """
     if bbox_is_empty(within):
         return EMPTY_BBOX
-    window, origin = _window(np.asarray(mask, dtype=np.float64), within)
+    window, origin = np.asarray(mask, dtype=np.float64), (0, 0)
+    if within is not None:
+        r0, r1, c0, c1 = within
+        window, origin = window[r0:r1, c0:c1], (r0, c0)
     planes = channel_planes(window.view(np.uint64))
     merged = planes[0].copy()
     for plane in planes[1:]:
@@ -205,51 +195,13 @@ def mask_nonzero_bbox(mask: np.ndarray, within: BBox | None = None) -> BBox:
     return support_bbox(merged != 0, origin)
 
 
-def bbox_symmetric_difference(first: BBox | None, second: BBox | None) -> BBox | None:
-    """Hull of the region covered by exactly one of the two boxes.
-
-    The true symmetric difference of two rectangles is not a rectangle in
-    general; this returns a rectangular **superset** of it — the tightest
-    one expressible with the information at hand — which is what a dirty
-    bound needs (a superset never changes results, only the recompute
-    window).  Equal boxes give :data:`EMPTY_BBOX`; an empty box gives the
-    other box; boxes sharing a row range (or a column range) confine the
-    difference to the complementary axis; anything else falls back to the
-    union hull.  ``None`` (unknown extent) is absorbing.
-    """
-    if first is None or second is None:
-        return None
-    if bbox_is_empty(first):
-        return EMPTY_BBOX if bbox_is_empty(second) else second
-    if bbox_is_empty(second):
-        return first
-    if first == second:
-        return EMPTY_BBOX
-    fr0, fr1, fc0, fc1 = first
-    sr0, sr1, sc0, sc1 = second
-    if (fr0, fr1) == (sr0, sr1):
-        c0 = min(fc1, sc1) if fc0 == sc0 else min(fc0, sc0)
-        c1 = max(fc0, sc0) if fc1 == sc1 else max(fc1, sc1)
-        return (fr0, fr1, c0, c1)
-    if (fc0, fc1) == (sc0, sc1):
-        r0 = min(fr1, sr1) if fr0 == sr0 else min(fr0, sr0)
-        r1 = max(fr0, sr0) if fr1 == sr1 else max(fr1, sr1)
-        return (r0, r1, fc0, fc1)
-    return bbox_union(first, second)
-
-
-def masks_differ_bbox(
-    first: np.ndarray, second: np.ndarray, within: BBox | None = None
-) -> BBox:
+def masks_differ_bbox(first: np.ndarray, second: np.ndarray) -> BBox:
     """Exact bounding box of the pixels where two masks differ in any channel.
 
     The relative dirty region of a child mask against an ancestor: splicing
     only this window (dilated by the receptive field) into the ancestor's
-    activation grids reproduces the child's grids bit for bit.  ``within``
-    restricts the scan to a window known to contain every differing pixel
-    (e.g. the intersection of the lineage diff bound with the union of both
-    supports); the result is identical to the full scan but costs only
-    O(window).  Returns :data:`EMPTY_BBOX` for identical masks.
+    activation grids reproduces the child's grids bit for bit.  Returns
+    :data:`EMPTY_BBOX` for identical masks.
     """
     first = np.asarray(first)
     second = np.asarray(second)
@@ -257,28 +209,19 @@ def masks_differ_bbox(
         raise ValueError(
             f"mask shapes differ: {first.shape} vs {second.shape}"
         )
-    if bbox_is_empty(within):
-        return EMPTY_BBOX
-    first, origin = _window(first, within)
-    second, _ = _window(second, within)
-    return support_bbox(channels_differ(first, second), origin)
+    return support_bbox(channels_differ(first, second))
 
 
-def frames_differ_bbox(
-    previous: np.ndarray, current: np.ndarray, within: BBox | None = None
-) -> BBox:
+def frames_differ_bbox(previous: np.ndarray, current: np.ndarray) -> BBox:
     """Exact bounding box of the pixels where two video frames differ.
 
     The inter-frame dirty region of the streaming workload: splicing only
     this window (dilated by the receptive field) into the previous frame's
     clean activation grids reproduces the current frame's grids bit for
-    bit — the frame delta is a dirty region like any mask.  ``within``
-    restricts the scan to a window known to contain every changed pixel
-    (the moving-object union bound derived from consecutive scene specs);
-    the result is identical to the full scan but costs only O(window).
-    Returns :data:`EMPTY_BBOX` for identical frames.
+    bit — the frame delta is a dirty region like any mask.  Returns
+    :data:`EMPTY_BBOX` for identical frames.
     """
-    return masks_differ_bbox(previous, current, within=within)
+    return masks_differ_bbox(previous, current)
 
 
 def reflect_indices(start: int, stop: int, size: int) -> np.ndarray:

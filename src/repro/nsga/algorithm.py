@@ -21,11 +21,11 @@ Each generation's unevaluated individuals flow through one batched pass:
 
 The fast path is an explicit protocol:
 ``evaluate_population(masks, dirty_bounds=None, ancestry=None)`` returns
-one objective row per mask, and NSGA-II always passes both hint lists —
-the O(1) dirty-region bound of every genome and its ancestry record (own
-fingerprint, parent fingerprint, child-vs-parent diff bound).  Hints only
-cap scans and redirect which cached activations are spliced; they never
-change objective values.
+one objective row per mask.  NSGA-II passes only ``ancestry`` — one record
+per genome naming its own fingerprint and its head parent's — and leaves
+``dirty_bounds`` to callers that already hold exact boxes.  Ancestry only
+redirects which cached activations are spliced; it never changes
+objective values.
 
 Both paths are bit-identical by construction (the parity test suite
 enforces it), so ``NSGAConfig.batch_evaluation`` only changes speed, never
@@ -37,10 +37,8 @@ The genome-keyed evaluation cache composes with the clean-scene activation
 cache of the incremental inference path: the former answers *repeated
 genomes* from their digest, the latter makes *fresh genomes* cheap by
 recomputing only each mask's dirty region against cached clean
-activations.  The genetic operators propagate an O(1) dirty-region bound
-per offspring (``Individual.metadata["dirty_bound"]``) that the batch
-evaluator uses to cap its nonzero scans; bounds never enter cache keys
-because they never change objective values.
+activations.  Every dirty region is scanned exactly from the genome
+itself, so the constraint may be any genome-to-genome map.
 """
 
 from __future__ import annotations
@@ -51,16 +49,15 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from repro.nn.incremental import bbox_union, channel_planes, support_bbox
-from repro.nsga.crossover import one_point_crossover_lineage
+from repro.nn.incremental import channel_planes, support_bbox
+# The variation operators are bound under the names perfbench/spans.py
+# patches by attribute.
+from repro.nsga.crossover import one_point_crossover as one_point_crossover_lineage
 from repro.nsga.crowding import crowding_distance
 from repro.nsga.individual import Individual
 from repro.nsga.initialization import InitializationConfig, initialize_population
-from repro.nsga.mutation import (
-    IntensityAnnealing,
-    MutationConfig,
-    mutate_tracked_lineage,
-)
+from repro.nsga.mutation import IntensityAnnealing, MutationConfig
+from repro.nsga.mutation import mutate as mutate_tracked_lineage
 from repro.nsga.selection import binary_tournament
 from repro.nsga.sorting import fast_non_dominated_sort
 
@@ -190,9 +187,10 @@ class NSGAII:
     config:
         Algorithm parametrisation.
     constraint:
-        Optional projection applied to every genome after initialisation,
-        crossover and mutation (used for the paper's "perturb only the
-        right half" restriction).
+        Optional genome-to-genome map applied to every genome after
+        initialisation, crossover and mutation (used for the paper's
+        "perturb only the right half" restriction).  It may write any
+        pixel: nothing downstream assumes which pixels it changes.
     callback:
         Optional per-generation callback receiving ``(generation, population)``.
     """
@@ -255,16 +253,10 @@ class NSGAII:
         """Per-genome ancestry record for the batch evaluator.
 
         ``fingerprint`` is the genome's own digest (the delta store admits
-        spliced activations under it); ``ancestor``/``diff_bound`` name the
-        head parent's digest and a box bounding where the genome can differ
-        from that parent (``None`` ancestor = no usable lineage).
+        spliced activations under it); ``ancestor`` is the head parent's
+        digest (``None`` = no usable lineage).
         """
-        lineage = individual.metadata.get("ancestor")
-        return {
-            "fingerprint": key,
-            "ancestor": lineage.get("fingerprint") if lineage else None,
-            "diff_bound": lineage.get("diff_bound") if lineage else None,
-        }
+        return {"fingerprint": key, "ancestor": individual.metadata.get("ancestor")}
 
     def _evaluate(self, population: Sequence[Individual]) -> None:
         """Assign objective vectors to every unevaluated individual.
@@ -316,9 +308,6 @@ class NSGAII:
                 matrix = np.asarray(
                     self._batch_evaluator(
                         np.stack([ind.genome for ind in unique], axis=0),
-                        dirty_bounds=[
-                            ind.metadata.get("dirty_bound") for ind in unique
-                        ],
                         ancestry=[
                             self._ancestry_record(ind, key)
                             for ind, key in zip(unique, unique_keys)
@@ -382,17 +371,13 @@ class NSGAII:
     def _make_offspring(
         self, population: list[Individual], generation: int = 0
     ) -> list[Individual]:
-        """Crossover + mutation, propagating dirty-region bounds.
+        """Crossover + mutation, recording each offspring's head parent.
 
-        The tracked operator variants consume the same random draws as the
-        plain ones, so seeded runs are unchanged; each offspring carries a
-        ``metadata["dirty_bound"]`` box covering its nonzero support
-        (``None`` = unknown), which the incremental evaluation path uses to
-        cap its exact nonzero scans, plus a ``metadata["ancestor"]`` record
-        naming its head parent's fingerprint and a box bounding where it
-        can differ from that parent — the cross-generation delta-reuse path
-        re-splices only that region into the parent's cached activations.
-        ``generation`` selects the annealed mutation intensity when an
+        Each offspring carries ``metadata["ancestor"]``, its head parent's
+        fingerprint: the cross-generation delta-reuse path scans where the
+        two genomes differ and re-splices only that region into the
+        parent's cached activations.  ``generation`` selects the annealed
+        mutation intensity when an
         :class:`~repro.nsga.mutation.IntensityAnnealing` schedule is set.
         """
         mutation = self._mutation_config(generation)
@@ -400,74 +385,29 @@ class NSGAII:
         offspring: list[Individual] = []
         for index in range(0, len(parents) - 1, 2):
             parent_a, parent_b = parents[index], parents[index + 1]
-            child_a, child_b, bound_a, bound_b, rel_a, rel_b = (
-                one_point_crossover_lineage(
-                    parent_a.genome,
-                    parent_b.genome,
-                    self.rng,
-                    probability=self.config.crossover_probability,
-                    first_bound=parent_a.metadata.get("dirty_bound"),
-                    second_bound=parent_b.metadata.get("dirty_bound"),
-                )
+            child_a, child_b = one_point_crossover_lineage(
+                parent_a.genome,
+                parent_b.genome,
+                self.rng,
+                probability=self.config.crossover_probability,
             )
-            child_a, bound_a, touched_a = mutate_tracked_lineage(
-                child_a, self.rng, mutation, bound_a
-            )
-            child_b, bound_b, touched_b = mutate_tracked_lineage(
-                child_b, self.rng, mutation, bound_b
-            )
-            # Constraints (region projection, rounding, clipping) are
-            # pixelwise and can only zero pixels out, so both the support
-            # bounds and the child-vs-parent diff bounds remain supersets.
-            offspring.append(
-                Individual(
-                    genome=self._apply_constraint(child_a),
-                    metadata={
-                        "dirty_bound": bound_a,
-                        "ancestor": self._lineage_record(
-                            parent_a, bbox_union(rel_a, touched_a)
-                        ),
-                    },
-                )
-            )
-            offspring.append(
-                Individual(
-                    genome=self._apply_constraint(child_b),
-                    metadata={
-                        "dirty_bound": bound_b,
-                        "ancestor": self._lineage_record(
-                            parent_b, bbox_union(rel_b, touched_b)
-                        ),
-                    },
-                )
-            )
+            child_a = mutate_tracked_lineage(child_a, self.rng, mutation)
+            child_b = mutate_tracked_lineage(child_b, self.rng, mutation)
+            offspring.append(self._offspring(child_a, parent_a))
+            offspring.append(self._offspring(child_b, parent_b))
         # Odd population sizes (the paper uses 101) get one extra mutant of
         # the last parent so that |offspring| == |population|.
         while len(offspring) < self.config.population_size:
-            extra, bound, touched = mutate_tracked_lineage(
-                parents[-1].genome,
-                self.rng,
-                mutation,
-                parents[-1].metadata.get("dirty_bound"),
-            )
-            offspring.append(
-                Individual(
-                    genome=self._apply_constraint(extra),
-                    metadata={
-                        "dirty_bound": bound,
-                        "ancestor": self._lineage_record(parents[-1], touched),
-                    },
-                )
-            )
+            extra = mutate_tracked_lineage(parents[-1].genome, self.rng, mutation)
+            offspring.append(self._offspring(extra, parents[-1]))
         return offspring[: self.config.population_size]
 
-    @staticmethod
-    def _lineage_record(parent: Individual, diff_bound) -> dict | None:
-        """Ancestor record for an offspring, ``None`` without a fingerprint."""
-        fingerprint = parent.metadata.get("fingerprint")
-        if fingerprint is None:
-            return None
-        return {"fingerprint": fingerprint, "diff_bound": diff_bound}
+    def _offspring(self, genome: np.ndarray, parent: Individual) -> Individual:
+        """A constrained child genome that names its head parent."""
+        return Individual(
+            genome=self._apply_constraint(genome),
+            metadata={"ancestor": parent.metadata.get("fingerprint")},
+        )
 
     def _environmental_selection(
         self, combined: list[Individual]

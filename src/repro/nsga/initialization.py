@@ -78,9 +78,7 @@ def _sparse_individual(
     """One sparse initial mask: Gaussian noise confined to a random patch.
 
     The patch covers ``sparse_patch_fraction`` of the image plane (roughly
-    square, clipped to the image), placed uniformly at random.  The exact
-    patch box is attached as the individual's ``dirty_bound`` so the
-    incremental evaluation path can skip even the nonzero scan.
+    square, clipped to the image), placed uniformly at random.
     """
     length, width = int(genome_shape[0]), int(genome_shape[1])
     target = max(1, int(round(length * width * config.sparse_patch_fraction)))
@@ -96,8 +94,7 @@ def _sparse_individual(
     mask[row : row + patch_length, col : col + patch_width] = np.clip(
         patch, -config.max_value, config.max_value
     )
-    bound = (row, row + patch_length, col, col + patch_width)
-    return Individual(genome=mask, metadata={"dirty_bound": bound})
+    return Individual(genome=mask)
 
 
 def initialize_population(
@@ -132,13 +129,5 @@ def initialize_population(
         population.append(_sparse_individual(genome_shape, rng, config))
 
     if config.include_zero_mask:
-        # The zero mask's dirty region is known exactly: empty.  The bound
-        # lets the incremental evaluation path skip even the nonzero scan
-        # and answer straight from the cached clean prediction.
-        population.append(
-            Individual(
-                genome=np.zeros(genome_shape, dtype=np.float64),
-                metadata={"dirty_bound": (0, 0, 0, 0)},
-            )
-        )
+        population.append(Individual(genome=np.zeros(genome_shape, dtype=np.float64)))
     return population

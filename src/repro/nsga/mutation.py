@@ -11,13 +11,6 @@ Section IV-A lists four mutation operations on pixels ("genes"):
 
 Every operator only touches at most ``window_fraction`` of the pixels (the
 paper's "mutation window size", Table II: w = 1 %).
-
-Each operator also knows the bounding box of the pixels it touched, which
-:func:`mutate_tracked_lineage` combines with the parent's *dirty-region
-bound* (a box covering the parent's nonzero support) into an O(1) bound for
-the child: the child's support is contained in the parent's support plus
-the touched pixels.  The incremental-inference path uses these bounds to
-cap its exact nonzero scans; they never change results, only scan cost.
 """
 
 from __future__ import annotations
@@ -25,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from repro.nn.incremental import BBox, EMPTY_BBOX, bbox_union
 
 
 @dataclass(frozen=True)
@@ -123,64 +114,66 @@ def _sample_pixels(
     return np.unravel_index(flat, (length, width))
 
 
-def _indices_bbox(rows: np.ndarray, cols: np.ndarray) -> BBox:
-    """Half-open bounding box of a set of sampled (row, col) indices."""
-    return (
-        int(rows.min()),
-        int(rows.max()) + 1,
-        int(cols.min()),
-        int(cols.max()) + 1,
-    )
-
-
-def _complement_tracked(
+def complement_mutation(
     genome: np.ndarray,
     rng: np.random.Generator,
-    window_fraction: float,
-    max_value: float,
-) -> tuple[np.ndarray, BBox]:
+    window_fraction: float = 0.01,
+    max_value: float = 255.0,
+) -> np.ndarray:
+    """Replace sampled pixel values by their complement in ``[-max, max]``.
+
+    The complement of value ``v`` is ``sign(v) * max_value - v``, which maps
+    0 to ±max and ±max to 0 — the signed-range analogue of a bit flip.
+    """
     mutated = genome.copy()
     rows, cols = _sample_pixels(mutated, window_fraction, rng)
     values = mutated[rows, cols]
     signs = np.where(values >= 0, 1.0, -1.0)
     mutated[rows, cols] = signs * max_value - values
-    return mutated, _indices_bbox(rows, cols)
+    return mutated
 
 
-def _shuffle_tracked(
+def shuffle_mutation(
     genome: np.ndarray,
     rng: np.random.Generator,
-    window_fraction: float,
-    max_value: float,
-) -> tuple[np.ndarray, BBox]:
+    window_fraction: float = 0.01,
+    max_value: float = 255.0,
+) -> np.ndarray:
+    """Shuffle the values of the sampled pixels among themselves."""
     mutated = genome.copy()
     rows, cols = _sample_pixels(mutated, window_fraction, rng)
     permutation = rng.permutation(len(rows))
     mutated[rows, cols] = mutated[rows[permutation], cols[permutation]]
-    return mutated, _indices_bbox(rows, cols)
+    return mutated
 
 
-def _random_value_tracked(
+def random_value_mutation(
     genome: np.ndarray,
     rng: np.random.Generator,
-    window_fraction: float,
-    max_value: float,
-) -> tuple[np.ndarray, BBox]:
+    window_fraction: float = 0.01,
+    max_value: float = 255.0,
+) -> np.ndarray:
+    """Assign fresh uniform random values in ``[-max, max]`` to sampled pixels."""
     mutated = genome.copy()
     rows, cols = _sample_pixels(mutated, window_fraction, rng)
     shape = (len(rows),) + mutated.shape[2:]
     mutated[rows, cols] = rng.integers(
         -int(max_value), int(max_value) + 1, size=shape
     ).astype(mutated.dtype)
-    return mutated, _indices_bbox(rows, cols)
+    return mutated
 
 
-def _inversion_tracked(
+def inversion_mutation(
     genome: np.ndarray,
     rng: np.random.Generator,
-    window_fraction: float,
-    max_value: float,
-) -> tuple[np.ndarray, BBox]:
+    window_fraction: float = 0.01,
+    max_value: float = 255.0,
+) -> np.ndarray:
+    """Horizontally and/or vertically invert a window of pixels.
+
+    A square window containing roughly ``window_fraction`` of the pixels is
+    selected at a random location and flipped along one or both axes.
+    """
     mutated = genome.copy()
     length, width = mutated.shape[0], mutated.shape[1]
     count = max(1, int(round(window_fraction * length * width)))
@@ -198,62 +191,14 @@ def _inversion_tracked(
     if flip_vertical:
         window = window[::-1, :]
     mutated[row : row + side, col : col + side] = window
-    return mutated, (row, row + side, col, col + side)
+    return mutated
 
 
-def complement_mutation(
-    genome: np.ndarray,
-    rng: np.random.Generator,
-    window_fraction: float = 0.01,
-    max_value: float = 255.0,
-) -> np.ndarray:
-    """Replace sampled pixel values by their complement in ``[-max, max]``.
-
-    The complement of value ``v`` is ``sign(v) * max_value - v``, which maps
-    0 to ±max and ±max to 0 — the signed-range analogue of a bit flip.
-    """
-    return _complement_tracked(genome, rng, window_fraction, max_value)[0]
-
-
-def shuffle_mutation(
-    genome: np.ndarray,
-    rng: np.random.Generator,
-    window_fraction: float = 0.01,
-    max_value: float = 255.0,
-) -> np.ndarray:
-    """Shuffle the values of the sampled pixels among themselves."""
-    return _shuffle_tracked(genome, rng, window_fraction, max_value)[0]
-
-
-def random_value_mutation(
-    genome: np.ndarray,
-    rng: np.random.Generator,
-    window_fraction: float = 0.01,
-    max_value: float = 255.0,
-) -> np.ndarray:
-    """Assign fresh uniform random values in ``[-max, max]`` to sampled pixels."""
-    return _random_value_tracked(genome, rng, window_fraction, max_value)[0]
-
-
-def inversion_mutation(
-    genome: np.ndarray,
-    rng: np.random.Generator,
-    window_fraction: float = 0.01,
-    max_value: float = 255.0,
-) -> np.ndarray:
-    """Horizontally and/or vertically invert a window of pixels.
-
-    A square window containing roughly ``window_fraction`` of the pixels is
-    selected at a random location and flipped along one or both axes.
-    """
-    return _inversion_tracked(genome, rng, window_fraction, max_value)[0]
-
-
-_TRACKED_OPERATORS = {
-    "complement": _complement_tracked,
-    "shuffle": _shuffle_tracked,
-    "random": _random_value_tracked,
-    "inversion": _inversion_tracked,
+_OPERATORS = {
+    "complement": complement_mutation,
+    "shuffle": shuffle_mutation,
+    "random": random_value_mutation,
+    "inversion": inversion_mutation,
 }
 
 
@@ -268,39 +213,10 @@ def mutate(
     drawn uniformly at random and applied; otherwise the genome is returned
     unchanged (as a copy).
     """
-    return mutate_tracked_lineage(genome, rng, config)[0]
-
-
-def mutate_tracked_lineage(
-    genome: np.ndarray,
-    rng: np.random.Generator,
-    config: MutationConfig | None = None,
-    parent_bound: BBox | None = None,
-) -> tuple[np.ndarray, BBox | None, BBox]:
-    """:func:`mutate` plus dirty-bound and *lineage* diff-bound tracking.
-
-    ``parent_bound`` is a box covering the parent genome's nonzero support
-    (``None`` = unknown).  Returns ``(child, bound, touched)``:
-
-    * ``bound`` covers the child's support: the union of the parent bound
-      and the box of the pixels the operator touched (an unknown parent
-      bound stays unknown — :func:`~repro.nn.incremental.bbox_union` is
-      absorbing in ``None``);
-    * ``touched`` bounds the pixels where the child can differ from the
-      input genome: the box the operator touched, or ``EMPTY_BBOX`` when no
-      mutation happened (the child is a pixel-identical copy).
-
-    The incremental-inference path caps its exact nonzero scans with
-    ``bound``, the cross-generation delta-reuse path its exact
-    child-vs-ancestor diff scan with ``touched``; a loose bound never
-    changes results, only scan cost.  :func:`mutate` is the projection onto
-    the child, so both consume exactly the same random draws.
-    """
     config = config if config is not None else MutationConfig()
     if rng.random() >= config.probability:
-        return genome.copy(), parent_bound, EMPTY_BBOX
+        return genome.copy()
     operator_name = config.operators[int(rng.integers(0, len(config.operators)))]
-    mutated, touched = _TRACKED_OPERATORS[operator_name](
+    return _OPERATORS[operator_name](
         genome, rng, config.window_fraction, config.max_value
     )
-    return mutated, bbox_union(parent_bound, touched), touched

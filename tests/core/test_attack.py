@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.attack import ButterflyAttack, nsga_config
+from repro.core.attack import ButterflyAttack, constrain_mask, nsga_config
 from repro.core.config import AttackConfig
 from repro.core.regions import HalfImageRegion
 from repro.nsga.algorithm import NSGAConfig
@@ -20,6 +20,35 @@ def attack_result(request):
     )
     attack = ButterflyAttack(detector, config)
     return attack.attack(dataset[0].image), dataset[0].image
+
+
+class TestConstrainMask:
+    def test_zeroes_outside_region_rounds_and_clips(self):
+        config = AttackConfig(region=HalfImageRegion("right"))
+        mask = np.full((2, 6, 3), 7.6)
+        mask[0, 1] = 400.0  # left half: zeroed before clipping
+        mask[0, 4] = 300.2
+        mask[1, 5] = -1000.0
+        mask[1, 3] = -2.5
+        expected = np.full((2, 6, 3), 8.0)
+        expected[:, :3] = 0.0
+        expected[0, 4] = 255.0
+        expected[1, 5] = -255.0
+        expected[1, 3] = -2.0  # np.round rounds halves to even
+        assert np.array_equal(constrain_mask(config, mask), expected)
+
+    def test_returns_a_fresh_array(self):
+        config = AttackConfig()
+        mask = np.full((3, 4, 3), 1.4)
+        constrained = constrain_mask(config, mask)
+        assert constrained.dtype == np.float64
+        assert not np.shares_memory(constrained, mask)
+        assert np.all(mask == 1.4)
+        assert np.all(constrained == 1.0)
+
+    def test_rounding_is_not_an_option(self):
+        with pytest.raises(TypeError):
+            AttackConfig(round_masks=False)
 
 
 class TestButterflyAttack:

@@ -22,7 +22,7 @@ from repro.core.temporal import SequenceAttack
 from repro.data.sequences import generate_sequence
 from repro.detection.errors import classify_transitions
 from repro.detectors import decode as cell_decode
-from repro.nsga.algorithm import NSGAConfig
+from repro.nsga.algorithm import NSGAII, NSGAConfig
 from repro.nsga.mutation import MutationConfig
 
 from tests.conftest import SMALL_LENGTH, SMALL_WIDTH
@@ -255,3 +255,37 @@ class TestFrontPredictionParity:
             [yolo_detector, detr_detector], _attack_config(True, True)
         ).attack(image)
         _assert_front_matches_dense(result, yolo_detector, image)
+
+
+class TestPixelWritingConstraint:
+    """The NSGA-II constraint may be any genome-to-genome map, including one
+    that writes pixels the genetic operators never touched: every dirty
+    region is scanned from the genome, so the cached and delta-reuse routes
+    still score each genome exactly."""
+
+    PIXEL = (5, 150)  # inside the right half of the 64x208 test scenes
+
+    @pytest.fixture(params=["yolo", "detr"])
+    def detector(self, request, yolo_detector, detr_detector):
+        return yolo_detector if request.param == "yolo" else detr_detector
+
+    def _constraint(self, genome):
+        projected = np.round(HalfImageRegion("right").project(genome))
+        projected[self.PIXEL] = 120.0
+        return projected
+
+    def test_final_objectives_equal_a_dense_evaluation(self, detector, small_dataset):
+        image = small_dataset[0].image
+        objectives = ButterflyObjectives(
+            detector, image, use_activation_cache=True, use_delta_reuse=True
+        )
+        config = NSGAConfig(num_iterations=3, population_size=10, seed=0)
+        result = NSGAII(
+            objectives, image.shape, config, constraint=self._constraint
+        ).run()
+        reference = ButterflyObjectives(detector, image, use_activation_cache=False)
+        for individual in result.population:
+            assert np.all(individual.genome[self.PIXEL] == 120.0)
+            assert np.array_equal(
+                individual.objectives, reference(individual.genome)
+            )

@@ -13,7 +13,6 @@ class TestAttackConfig:
         config = AttackConfig()
         assert isinstance(config.region, FullImageRegion)
         assert config.epsilon == 2.0
-        assert config.round_masks is True
 
     def test_paper_defaults_match_table_ii(self):
         config = AttackConfig.paper_defaults(region=HalfImageRegion("right"), seed=5)

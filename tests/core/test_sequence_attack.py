@@ -13,7 +13,7 @@ import pytest
 
 from repro.core.config import AttackConfig
 from repro.core.temporal import SequenceAttack, SequenceObjectives
-from repro.data.sequences import generate_sequence
+from repro.data.sequences import SceneSequence, generate_sequence
 from repro.detection.boxes import BoundingBox
 from repro.detection.prediction import Prediction
 from repro.nsga.algorithm import NSGAConfig
@@ -100,6 +100,55 @@ class TestSequenceObjectivesParity:
             detector=yolo_detector, sequence=sequence, use_activation_cache=False
         )
         assert dense.incremental_snapshot() is None
+
+
+class TestEditedFrame:
+    """A frame edited outside every object is derived from its pixels, not
+    from where the scene specs say objects moved."""
+
+    PIXEL = (2, 150)  # right half; the sequence's objects stay on the left
+
+    @staticmethod
+    def _edited(sequence, pixel):
+        edited = SceneSequence(
+            scenes=list(sequence.scenes),
+            images=[np.array(frame, dtype=np.float64) for frame in sequence.images],
+            seed=sequence.seed,
+        )
+        row, col = pixel
+        for truth in edited.ground_truths:
+            for box in truth.valid_boxes:
+                outside_rows = abs(row - box.x) > box.l / 2 + 1
+                assert outside_rows or abs(col - box.y) > box.w / 2 + 1
+        before = edited.images[1][pixel].copy()
+        edited.images[1][pixel] = np.minimum(before + 40.0, 255.0)
+        assert not np.array_equal(edited.images[1][pixel], before)
+        return edited
+
+    @staticmethod
+    def _sparse_masks(shape):
+        masks = np.zeros((3,) + shape)
+        masks[1, 0:6, 140:160] = 30.0
+        masks[2, 40:50, 180:200] = -25.0
+        return masks
+
+    @pytest.mark.parametrize("detector_fixture", ["yolo_detector", "detr_detector"])
+    def test_rows_and_bundle_match_dense(self, detector_fixture, sequence, request):
+        detector = request.getfixturevalue(detector_fixture)
+        edited = self._edited(sequence, self.PIXEL)
+        cached = SequenceObjectives(detector=detector, sequence=edited)
+        dense = SequenceObjectives(
+            detector=detector, sequence=edited, use_activation_cache=False
+        )
+        masks = self._sparse_masks(edited.frame(0).shape)
+        assert np.array_equal(
+            cached.evaluate_population(masks), dense.evaluate_population(masks)
+        )
+        bundle = cached.per_frame[1].clean_activations
+        reference = detector.clean_activations(edited.frame(1))
+        assert set(bundle.tensors) == set(reference.tensors)
+        for name, tensor in reference.tensors.items():
+            assert np.array_equal(bundle.tensors[name], tensor)
 
 
 class TestSequenceObjectivesValidation:

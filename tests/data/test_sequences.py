@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.data.sequences import (
-    SceneSequence,
-    generate_sequence,
-    moved_objects_bbox,
-)
-from repro.nn.incremental import EMPTY_BBOX, bbox_is_empty, frames_differ_bbox
+from repro.data.sequences import SceneSequence, generate_sequence
 
 
 class TestGenerateSequence:
@@ -92,45 +87,3 @@ class TestSceneSequenceAccessors:
         assert np.array_equal(sliced[0], sequence[1])
         # The slice recomputes its own ground truths for its own frames.
         assert len(sliced.ground_truths) == 2
-
-
-class TestMovedObjectsBbox:
-    def _exact_diff(self, sequence, index):
-        return frames_differ_bbox(
-            np.asarray(sequence.frame(index - 1), dtype=np.float64),
-            np.asarray(sequence.frame(index), dtype=np.float64),
-        )
-
-    def test_bound_contains_exact_pixel_diff(self):
-        sequence = generate_sequence(
-            num_frames=5, seed=11, image_length=64, image_width=160, max_speed=6.0
-        )
-        bounds = sequence.dirty_bounds()
-        assert bounds[0] is None
-        for index in range(1, len(sequence)):
-            bound = bounds[index]
-            diff = self._exact_diff(sequence, index)
-            assert bound is not None
-            if bbox_is_empty(diff):
-                continue
-            r0, r1, c0, c1 = diff
-            b0, b1, b2, b3 = bound
-            assert b0 <= r0 and r1 <= b1 and b2 <= c0 and c1 <= b3
-
-    def test_identical_scenes_give_empty_bound(self):
-        sequence = generate_sequence(
-            num_frames=2, seed=11, image_length=48, image_width=96, max_speed=0.0
-        )
-        bound = moved_objects_bbox(sequence.scenes[0], sequence.scenes[1])
-        assert bound == EMPTY_BBOX
-        assert bbox_is_empty(self._exact_diff(sequence, 1))
-
-    def test_unrelated_scenes_return_none(self):
-        a = generate_sequence(num_frames=1, seed=1, image_length=48, image_width=96)
-        b = generate_sequence(num_frames=1, seed=2, image_length=48, image_width=96)
-        assert moved_objects_bbox(a.scenes[0], b.scenes[0]) is None
-
-    def test_dimension_mismatch_returns_none(self):
-        a = generate_sequence(num_frames=1, seed=1, image_length=48, image_width=96)
-        b = generate_sequence(num_frames=1, seed=1, image_length=48, image_width=128)
-        assert moved_objects_bbox(a.scenes[0], b.scenes[0]) is None

@@ -294,19 +294,13 @@ class TestAncestorSpliceParity:
             image,
             parent[None],
             clean=clean,
-            ancestry=[{"fingerprint": b"parent", "ancestor": None, "diff_bound": None}],
+            ancestry=[{"fingerprint": b"parent", "ancestor": None}],
         )[0]
         actual = detector.predict_delta_batch(
             image,
             child[None],
             clean=clean,
-            ancestry=[
-                {
-                    "fingerprint": b"child",
-                    "ancestor": b"parent",
-                    "diff_bound": masks_differ_bbox(child, parent),
-                }
-            ],
+            ancestry=[{"fingerprint": b"child", "ancestor": b"parent"}],
         )[0]
         for left, right in zip(expected, (first, actual)):
             _assert_same_prediction(left, right)
@@ -323,15 +317,13 @@ class TestAncestorSpliceParity:
             image,
             mask[None],
             clean=clean,
-            ancestry=[{"fingerprint": b"a", "ancestor": None, "diff_bound": None}],
+            ancestry=[{"fingerprint": b"a", "ancestor": None}],
         )[0]
         again = detector.predict_delta_batch(
             image,
             mask.copy()[None],
             clean=clean,
-            ancestry=[
-                {"fingerprint": b"b", "ancestor": b"a", "diff_bound": EMPTY_BBOX}
-            ],
+            ancestry=[{"fingerprint": b"b", "ancestor": b"a"}],
         )[0]
         assert again is first  # exact-match hit: no recompute at all
         _assert_same_prediction(
@@ -344,56 +336,19 @@ class TestAncestorSpliceParity:
         clean.delta = DeltaActivationStore(max_entries=8)
         chain = _lineage(_patch_mask(image.shape, (8, 22, 25, 70), 43), image.shape)
         previous_key = None
-        previous_mask = None
         for index, mask in enumerate(chain):
             key = f"gen{index}".encode()
-            bound = (
-                None
-                if previous_mask is None
-                else masks_differ_bbox(mask, previous_mask)
-            )
             actual = detector.predict_delta_batch(
                 image,
                 mask[None],
                 clean=clean,
-                ancestry=[
-                    {"fingerprint": key, "ancestor": previous_key, "diff_bound": bound}
-                ],
+                ancestry=[{"fingerprint": key, "ancestor": previous_key}],
             )[0]
             _assert_same_prediction(
                 detector.predict(np.clip(image + mask, 0.0, 255.0)), actual
             )
-            previous_key, previous_mask = key, mask
+            previous_key = key
         assert clean.delta.hits == len(chain) - 1
-
-    def test_loose_or_unknown_diff_bound_never_changes_result(
-        self, detector, small_dataset
-    ):
-        image = small_dataset[0].image
-        parent = _patch_mask(image.shape, (10, 20, 30, 60), 44)
-        child = parent.copy()
-        child[11, 35, 0] += 3.0
-        exact = masks_differ_bbox(child, parent)
-        full = (0, image.shape[0], 0, image.shape[1])
-        reference = detector.predict(np.clip(image + child, 0.0, 255.0))
-        for bound in (exact, bbox_union(exact, (0, 30, 0, 90)), full, None):
-            clean = detector.clean_activations(image)
-            clean.delta = DeltaActivationStore(max_entries=8)
-            detector.predict_delta_batch(
-                image,
-                parent[None],
-                clean=clean,
-                ancestry=[{"fingerprint": b"p", "ancestor": None, "diff_bound": None}],
-            )
-            actual = detector.predict_delta_batch(
-                image,
-                child[None],
-                clean=clean,
-                ancestry=[
-                    {"fingerprint": b"c", "ancestor": b"p", "diff_bound": bound}
-                ],
-            )[0]
-            _assert_same_prediction(reference, actual)
 
     def test_unknown_ancestor_falls_back_bit_identically(
         self, detector, small_dataset
@@ -406,9 +361,7 @@ class TestAncestorSpliceParity:
             image,
             mask[None],
             clean=clean,
-            ancestry=[
-                {"fingerprint": b"c", "ancestor": b"never-seen", "diff_bound": None}
-            ],
+            ancestry=[{"fingerprint": b"c", "ancestor": b"never-seen"}],
         )[0]
         _assert_same_prediction(
             detector.predict(np.clip(image + mask, 0.0, 255.0)), actual
@@ -426,17 +379,13 @@ class TestAncestorSpliceParity:
             image,
             parent,
             clean=clean,
-            ancestry={"fingerprint": b"p", "ancestor": None, "diff_bound": None},
+            ancestry={"fingerprint": b"p", "ancestor": None},
         )
         actual = detector.predict_delta(
             image,
             child,
             clean=clean,
-            ancestry={
-                "fingerprint": b"c",
-                "ancestor": b"p",
-                "diff_bound": masks_differ_bbox(child, parent),
-            },
+            ancestry={"fingerprint": b"c", "ancestor": b"p"},
         )
         _assert_same_prediction(
             detector.predict(np.clip(image + child, 0.0, 255.0)), actual

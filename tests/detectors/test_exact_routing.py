@@ -16,7 +16,6 @@ import pytest
 
 from repro.detectors.activation_cache import DeltaActivationStore
 from repro.detectors.base import Detector
-from repro.nn.incremental import masks_differ_bbox
 
 
 def _assert_same_prediction(expected, actual):
@@ -121,18 +120,10 @@ def _every_route(image_shape):
     batch = np.stack([np.zeros(image_shape), fresh, child, parent.copy(), dense])
     ancestry = [
         None,
-        {"fingerprint": b"fresh", "ancestor": None, "diff_bound": None},
-        {
-            "fingerprint": b"child",
-            "ancestor": b"parent",
-            "diff_bound": masks_differ_bbox(child, parent),
-        },
-        {
-            "fingerprint": b"twin",
-            "ancestor": b"parent",
-            "diff_bound": masks_differ_bbox(parent, parent),
-        },
-        {"fingerprint": b"dense", "ancestor": None, "diff_bound": None},
+        {"fingerprint": b"fresh", "ancestor": None},
+        {"fingerprint": b"child", "ancestor": b"parent"},
+        {"fingerprint": b"twin", "ancestor": b"parent"},
+        {"fingerprint": b"dense", "ancestor": None},
     ]
     return parent, batch, ancestry
 
@@ -147,7 +138,7 @@ class TestOneBatchEveryRoute:
             image,
             parent[None],
             clean=clean,
-            ancestry=[{"fingerprint": b"parent", "ancestor": None, "diff_bound": None}],
+            ancestry=[{"fingerprint": b"parent", "ancestor": None}],
         )[0]
         predictions = detector.predict_delta_batch(
             image, batch, clean=clean, ancestry=ancestry

@@ -109,28 +109,15 @@ class TestSequenceActivationCache:
     def test_warm_chain_is_bit_identical_to_dense(
         self, yolo_detector, detr_detector, sequence
     ):
-        bounds = sequence.dirty_bounds()
         for detector in (yolo_detector, detr_detector):
             cache = SequenceActivationCache(detector, max_frames=2)
-            for frame, bound in zip(sequence.images, bounds):
-                bundle = cache.advance(frame, bound)
+            for frame in sequence.images:
+                bundle = cache.advance(frame)
                 _assert_bundle_matches_dense(detector, bundle, frame)
             stats = cache.snapshot()
             assert stats.frame_misses == 1  # only the first frame is dense
             assert stats.frame_hits == len(sequence) - 1
             assert stats.frame_hit_rate > 0.0
-
-    def test_generic_diff_bound_matches_scene_bound(self, yolo_detector, sequence):
-        # Without scene-derived bounds the windowed image diff finds the
-        # dirty region itself; the derived bundles are identical.
-        scene_cache = SequenceActivationCache(yolo_detector, max_frames=2)
-        generic_cache = SequenceActivationCache(yolo_detector, max_frames=2)
-        for frame, bound in zip(sequence.images, sequence.dirty_bounds()):
-            scened = scene_cache.advance(frame, bound)
-            generic = generic_cache.advance(frame, None)
-            for name, tensor in scened.tensors.items():
-                assert np.array_equal(generic.tensors[name], tensor)
-        assert generic_cache.snapshot().frame_hits == len(sequence) - 1
 
     def test_repeated_frame_is_a_digest_hit(self, yolo_detector, sequence):
         cache = SequenceActivationCache(yolo_detector, max_frames=2)
@@ -191,7 +178,7 @@ class TestSequenceActivationCache:
 
     def test_non_incremental_detector_returns_none(self, sequence):
         class Opaque:
-            def clean_activations_delta(self, image, previous, dirty_bound=None):
+            def clean_activations_delta(self, image, previous):
                 return None, False
 
         cache = SequenceActivationCache(Opaque(), max_frames=2)
@@ -204,8 +191,8 @@ class TestStoreBackedSequenceCache:
     def test_bundles_ride_the_store(self, yolo_detector, sequence):
         store = ActivationCacheStore(max_entries=4)
         cache = SequenceActivationCache(yolo_detector, max_frames=2, store=store)
-        for frame, bound in zip(sequence.images, sequence.dirty_bounds()):
-            bundle = cache.advance(frame, bound)
+        for frame in sequence.images:
+            bundle = cache.advance(frame)
             _assert_bundle_matches_dense(yolo_detector, bundle, frame)
         # Admissions are not lookups: the store saw no hit/miss traffic.
         assert store.hits == 0 and store.misses == 0
@@ -226,8 +213,8 @@ class TestStoreBackedSequenceCache:
             cache = SequenceActivationCache(
                 yolo_detector, max_frames=2, store=store
             )
-            for frame, bound in zip(sequence.images, sequence.dirty_bounds()):
-                bundle = cache.advance(frame, bound)
+            for frame in sequence.images:
+                bundle = cache.advance(frame)
                 _assert_bundle_matches_dense(yolo_detector, bundle, frame)
             assert store.active_segments > 0
         finally:

@@ -122,7 +122,7 @@ class TestNSGAResultPickle:
                 objectives=rng.uniform(size=3),
                 rank=1,
                 crowding=float(i),
-                metadata={"dirty_bound": (0, 2, 1, 3)},
+                metadata={"fingerprint": bytes([i]) * 16, "ancestor": None},
             )
             for i in range(3)
         ]

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.nn.incremental import bbox_area, mask_nonzero_bbox
 from repro.nsga.initialization import InitializationConfig, initialize_population
 
 
@@ -119,25 +120,24 @@ class TestSparseBiasedInitialization:
         )
         population = initialize_population(self.SHAPE, np.random.default_rng(3), config)
         total = self.SHAPE[0] * self.SHAPE[1]
+        patch_shapes = set()
         for individual in population[:-1]:  # all random individuals are sparse
-            bound = individual.metadata["dirty_bound"]
-            r0, r1, c0, c1 = bound
-            # the declared dirty bound covers the nonzero support exactly
-            nonzero = np.argwhere(np.abs(individual.genome).max(axis=2) > 0)
-            assert nonzero.size > 0
-            assert nonzero[:, 0].min() >= r0 and nonzero[:, 0].max() < r1
-            assert nonzero[:, 1].min() >= c0 and nonzero[:, 1].max() < c1
-            # and the patch is actually small
+            r0, r1, c0, c1 = mask_nonzero_bbox(individual.genome)
+            assert r1 > r0 and c1 > c0
+            patch_shapes.add((r1 - r0, c1 - c0))
+            # the patch is actually small
             assert (r1 - r0) * (c1 - c0) <= max(1, int(0.1 * total))
+        # every patch has the configured size, wherever it was placed
+        assert len(patch_shapes) == 1
 
     def test_sparse_count_follows_fraction(self):
         config = InitializationConfig(population_size=21, sparse_fraction=0.5)
         population = initialize_population(self.SHAPE, np.random.default_rng(5), config)
+        plane = self.SHAPE[0] * self.SHAPE[1]
         sparse = [
             ind
             for ind in population
-            if ind.metadata.get("dirty_bound") is not None
-            and np.abs(ind.genome).max() > 0
+            if 0 < bbox_area(mask_nonzero_bbox(ind.genome)) < plane
         ]
         assert len(sparse) == 10  # round(20 * 0.5)
 

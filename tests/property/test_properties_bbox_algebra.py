@@ -1,10 +1,8 @@
 """Property-based tests for the dirty-region bbox algebra.
 
-The cross-generation delta-reuse path leans entirely on this algebra: a
-child mask's diff against its ancestor must always land inside the lineage
-bound the genetic operators propagate, and the windowed rescans must equal
-the full-frame scans.  A violated bound would silently corrupt spliced
-activations, so the containment properties here are load-bearing.
+The incremental paths splice dilated boxes into cached activations, so
+unions must contain their operands, intersections must be exact, dilation
+must stay in frame, and the exact diff scan must match a reference scan.
 """
 
 import numpy as np
@@ -16,14 +14,11 @@ from repro.nn.incremental import (
     bbox_area,
     bbox_intersection,
     bbox_is_empty,
-    bbox_symmetric_difference,
     bbox_union,
     dilate_bbox,
     mask_nonzero_bbox,
     masks_differ_bbox,
 )
-from repro.nsga.crossover import one_point_crossover_lineage
-from repro.nsga.mutation import MutationConfig, mutate_tracked_lineage
 
 FRAME = (12, 16)
 
@@ -53,48 +48,6 @@ def rasterize(bbox):
         r0, r1, c0, c1 = bbox
         plane[max(0, r0) : r1, max(0, c0) : c1] = True
     return plane
-
-
-class TestSymmetricDifference:
-    @given(bboxes(), bboxes())
-    @settings(max_examples=200)
-    def test_superset_of_rasterized_xor(self, first, second):
-        """The result covers every pixel belonging to exactly one box."""
-        result = bbox_symmetric_difference(first, second)
-        xor = rasterize(first) ^ rasterize(second)
-        assert np.all(~xor | rasterize(result))
-
-    @given(bboxes(), bboxes())
-    @settings(max_examples=100)
-    def test_commutative(self, first, second):
-        forward = bbox_symmetric_difference(first, second)
-        backward = bbox_symmetric_difference(second, first)
-        assert rasterize(forward).tobytes() == rasterize(backward).tobytes()
-
-    @given(bboxes())
-    @settings(max_examples=50)
-    def test_self_difference_is_empty(self, box):
-        assert bbox_is_empty(bbox_symmetric_difference(box, box))
-
-    @given(bboxes())
-    @settings(max_examples=50)
-    def test_empty_is_neutral(self, box):
-        result = bbox_symmetric_difference(EMPTY_BBOX, box)
-        assert rasterize(result).tobytes() == rasterize(box).tobytes()
-
-    @given(bboxes())
-    @settings(max_examples=20)
-    def test_none_is_absorbing(self, box):
-        assert bbox_symmetric_difference(None, box) is None
-        assert bbox_symmetric_difference(box, None) is None
-
-    @given(bboxes(), bboxes())
-    @settings(max_examples=100)
-    def test_bounded_by_union(self, first, second):
-        """The fallback never exceeds the union hull."""
-        result = bbox_symmetric_difference(first, second)
-        hull = bbox_union(first, second)
-        assert np.all(~rasterize(result) | rasterize(hull))
 
 
 class TestUnionIntersectionRoundTrips:
@@ -166,78 +119,3 @@ class TestMasksDifferBBox:
     @settings(max_examples=50)
     def test_identical_masks_are_empty(self, mask):
         assert masks_differ_bbox(mask, mask.copy()) == EMPTY_BBOX
-
-    @given(sparse_masks, sparse_masks, bboxes())
-    @settings(max_examples=100)
-    def test_window_containing_diff_equals_full_scan(self, first, second, box):
-        """Any window covering every differing pixel gives the full answer."""
-        full = masks_differ_bbox(first, second)
-        window = bbox_union(full, box)
-        assert masks_differ_bbox(first, second, within=window) == full
-
-    @given(sparse_masks, sparse_masks)
-    @settings(max_examples=50)
-    def test_full_frame_window_equals_no_window(self, first, second):
-        full_frame = (0, FRAME[0], 0, FRAME[1])
-        assert masks_differ_bbox(first, second, within=full_frame) == (
-            masks_differ_bbox(first, second)
-        )
-
-    @given(sparse_masks, sparse_masks)
-    @settings(max_examples=50)
-    def test_empty_window_is_empty(self, first, second):
-        assert masks_differ_bbox(first, second, within=EMPTY_BBOX) == EMPTY_BBOX
-
-
-class TestLineageContainment:
-    """The genetic operators' lineage bounds contain the true child diff.
-
-    This is the delta-reuse correctness contract: the detector rescans the
-    exact diff only inside ``diff_bound``, so a child pixel differing from
-    its head parent *outside* the bound would be spliced stale.
-    """
-
-    @given(st.integers(0, 10_000), st.floats(0.1, 1.0))
-    @settings(max_examples=100)
-    def test_crossover_diff_inside_lineage_bound(self, seed, probability):
-        rng = np.random.default_rng(seed)
-        first = _sparse_mask(seed + 1, 0.2)
-        second = _sparse_mask(seed + 2, 0.2)
-        first_bound = mask_nonzero_bbox(first)
-        second_bound = mask_nonzero_bbox(second)
-        child_a, child_b, _, _, rel_a, rel_b = one_point_crossover_lineage(
-            first,
-            second,
-            rng,
-            probability=probability,
-            first_bound=first_bound,
-            second_bound=second_bound,
-        )
-        for child, head, rel in ((child_a, first, rel_a), (child_b, second, rel_b)):
-            diff = masks_differ_bbox(child, head)
-            assert np.all(~rasterize(diff) | rasterize(rel))
-
-    @given(st.integers(0, 10_000))
-    @settings(max_examples=100)
-    def test_mutation_diff_inside_touched_bound(self, seed):
-        rng = np.random.default_rng(seed)
-        genome = _sparse_mask(seed + 3, 0.2)
-        child, _, touched = mutate_tracked_lineage(
-            genome, rng, MutationConfig(probability=0.7), None
-        )
-        diff = masks_differ_bbox(child, genome)
-        assert np.all(~rasterize(diff) | rasterize(touched))
-
-    @given(st.integers(0, 10_000))
-    @settings(max_examples=50)
-    def test_unknown_parent_bounds_degrade_to_tail_band(self, seed):
-        """None parent bounds still produce a valid (band-shaped) rel bound."""
-        rng = np.random.default_rng(seed)
-        first = _sparse_mask(seed + 4, 0.5)
-        second = _sparse_mask(seed + 5, 0.5)
-        child_a, child_b, _, _, rel_a, rel_b = one_point_crossover_lineage(
-            first, second, rng, probability=1.0
-        )
-        for child, head, rel in ((child_a, first, rel_a), (child_b, second, rel_b)):
-            diff = masks_differ_bbox(child, head)
-            assert np.all(~rasterize(diff) | rasterize(rel))

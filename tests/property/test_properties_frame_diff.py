@@ -1,112 +1,15 @@
-"""Property-based tests for the inter-frame dirty-bound contract.
+"""Property-based tests for the inter-frame diff of the streaming path.
 
-The streaming temporal path splices only the region ``moved_objects_bbox``
-reports between consecutive frames, so the bound must contain every pixel
-that actually changed — for any seed, motion speed, object count or frame
-geometry.  A violated bound would splice stale activations into frame t's
-"clean" bundle and silently corrupt every attack evaluation downstream,
-so these are the load-bearing properties of the sequence workload.
+The temporal path splices only the region where two consecutive frames'
+pixels differ.  An empty diff must hand back the previous frame's bundle
+outright, never rebuild it.
 """
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.data.sequences import (
-    _object_footprint,
-    generate_sequence,
-    moved_objects_bbox,
-)
+from repro.data.sequences import generate_sequence
 from repro.detectors.activation_cache import SequenceActivationCache
-from repro.nn.incremental import (
-    EMPTY_BBOX,
-    bbox_is_empty,
-    frames_differ_bbox,
-)
-
-LENGTH, WIDTH = 32, 64
-
-sequence_params = st.fixed_dictionaries(
-    {
-        "seed": st.integers(0, 10_000),
-        "num_frames": st.integers(2, 4),
-        "max_speed": st.floats(0.0, 8.0, allow_nan=False),
-        "num_objects": st.sampled_from([(1, 2), (2, 3), (3, 4)]),
-    }
-)
-
-
-def _generate(params):
-    return generate_sequence(
-        image_length=LENGTH, image_width=WIDTH, **params
-    )
-
-
-def _contains(outer, inner) -> bool:
-    """True when half-open box ``outer`` covers ``inner`` (empty always)."""
-    if bbox_is_empty(inner):
-        return True
-    if bbox_is_empty(outer):
-        return False
-    r0, r1, c0, c1 = inner
-    b0, b1, b2, b3 = outer
-    return b0 <= r0 and r1 <= b1 and b2 <= c0 and c1 <= b3
-
-
-class TestMovedObjectsBound:
-    @given(sequence_params)
-    @settings(max_examples=150, deadline=None)
-    def test_bound_contains_exact_pixel_diff(self, params):
-        """The scene-derived bound covers every pixel that really changed."""
-        sequence = _generate(params)
-        bounds = sequence.dirty_bounds()
-        assert bounds[0] is None
-        for index in range(1, len(sequence)):
-            bound = bounds[index]
-            assert bound is not None  # consecutive frames are always related
-            diff = frames_differ_bbox(
-                np.asarray(sequence.frame(index - 1), dtype=np.float64),
-                np.asarray(sequence.frame(index), dtype=np.float64),
-            )
-            assert _contains(bound, diff)
-
-    @given(sequence_params)
-    @settings(max_examples=100, deadline=None)
-    def test_bound_contains_every_moved_footprint(self, params):
-        """Each moved object's old AND new clipped rects sit inside the bound."""
-        sequence = _generate(params)
-        for index in range(1, len(sequence)):
-            prev, curr = sequence.scenes[index - 1], sequence.scenes[index]
-            bound = moved_objects_bbox(prev, curr)
-            for old, new in zip(prev.objects, curr.objects):
-                old_place, old_rect = _object_footprint(old, LENGTH, WIDTH)
-                new_place, new_rect = _object_footprint(new, LENGTH, WIDTH)
-                if old_place == new_place:
-                    continue  # not a move: contributes no dirty pixels
-                assert _contains(bound, old_rect)
-                assert _contains(bound, new_rect)
-
-    @given(st.integers(0, 10_000), st.integers(2, 4))
-    @settings(max_examples=100, deadline=None)
-    def test_static_sequence_has_empty_bound_and_empty_diff(self, seed, frames):
-        sequence = generate_sequence(
-            num_frames=frames,
-            seed=seed,
-            image_length=LENGTH,
-            image_width=WIDTH,
-            max_speed=0.0,
-        )
-        for index in range(1, len(sequence)):
-            bound = moved_objects_bbox(
-                sequence.scenes[index - 1], sequence.scenes[index]
-            )
-            assert bound == EMPTY_BBOX
-            assert bbox_is_empty(
-                frames_differ_bbox(
-                    np.asarray(sequence.frame(index - 1), dtype=np.float64),
-                    np.asarray(sequence.frame(index), dtype=np.float64),
-                )
-            )
 
 
 class TestEmptyDiffCacheIdentity:
@@ -124,8 +27,8 @@ class TestEmptyDiffCacheIdentity:
             max_speed=0.0,
         )
         cache = SequenceActivationCache(yolo_detector, max_frames=2)
-        first = cache.advance(sequence.frame(0), None)
-        second = cache.advance(sequence.frame(1), sequence.dirty_bounds()[1])
+        first = cache.advance(sequence.frame(0))
+        second = cache.advance(sequence.frame(1))
         assert second is first or second.tensors is first.tensors
         assert second.prediction is first.prediction
         assert cache.frame_misses == 1
