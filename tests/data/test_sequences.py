@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.data.sequences import SceneSequence, generate_sequence
+from repro.nn.incremental import EMPTY_BBOX, bbox_is_empty, frames_differ_bbox
 
 
 class TestGenerateSequence:
@@ -87,3 +88,42 @@ class TestSceneSequenceAccessors:
         assert np.array_equal(sliced[0], sequence[1])
         # The slice recomputes its own ground truths for its own frames.
         assert len(sliced.ground_truths) == 2
+
+
+class TestMovedObjectsBbox:
+    """Consecutive frames are diffed from their pixels: the bound the
+    streaming cache splices is the exact box of the changed pixels."""
+
+    def _exact_diff(self, sequence, index):
+        return frames_differ_bbox(
+            np.asarray(sequence.frame(index - 1), dtype=np.float64),
+            np.asarray(sequence.frame(index), dtype=np.float64),
+        )
+
+    def test_bound_contains_exact_pixel_diff(self):
+        sequence = generate_sequence(
+            num_frames=5, seed=11, image_length=64, image_width=160, max_speed=6.0
+        )
+        moved = 0
+        for index in range(1, len(sequence)):
+            bound = self._exact_diff(sequence, index)
+            changed = np.any(sequence.frame(index - 1) != sequence.frame(index), axis=2)
+            if bbox_is_empty(bound):
+                assert not changed.any()
+                continue
+            moved += 1
+            rows, cols = np.nonzero(changed)
+            assert bound == (
+                int(rows.min()),
+                int(rows.max()) + 1,
+                int(cols.min()),
+                int(cols.max()) + 1,
+            )
+        assert moved > 0
+
+    def test_identical_scenes_give_empty_bound(self):
+        sequence = generate_sequence(
+            num_frames=2, seed=11, image_length=48, image_width=96, max_speed=0.0
+        )
+        assert np.array_equal(sequence.frame(0), sequence.frame(1))
+        assert self._exact_diff(sequence, 1) == EMPTY_BBOX

@@ -350,6 +350,39 @@ class TestAncestorSpliceParity:
             previous_key = key
         assert clean.delta.hits == len(chain) - 1
 
+    def test_loose_or_unknown_diff_bound_never_changes_result(
+        self, detector, small_dataset
+    ):
+        """The splice window is scanned from both exact supports, so a
+        caller's loose or unknown dirty bound for the child changes
+        nothing."""
+        image = small_dataset[0].image
+        parent = _patch_mask(image.shape, (10, 20, 30, 60), 44)
+        child = parent.copy()
+        child[11, 35, 0] += 3.0
+        assert masks_differ_bbox(child, parent) == (11, 12, 35, 36)
+        exact = mask_nonzero_bbox(child)
+        full = (0, image.shape[0], 0, image.shape[1])
+        reference = detector.predict(np.clip(image + child, 0.0, 255.0))
+        for bound in (exact, bbox_union(exact, (0, 30, 0, 90)), full, None):
+            clean = detector.clean_activations(image)
+            clean.delta = DeltaActivationStore(max_entries=8)
+            detector.predict_delta_batch(
+                image,
+                parent[None],
+                clean=clean,
+                ancestry=[{"fingerprint": b"p", "ancestor": None}],
+            )
+            actual = detector.predict_delta_batch(
+                image,
+                child[None],
+                dirty_bounds=[bound],
+                clean=clean,
+                ancestry=[{"fingerprint": b"c", "ancestor": b"p"}],
+            )[0]
+            _assert_same_prediction(reference, actual)
+            assert clean.delta.hits == 1
+
     def test_unknown_ancestor_falls_back_bit_identically(
         self, detector, small_dataset
     ):

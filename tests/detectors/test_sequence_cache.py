@@ -126,6 +126,31 @@ class TestSequenceActivationCache:
         assert again is first
         assert cache.frame_hits == 1 and cache.frame_misses == 1
 
+    def test_unrelated_frame_is_rebuilt_densely(self, yolo_detector, sequence):
+        """A frame of another scene differs almost everywhere: the scanned
+        diff is too large to splice, so the bundle is rebuilt densely."""
+        other = generate_sequence(
+            num_frames=1,
+            seed=10,
+            image_length=SMALL_LENGTH,
+            image_width=SMALL_WIDTH,
+            half="left",
+        ).frame(0)
+        cache = SequenceActivationCache(yolo_detector, max_frames=2)
+        cache.advance(sequence.frame(0))
+        bundle = cache.advance(other)
+        assert cache.frame_hits == 0 and cache.frame_misses == 2
+        _assert_bundle_matches_dense(yolo_detector, bundle, other)
+
+    def test_resized_frame_is_rebuilt_densely(self, yolo_detector, sequence):
+        """Frames of another size have no pixel diff to scan."""
+        cropped = np.ascontiguousarray(sequence.frame(1)[:, : SMALL_WIDTH - 16])
+        cache = SequenceActivationCache(yolo_detector, max_frames=2)
+        cache.advance(sequence.frame(0))
+        bundle = cache.advance(cropped)
+        assert cache.frame_hits == 0 and cache.frame_misses == 2
+        _assert_bundle_matches_dense(yolo_detector, bundle, cropped)
+
     def test_identical_consecutive_frames_share_tensors(self, yolo_detector):
         frames = generate_sequence(
             num_frames=2,

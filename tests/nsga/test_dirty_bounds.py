@@ -1,11 +1,14 @@
-"""Dirty-region bound propagation through the genetic operators.
+"""Dirty windows of the genetic operators' children, scanned from the arrays.
 
-The lineage crossover/mutation variants return an O(1) bounding box that
-must (a) cover every nonzero pixel of the produced child — the incremental
-inference path relies on the bound being a superset — and (b) consume
-exactly the same random draws as the plain forms, so seeded runs are
-unchanged.  NSGA-II hands the bounds (and ancestry records) to the batch
-evaluator through its explicit ``evaluate_population`` protocol.
+No bounding box travels with a genome: the operators return genomes only
+and every splice window comes from an exact scan.  The ancestor splice
+scans the union of the child's and the ancestor's exact supports, which
+must (a) contain every pixel where the child differs from the parent it
+names — outside both supports both genomes are ±0 — and give the same box
+as a full-frame scan, and (b) come from operators that consume exactly the
+same random draws under the names NSGA-II calls as under the public ones,
+so seeded runs are unchanged.  NSGA-II hands only ancestry records to the
+batch evaluator, which scans each genome's exact bound itself.
 """
 
 import numpy as np
@@ -15,10 +18,18 @@ from repro.core.attack import ButterflyAttack
 from repro.core.config import AttackConfig
 from repro.core.objectives import ButterflyObjectives
 from repro.core.regions import HalfImageRegion
-from repro.nn.incremental import bbox_is_empty, mask_nonzero_bbox
+from repro.detectors.activation_cache import DeltaActivations
+from repro.nn.incremental import (
+    EMPTY_BBOX,
+    bbox_is_empty,
+    bbox_union,
+    mask_nonzero_bbox,
+    masks_differ_bbox,
+)
+from repro.nsga import algorithm
 from repro.nsga.algorithm import NSGAII, NSGAConfig
-from repro.nsga.crossover import one_point_crossover, one_point_crossover_lineage
-from repro.nsga.mutation import MutationConfig, mutate, mutate_tracked_lineage
+from repro.nsga.crossover import one_point_crossover
+from repro.nsga.mutation import MutationConfig, mutate
 
 SHAPE = (12, 20, 3)
 
@@ -31,30 +42,53 @@ def _sparse_genome(rng, shape=SHAPE):
     return genome
 
 
-def _bound_covers(bound, genome) -> bool:
-    """True when the bound is a superset of the genome's nonzero support."""
-    if bound is None:
+def _covers(outer, inner) -> bool:
+    """True when half-open box ``outer`` contains ``inner`` (empty always)."""
+    if bbox_is_empty(inner):
         return True
-    actual = mask_nonzero_bbox(genome)
-    if bbox_is_empty(actual):
-        return True
+    if bbox_is_empty(outer):
+        return False
     return (
-        bound[0] <= actual[0]
-        and bound[1] >= actual[1]
-        and bound[2] <= actual[2]
-        and bound[3] >= actual[3]
+        outer[0] <= inner[0]
+        and outer[1] >= inner[1]
+        and outer[2] <= inner[2]
+        and outer[3] >= inner[3]
     )
+
+
+def _assert_window_covers_diff(child, parent):
+    """The ancestor splice's scan window holds the child's whole diff.
+
+    The window is the union of both exact supports; scanning only that
+    window against the parent's stored crop must give the full-frame diff.
+    """
+    support = mask_nonzero_bbox(parent)
+    r0, r1, c0, c1 = support
+    entry = DeltaActivations(
+        mask_window=parent[r0:r1, c0:c1].copy(),
+        pixel_bbox=support,
+        prediction=None,
+    )
+    window = bbox_union(mask_nonzero_bbox(child), support)
+    diff = masks_differ_bbox(child, parent)
+    assert _covers(window, diff)
+    assert entry.diff_bbox(child, window) == diff
 
 
 class TestCrossoverBounds:
     def test_same_draws_as_untracked(self):
+        """The name NSGA-II calls draws exactly like the public operator."""
         rng_a, rng_b = np.random.default_rng(0), np.random.default_rng(0)
         parents = np.random.default_rng(1)
-        first, second = _sparse_genome(parents), _sparse_genome(parents)
-        plain = one_point_crossover(first, second, rng_a, probability=0.7)
-        tracked = one_point_crossover_lineage(first, second, rng_b, probability=0.7)
-        assert np.array_equal(plain[0], tracked[0])
-        assert np.array_equal(plain[1], tracked[1])
+        for _ in range(20):
+            first, second = _sparse_genome(parents), _sparse_genome(parents)
+            plain = one_point_crossover(first, second, rng_a, probability=0.7)
+            traced = algorithm.one_point_crossover_lineage(
+                first, second, rng_b, probability=0.7
+            )
+            assert len(traced) == 2
+            assert np.array_equal(plain[0], traced[0])
+            assert np.array_equal(plain[1], traced[1])
         # Generators advanced identically.
         assert rng_a.integers(0, 1 << 30) == rng_b.integers(0, 1 << 30)
 
@@ -63,41 +97,50 @@ class TestCrossoverBounds:
         for trial in range(50):
             parents = np.random.default_rng(100 + trial)
             first, second = _sparse_genome(parents), _sparse_genome(parents)
-            first_bound = mask_nonzero_bbox(first)
-            second_bound = mask_nonzero_bbox(second)
-            child_a, child_b, bound_a, bound_b, _, _ = one_point_crossover_lineage(
-                first,
-                second,
-                rng,
-                probability=0.8,
-                first_bound=first_bound,
-                second_bound=second_bound,
+            child_a, child_b = one_point_crossover(
+                first, second, rng, probability=0.8
             )
-            assert _bound_covers(bound_a, child_a)
-            assert _bound_covers(bound_b, child_b)
+            # Each child names the parent whose head it keeps.
+            _assert_window_covers_diff(child_a, first)
+            _assert_window_covers_diff(child_b, second)
+            # Swapping pixels creates no support outside the parents'.
+            parents_support = bbox_union(
+                mask_nonzero_bbox(first), mask_nonzero_bbox(second)
+            )
+            assert _covers(parents_support, mask_nonzero_bbox(child_a))
+            assert _covers(parents_support, mask_nonzero_bbox(child_b))
 
     def test_unknown_parent_bounds_still_produce_row_bands(self):
+        """Dense parents leave the whole frame as the scan window; the
+        exact scan still narrows each child's diff to the swapped tail."""
         rng = np.random.default_rng(3)
         first = np.random.default_rng(4).normal(size=SHAPE)
         second = np.random.default_rng(5).normal(size=SHAPE)
-        child_a, child_b, bound_a, bound_b, _, _ = one_point_crossover_lineage(
-            first, second, rng, probability=1.0
-        )
-        # With unknown parents the bound is the union of the head/tail row
-        # bands, i.e. a concrete box that still covers the children.
-        assert bound_a is not None and bound_b is not None
-        assert _bound_covers(bound_a, child_a)
-        assert _bound_covers(bound_b, child_b)
+        child_a, child_b = one_point_crossover(first, second, rng, probability=1.0)
+        frame = (0, SHAPE[0], 0, SHAPE[1])
+        assert bbox_union(mask_nonzero_bbox(child_a), mask_nonzero_bbox(first)) == frame
+        diff_a = masks_differ_bbox(child_a, first)
+        diff_b = masks_differ_bbox(child_b, second)
+        # Both children swap the same flattened tail, which ends at the
+        # last pixel: a band of rows reaching the bottom of the frame.
+        assert diff_a == diff_b
+        assert not bbox_is_empty(diff_a)
+        assert diff_a[1] == SHAPE[0] and diff_a[3] == SHAPE[1]
+        assert np.array_equal(child_a[: diff_a[0]], first[: diff_a[0]])
+        assert np.array_equal(child_b[: diff_b[0]], second[: diff_b[0]])
+        _assert_window_covers_diff(child_a, first)
+        _assert_window_covers_diff(child_b, second)
 
     def test_no_crossover_passes_bounds_through(self):
         rng = np.random.default_rng(6)
-        first, second = np.ones(SHAPE), np.ones(SHAPE)
-        _, _, bound_a, bound_b, _, _ = one_point_crossover_lineage(
-            first, second, rng, probability=0.0,
-            first_bound=(0, 1, 0, 1), second_bound=None,
-        )
-        assert bound_a == (0, 1, 0, 1)
-        assert bound_b is None
+        first = _sparse_genome(np.random.default_rng(7))
+        second = np.ones(SHAPE)
+        child_a, child_b = one_point_crossover(first, second, rng, probability=0.0)
+        assert child_a is not first and child_b is not second
+        assert masks_differ_bbox(child_a, first) == EMPTY_BBOX
+        assert masks_differ_bbox(child_b, second) == EMPTY_BBOX
+        assert mask_nonzero_bbox(child_a) == mask_nonzero_bbox(first)
+        assert mask_nonzero_bbox(child_b) == (0, SHAPE[0], 0, SHAPE[1])
 
 
 class TestMutationBounds:
@@ -109,34 +152,49 @@ class TestMutationBounds:
         rng = np.random.default_rng(7)
         for trial in range(30):
             genome = _sparse_genome(np.random.default_rng(200 + trial))
-            parent_bound = mask_nonzero_bbox(genome)
-            child, bound, _ = mutate_tracked_lineage(genome, rng, config, parent_bound)
-            assert _bound_covers(bound, child)
+            child = mutate(genome, rng, config)
+            _assert_window_covers_diff(child, genome)
 
     def test_same_draws_as_untracked(self):
+        """The name NSGA-II calls draws exactly like the public operator."""
         config = MutationConfig(probability=0.6)
         rng_a, rng_b = np.random.default_rng(8), np.random.default_rng(8)
         for trial in range(20):
             genome = _sparse_genome(np.random.default_rng(300 + trial))
             plain = mutate(genome, rng_a, config)
-            tracked, _, _ = mutate_tracked_lineage(genome, rng_b, config)
-            assert np.array_equal(plain, tracked)
+            traced = algorithm.mutate_tracked_lineage(genome, rng_b, config)
+            assert isinstance(traced, np.ndarray)
+            assert np.array_equal(plain, traced)
         assert rng_a.integers(0, 1 << 30) == rng_b.integers(0, 1 << 30)
 
     def test_unknown_parent_bound_stays_unknown(self):
+        """A dense parent gives no narrower window than the frame; the
+        operator still returns a bare genome and the exact scan is tight."""
         config = MutationConfig(probability=1.0, operators=("random",))
-        child, bound, _ = mutate_tracked_lineage(
-            np.ones(SHAPE), np.random.default_rng(9), config, parent_bound=None
+        parent = np.ones(SHAPE)
+        child = mutate(parent, np.random.default_rng(9), config)
+        assert isinstance(child, np.ndarray) and child.shape == SHAPE
+        frame = (0, SHAPE[0], 0, SHAPE[1])
+        assert bbox_union(mask_nonzero_bbox(child), mask_nonzero_bbox(parent)) == frame
+        changed = (child != parent).any(axis=2)
+        assert changed.any()
+        rows, cols = np.nonzero(changed)
+        assert masks_differ_bbox(child, parent) == (
+            int(rows.min()),
+            int(rows.max()) + 1,
+            int(cols.min()),
+            int(cols.max()) + 1,
         )
-        assert bound is None
+        _assert_window_covers_diff(child, parent)
 
     def test_unmutated_child_keeps_parent_bound(self):
         config = MutationConfig(probability=0.0)
-        parent_bound = (1, 3, 2, 5)
-        child, bound, _ = mutate_tracked_lineage(
-            np.ones(SHAPE), np.random.default_rng(10), config, parent_bound
-        )
-        assert bound == parent_bound
+        parent = np.zeros(SHAPE)
+        parent[1:3, 2:5] = 7.0
+        child = mutate(parent, np.random.default_rng(10), config)
+        assert child is not parent
+        assert mask_nonzero_bbox(child) == (1, 3, 2, 5)
+        assert masks_differ_bbox(child, parent) == EMPTY_BBOX
 
 
 class TestAlgorithmPropagation:
@@ -146,6 +204,8 @@ class TestAlgorithmPropagation:
         )
 
     def test_offspring_carry_covering_bounds(self):
+        """Offspring carry only their head parent's fingerprint, and the
+        window scanned against that parent covers the child's diff."""
         optimizer = NSGAII(
             objective_function=self._objectives,
             genome_shape=SHAPE,
@@ -154,11 +214,13 @@ class TestAlgorithmPropagation:
         population = optimizer._initial_population()
         optimizer._evaluate(population)
         optimizer._rank_population(population)
+        by_fingerprint = {ind.metadata["fingerprint"]: ind for ind in population}
         offspring = optimizer._make_offspring(population)
         assert len(offspring) == 8
         for child in offspring:
-            assert "dirty_bound" in child.metadata
-            assert _bound_covers(child.metadata["dirty_bound"], child.genome)
+            assert set(child.metadata) == {"ancestor"}
+            parent = by_fingerprint[child.metadata["ancestor"]]
+            _assert_window_covers_diff(child.genome, parent.genome)
 
     def test_zero_mask_elite_has_empty_bound(self):
         optimizer = NSGAII(
@@ -167,39 +229,58 @@ class TestAlgorithmPropagation:
             config=NSGAConfig(num_iterations=0, population_size=4, seed=12),
         )
         population = optimizer._initial_population()
-        zero_members = [
-            ind for ind in population if not np.any(ind.genome)
-        ]
+        zero_members = [ind for ind in population if not np.any(ind.genome)]
         assert zero_members
-        assert zero_members[0].metadata["dirty_bound"] == (0, 0, 0, 0)
+        assert "dirty_bound" not in zero_members[0].metadata
+        assert mask_nonzero_bbox(zero_members[0].genome) == EMPTY_BBOX
 
-    def test_bounds_reach_batch_evaluator(self):
-        captured = {}
+    def test_bounds_reach_batch_evaluator(
+        self, monkeypatch, yolo_detector, small_dataset
+    ):
+        """NSGA-II passes no bounds; the evaluator scans each genome's
+        exact support and hands it to the detector's batch path."""
+        received = []
+        forwarded = []
+        original_population = ButterflyObjectives.evaluate_population
+        detector_class = type(yolo_detector)
+        original_batch = detector_class.predict_delta_batch
 
-        class Evaluator:
-            def __call__(self, genome):
-                return np.asarray([float(np.abs(genome).sum())])
+        def evaluate_population(self, masks, dirty_bounds=None, ancestry=None):
+            received.append((len(masks), dirty_bounds, ancestry))
+            return original_population(self, masks, dirty_bounds, ancestry)
 
-            def evaluate_population(self, genomes, dirty_bounds=None, ancestry=None):
-                captured["bounds"] = dirty_bounds
-                return np.abs(genomes).sum(axis=(1, 2, 3))[:, None]
+        def predict_delta_batch(self, image, masks, dirty_bounds=None, *args, **kwargs):
+            forwarded.append((np.array(masks, copy=True), list(dirty_bounds)))
+            return original_batch(self, image, masks, dirty_bounds, *args, **kwargs)
 
-        optimizer = NSGAII(
-            objective_function=Evaluator(),
-            genome_shape=SHAPE,
-            config=NSGAConfig(num_iterations=1, population_size=6, seed=13),
+        monkeypatch.setattr(
+            ButterflyObjectives, "evaluate_population", evaluate_population
         )
-        optimizer.run()
-        assert "bounds" in captured
-        assert captured["bounds"] is not None
-        assert len(captured["bounds"]) > 0
+        monkeypatch.setattr(detector_class, "predict_delta_batch", predict_delta_batch)
+        config = AttackConfig(
+            nsga=NSGAConfig(num_iterations=1, population_size=6, seed=13),
+            region=HalfImageRegion("right"),
+        )
+        ButterflyAttack(yolo_detector, config).attack(small_dataset[0].image)
+        assert received and forwarded
+        for count, dirty_bounds, ancestry in received:
+            assert dirty_bounds is None
+            assert len(ancestry) == count
+            for record in ancestry:
+                assert set(record) == {"fingerprint", "ancestor"}
+        for masks, bounds in forwarded:
+            assert len(bounds) == len(masks)
+            for mask, bound in zip(masks, bounds):
+                assert bound == mask_nonzero_bbox(mask)
 
     def test_signature_hiding_wrapper_keeps_delta_reuse(
         self, monkeypatch, yolo_detector, small_dataset
     ):
         """A plain ``*args, **kwargs`` wrapper (any decorator written
-        without ``functools.wraps``) hides the evaluator's signature; bounds
-        and ancestry must still arrive, so delta reuse stays on."""
+        without ``functools.wraps``) hides the evaluator's signature;
+        ancestry must still arrive, so delta reuse stays on, and NSGA-II
+        passes no ``dirty_bounds`` (every dirty region is scanned from the
+        genome)."""
         received = []
         original = ButterflyObjectives.evaluate_population
 
@@ -215,6 +296,6 @@ class TestAlgorithmPropagation:
         result = ButterflyAttack(yolo_detector, config).attack(small_dataset[0].image)
         assert received
         for kwargs in received:
-            assert kwargs.get("dirty_bounds") is not None
+            assert kwargs.get("dirty_bounds") is None
             assert kwargs.get("ancestry") is not None
         assert result.incremental["delta_hits"] > 0

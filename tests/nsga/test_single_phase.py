@@ -11,10 +11,7 @@ alone, which doubles as the fingerprint the delta-reuse path stores under.
 import numpy as np
 import pytest
 
-from repro.core.attack import ButterflyAttack
-from repro.core.config import AttackConfig
 from repro.core.objectives import ButterflyObjectives
-from repro.core.regions import HalfImageRegion
 from repro.nsga.algorithm import NSGAConfig, NSGAII
 from repro.nsga.individual import Individual
 from repro.nsga.initialization import InitializationConfig
@@ -175,30 +172,3 @@ def test_population_objectives_equal_a_fresh_dense_evaluation(
     reference = ButterflyObjectives(detector, image, use_activation_cache=False)
     for individual in result.population:
         assert np.array_equal(individual.objectives, reference(individual.genome))
-
-
-def test_signature_hiding_wrapper_keeps_delta_reuse(
-    monkeypatch, yolo_detector, small_dataset
-):
-    """A plain ``*args, **kwargs`` wrapper (any decorator written without
-    ``functools.wraps``) hides the evaluator's signature; ancestry must
-    still arrive, so delta reuse stays on, and NSGA-II passes no
-    ``dirty_bounds`` (every dirty region is scanned from the genome)."""
-    received = []
-    original = ButterflyObjectives.evaluate_population
-
-    def wrapper(*args, **kwargs):
-        received.append(kwargs)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(ButterflyObjectives, "evaluate_population", wrapper)
-    config = AttackConfig(
-        nsga=NSGAConfig(num_iterations=4, population_size=12, seed=0),
-        region=HalfImageRegion("right"),
-    )
-    result = ButterflyAttack(yolo_detector, config).attack(small_dataset[0].image)
-    assert received
-    for kwargs in received:
-        assert kwargs.get("dirty_bounds") is None
-        assert kwargs.get("ancestry") is not None
-    assert result.incremental["delta_hits"] > 0
