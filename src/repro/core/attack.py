@@ -29,15 +29,20 @@ from repro.nsga.mutation import IntensityAnnealing
 
 
 def constrain_mask(config: AttackConfig, mask: np.ndarray) -> np.ndarray:
-    """The genome constraint of every attack front-end.
+    """The genome constraint of every attack front-end; a fresh ``int16`` array.
 
-    Projects the mask onto ``config.region``, then rounds to integers (the
-    paper encodes masks as signed integers in ``[-255, 255]``) and clips to
-    that range, in place on the projection's fresh array.
+    Projects the mask onto ``config.region``, rounds half to even (the
+    paper encodes masks as signed integers in ``[-255, 255]``), clips to
+    that range and casts to ``int16``; the values equal the rounded float
+    mask's.  An ``int16`` genome takes the same steps (rounding an integer
+    changes nothing), so every genome NSGA-II holds is ``int16`` and a
+    quarter of the float64 bytes.  ``int16`` has no ``-0.0``: float masks
+    differing only in the sign of a zero constrain to identical genomes.
     """
     projected = config.region.project(mask)
     np.round(projected, out=projected)
-    return np.clip(projected, -255.0, 255.0, out=projected)
+    np.clip(projected, -255, 255, out=projected)
+    return projected.astype(np.int16, copy=False)
 
 
 def nsga_config(config: AttackConfig) -> NSGAConfig:
@@ -76,7 +81,8 @@ def predict_front(
 ) -> None:
     """Fill the front's perturbed predictions and error transitions.
 
-    ``result.solutions`` must be ``population`` in order.  The front goes
+    ``result.solutions`` must be ``population`` in order.  The front's
+    genomes (``int16``, the values of the solutions' float64 masks) go
     through ``evaluator.predict_population`` with each member's ancestry
     pointing at its own fingerprint: a member whose spliced grids are still
     in the delta store scans as identical to them and answers from the
@@ -97,7 +103,7 @@ def predict_front(
         record = {"fingerprint": None, "ancestor": key}
         ancestry.append(None if key is None else record)
     predictions, _ = evaluator.predict_population(
-        np.stack([solution.mask.values for solution, _ in members], axis=0),
+        np.stack([individual.genome for _, individual in members], axis=0),
         ancestry=ancestry,
     )
     for (solution, _), prediction in zip(members, predictions):

@@ -12,10 +12,19 @@ from repro.nsga.algorithm import NSGAConfig
 class AttackConfig:
     """Configuration of a butterfly-effect attack run.
 
+    The attack front-ends search over ``int16`` genomes: every genome
+    passes :func:`~repro.core.attack.constrain_mask`, which rounds and
+    clips it to the paper's signed integers in ``[-255, 255]``.  The masks
+    of the returned :class:`~repro.core.results.AttackResult` are float64
+    :class:`~repro.core.masks.FilterMask` values equal to those genomes.
+
     Attributes
     ----------
     nsga:
-        NSGA-II parametrisation (the paper's Table II by default).
+        NSGA-II parametrisation (the paper's Table II by default).  Its
+        ``mutation.max_value`` must be a whole number in ``[1, 255]``: the
+        complement operator writes ``±max_value - v`` into an ``int16``
+        genome, which is exact only for a whole bound within that range.
     region:
         Spatial constraint on the perturbation (paper: right half only).
     epsilon:
@@ -66,6 +75,12 @@ class AttackConfig:
     anneal_shape: str = "log"
 
     def __post_init__(self) -> None:
+        max_value = self.nsga.mutation.max_value
+        if not (float(max_value).is_integer() and 1 <= max_value <= 255):
+            raise ValueError(
+                "nsga.mutation.max_value must be a whole number in [1, 255] "
+                f"for int16 genomes, got {max_value!r}"
+            )
         if not 0.0 <= self.sparse_init_fraction <= 1.0:
             raise ValueError("sparse_init_fraction must be in [0, 1]")
         if self.activation_cache_size < 1:

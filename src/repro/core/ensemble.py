@@ -120,7 +120,7 @@ class EnsembleObjectives:
         self, mask: np.ndarray, dirty_bound: BBox | None = None
     ) -> np.ndarray:
         """Minimisation vector (intensity, mean degradation, -mean distance)."""
-        mask = np.asarray(mask, dtype=np.float64)
+        mask = np.asarray(mask)
         bbox = mask_nonzero_bbox(mask, within=dirty_bound)
         perturbed_image: np.ndarray | None = None
         degradations = []
@@ -167,9 +167,10 @@ class EnsembleObjectives:
         ``predict_batch`` pass (Equations 1–3 applied per mask), producing
         vectors identical to calling the evaluator mask by mask.
         ``ancestry`` completes NSGA-II's evaluator protocol and is not
-        used: members splice against their clean bundles only.
+        used: members splice against their clean bundles only.  The stack
+        keeps its dtype (``int16`` genomes from NSGA-II).
         """
-        masks = np.asarray(masks, dtype=np.float64)
+        masks = np.asarray(masks)
         bounds: list[BBox | None]
         if dirty_bounds is None:
             bounds = [None] * masks.shape[0]

@@ -59,7 +59,11 @@ from repro.nn.incremental import (
 
 
 def objective_intensity(mask: np.ndarray) -> float:
-    """``obj_intensity(δ) := ||δ||_2`` (Section III-B(a))."""
+    """``obj_intensity(δ) := ||δ||_2`` (Section III-B(a)).
+
+    Computed in float64 for any mask dtype; an ``int16`` genome and its
+    float64 values give the same norm.
+    """
     return float(np.linalg.norm(np.asarray(mask, dtype=np.float64).ravel(), ord=2))
 
 
@@ -157,9 +161,11 @@ def objective_distance(
     :meth:`FilterMask.nonzero_bbox` or :func:`~repro.nn.incremental.
     mask_nonzero_bbox` output, never a loose bound — so that the summation
     grouping, and therefore the value, is a deterministic function of the
-    mask alone; it is computed from the mask when omitted.
+    mask alone; it is computed from the mask when omitted.  Only the box
+    window is converted to float64, so an ``int16`` genome and its float64
+    values give the same result.
     """
-    mask = np.asarray(mask, dtype=np.float64)
+    mask = np.asarray(mask)
     if bbox is None:
         bbox = mask_nonzero_bbox(mask)
     if bbox_is_empty(bbox):
@@ -168,7 +174,7 @@ def objective_distance(
     # Elementwise maxima over the channel planes: max is exact in any
     # order, and the result is a fresh C-ordered (h, w) plane, so the sum
     # below always groups its terms the same way.
-    planes = channel_planes(mask[r0:r1, c0:c1])
+    planes = channel_planes(np.asarray(mask[r0:r1, c0:c1], dtype=np.float64))
     per_pixel_max = np.abs(planes[0])
     for plane in planes[1:]:
         np.maximum(per_pixel_max, np.abs(plane), out=per_pixel_max)
@@ -391,8 +397,9 @@ class ButterflyObjectives:
         ``dirty_bound`` optionally restricts the nonzero scan to a window
         known to contain every nonzero pixel (e.g. the mask's exact box,
         when the caller already holds it); it never changes the result.
+        The mask keeps its dtype (an ``int16`` genome or float64).
         """
-        mask = np.asarray(mask, dtype=np.float64)
+        mask = np.asarray(mask)
         bbox = mask_nonzero_bbox(mask, within=dirty_bound)
         if self.clean_activations is not None:
             self._record_incremental([bbox])
@@ -430,14 +437,19 @@ class ButterflyObjectives:
     def _vector(
         self, mask: np.ndarray, perturbed: Prediction, bbox: BBox | None = None
     ) -> np.ndarray:
-        """Assemble the minimisation vector from a perturbed prediction."""
+        """Assemble the minimisation vector from a perturbed prediction.
+
+        Extra objectives receive the mask as float64, whatever its dtype.
+        """
         vector = [
             self.intensity(mask),
             self.degradation(mask, perturbed),
             -self.distance(mask, bbox),
         ]
-        for extra in self.extra_objectives:
-            vector.append(float(extra(self.image, mask, perturbed)))
+        if self.extra_objectives:
+            values = np.asarray(mask, dtype=np.float64)
+            for extra in self.extra_objectives:
+                vector.append(float(extra(self.image, values, perturbed)))
         return np.asarray(vector, dtype=np.float64)
 
     def apply_masks(
@@ -447,11 +459,13 @@ class ButterflyObjectives:
 
         The broadcast add/clip performs the same per-element operations as
         :func:`~repro.core.masks.apply_mask` per mask, so the stacked images
-        are bit-identical to the sequential path.  ``out`` optionally
-        receives the stack in place (float64, shape ``masks.shape``) so a
-        population of N masks can reuse one scratch buffer.
+        are bit-identical to the sequential path.  The masks keep their
+        dtype: adding an ``int16`` stack to the float64 image promotes the
+        sum to float64 with the same values.  ``out`` optionally receives
+        the stack in place (float64, shape ``masks.shape``) so a population
+        of N masks can reuse one scratch buffer.
         """
-        masks = np.asarray(masks, dtype=np.float64)
+        masks = np.asarray(masks)
         if masks.ndim != 4 or masks.shape[1:] != self.image.shape:
             raise ValueError(
                 f"expected masks of shape (B, *{self.image.shape}), got {masks.shape}"
@@ -494,8 +508,13 @@ class ButterflyObjectives:
         Per-mask objective vectors are identical to calling the evaluator
         mask by mask on every route, which is what lets NSGA-II switch
         freely between the evaluation paths.
+
+        The stack keeps its dtype: NSGA-II hands over ``int16`` genomes,
+        and only the windows where pixels are added or objectives are
+        computed are converted to float64.  An ``int16`` stack and the
+        same values in float64 give identical vectors.
         """
-        masks = np.asarray(masks, dtype=np.float64)
+        masks = np.asarray(masks)
         if masks.ndim != 4 or masks.shape[1:] != self.image.shape:
             raise ValueError(
                 f"expected masks of shape (B, *{self.image.shape}), got {masks.shape}"
@@ -523,9 +542,9 @@ class ButterflyObjectives:
         objective vector, and so the attack front-ends can answer their
         Pareto front from evaluations already made
         (:func:`~repro.core.attack.predict_front`).  Same routing, same
-        bit-parity guarantees.
+        bit-parity guarantees, and the stack keeps its dtype.
         """
-        masks = np.asarray(masks, dtype=np.float64)
+        masks = np.asarray(masks)
         if masks.ndim != 4 or masks.shape[1:] != self.image.shape:
             raise ValueError(
                 f"expected masks of shape (B, *{self.image.shape}), got {masks.shape}"

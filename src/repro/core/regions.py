@@ -38,15 +38,18 @@ class Region(abc.ABC):
     def project(self, mask: np.ndarray) -> np.ndarray:
         """Zero the perturbation outside the allowed region.
 
-        Returns a fresh float64 array (callers may modify it in place)
-        with ``+0.0`` written outside the box by four slice assignments.
+        Returns a fresh array (callers may modify it in place) with zeros
+        (``+0.0`` for floats) written outside the box by four slice
+        assignments.  An ``int16`` mask (an attack genome) keeps its dtype;
+        every other input is converted to float64.
         """
-        projected = np.array(mask, dtype=np.float64)
+        mask = np.asarray(mask)
+        projected = mask.copy() if mask.dtype == np.int16 else mask.astype(np.float64)
         r0, r1, c0, c1 = self.allowed_box(projected.shape[0], projected.shape[1])
-        projected[:r0] = 0.0
-        projected[r1:] = 0.0
-        projected[r0:r1, :c0] = 0.0
-        projected[r0:r1, c1:] = 0.0
+        projected[:r0] = 0
+        projected[r1:] = 0
+        projected[r0:r1, :c0] = 0
+        projected[r0:r1, c1:] = 0
         return projected
 
     def allowed_fraction(self, image_length: int, image_width: int) -> float:

@@ -341,9 +341,10 @@ class SequenceObjectives:
         temporal bundles are cached), which feed both the averaged
         degradation/distance objectives and the track-survival term.
         ``dirty_bounds``/``ancestry`` follow the single-scene contract:
-        optional per-mask hints that never change objective values.
+        optional per-mask hints that never change objective values.  The
+        stack keeps its dtype (``int16`` genomes from NSGA-II).
         """
-        masks = np.asarray(masks, dtype=np.float64)
+        masks = np.asarray(masks)
         per_frame_predictions: list[list[Prediction]] = []
         bboxes: list[BBox] = []
         for evaluator in self.per_frame:
@@ -378,7 +379,7 @@ class SequenceObjectives:
     def __call__(
         self, mask: np.ndarray, dirty_bound: BBox | None = None
     ) -> np.ndarray:
-        mask = np.asarray(mask, dtype=np.float64)
+        mask = np.asarray(mask)
         return self.evaluate_population(mask[None, ...], [dirty_bound])[0]
 
     def raw_objectives(self, mask: np.ndarray) -> dict[str, float]:

@@ -243,7 +243,9 @@ class DeltaActivations:
         The mask values cropped to ``pixel_bbox`` (everything outside the
         crop is zero by construction) — enough to compute the *exact*
         relative dirty region of a descendant without holding a full-frame
-        copy per entry.
+        copy per entry.  Kept in the mask's dtype: ``int16`` for attack
+        genomes (a quarter of the float64 bytes), in process and in
+        shared-memory segments alike.
     pixel_bbox:
         The exact nonzero bounding box of the full mask.
     prediction:
@@ -274,18 +276,19 @@ class DeltaActivations:
         ``within`` must contain every differing pixel (the detector passes
         the union of both exact supports); ``None`` scans the whole frame.
         The stored crop is compared against the matching window of
-        ``mask``, with zeros outside ``pixel_bbox``, by float ``!=`` per
-        channel: ``x`` and ``-x`` differ, ``-0.0`` and ``+0.0`` do not.
-        Other dtypes are converted to float64 first.
+        ``mask``, with zeros outside ``pixel_bbox``, by ``!=`` per channel,
+        each side in its own dtype: an ``int16`` crop against a float64
+        mask (or the reverse) compares exact values, ``x`` and ``-x``
+        differ, and ``-0.0`` and ``+0.0`` do not.
         """
-        mask = np.asarray(mask, dtype=np.float64)
+        mask = np.asarray(mask)
         if within is None:
             within = (0, mask.shape[0], 0, mask.shape[1])
         if bbox_is_empty(within):
             return EMPTY_BBOX
         r0, r1, c0, c1 = within
         window = mask[r0:r1, c0:c1]
-        ancestor = np.zeros_like(window)
+        ancestor = np.zeros(window.shape, dtype=self.mask_window.dtype)
         overlap = bbox_intersection(within, self.pixel_bbox)
         if overlap is not None and not bbox_is_empty(overlap):
             o_r0, o_r1, o_c0, o_c1 = overlap

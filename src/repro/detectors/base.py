@@ -221,9 +221,10 @@ class Detector(abc.ABC):
         The one-mask form of :meth:`predict_delta_batch`, which does all
         the routing: with a ``clean`` bundle only the mask's dirty region is
         recomputed, ``dirty_bound`` caps the nonzero scan and ``ancestry``
-        (one record) opts the mask into cross-generation reuse.
+        (one record) opts the mask into cross-generation reuse.  The mask
+        keeps its dtype, as in the batch form.
         """
-        mask = np.asarray(mask, dtype=np.float64)
+        mask = np.asarray(mask)
         return self.predict_delta_batch(
             image,
             mask[None, ...],
@@ -267,9 +268,18 @@ class Detector(abc.ABC):
         bit-identical to :meth:`predict`: the delta store only decides
         which grids a mask splices against and whether its spliced grids
         are stored for its descendants.
+
+        The masks keep their dtype (the attack hands over ``int16``
+        genomes; float64 masks work the same way).  Only the pixels that
+        are added to the image are converted: the dense route's
+        ``clip(image + masks)`` and each splice window promote to float64,
+        the dirty-region scans compare values in the stored dtype, and the
+        delta store keeps each mask's crop in the mask's own dtype.  An
+        ``int16`` stack and the same values in float64 take the same routes
+        to the same predictions.
         """
         image = validate_image(image)
-        masks = np.asarray(masks, dtype=np.float64)
+        masks = np.asarray(masks)
         if masks.ndim != 4 or masks.shape[1:] != image.shape:
             raise ValueError(
                 f"expected masks of shape (B, *{image.shape}), got {masks.shape}"

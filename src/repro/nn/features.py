@@ -95,17 +95,19 @@ class GridFeatureExtractor:
         reflection at image borders) and pushed through the same pooling and
         gradient operations, so the result is bit-identical to the full
         extraction — the property the incremental-inference parity suite
-        enforces.
+        enforces.  The mask keeps its dtype (an ``int16`` genome): only its
+        gathered window is added to the float64 image window.
         """
         if bbox_is_empty(cell_bbox):
             return np.zeros((0, 0, CELL_FEATURE_DIM), dtype=np.float64)
         image = np.asarray(image, dtype=np.float64)
-        mask = np.asarray(mask, dtype=np.float64)
+        mask = np.asarray(mask)
         cr0, cr1, cc0, cc1 = cell_bbox
         pr0, pr1 = cr0 * self.cell, cr1 * self.cell
         pc0, pc1 = cc0 * self.cell, cc1 * self.cell
         # One extra pixel on every side feeds the Sobel halo; the perturbed
-        # values are built in-window from clip(image + mask).
+        # values are built in-window from clip(image + mask), where the sum
+        # promotes the mask window to float64.
         rows, cols = (pr0 - 1, pr1 + 1), (pc0 - 1, pc1 + 1)
         window = np.clip(
             gather_window(image, rows, cols) + gather_window(mask, rows, cols),

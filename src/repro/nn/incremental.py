@@ -177,22 +177,21 @@ def mask_nonzero_bbox(mask: np.ndarray, within: BBox | None = None) -> BBox:
     result is identical to the full scan but costs only O(window).
     Returns :data:`EMPTY_BBOX` for all-zero masks.
 
-    The channels are OR-ed as ``uint64`` words and the sign bit is shifted
-    out, so a pixel counts exactly when some channel is ``!= 0`` — ``-0.0``
-    is zero, NaN is not.  Other dtypes are converted to float64 first.
+    A pixel counts exactly when some channel is ``!= 0``, compared in the
+    mask's own dtype (an ``int16`` genome is scanned as stored): for floats
+    ``-0.0`` is zero and NaN is not.
     """
     if bbox_is_empty(within):
         return EMPTY_BBOX
-    window, origin = np.asarray(mask, dtype=np.float64), (0, 0)
+    window, origin = np.asarray(mask), (0, 0)
     if within is not None:
         r0, r1, c0, c1 = within
         window, origin = window[r0:r1, c0:c1], (r0, c0)
-    planes = channel_planes(window.view(np.uint64))
-    merged = planes[0].copy()
+    planes = channel_planes(window)
+    merged = planes[0] != 0
     for plane in planes[1:]:
-        merged |= plane
-    merged <<= 1
-    return support_bbox(merged != 0, origin)
+        merged |= plane != 0
+    return support_bbox(merged, origin)
 
 
 def masks_differ_bbox(first: np.ndarray, second: np.ndarray) -> BBox:

@@ -230,9 +230,11 @@ class NSGAII:
         Only the box of pixels whose *bytes* are nonzero in some channel is
         hashed, together with the box itself: every byte outside it is
         zero, so two keys collide exactly when the full genome bytes are
-        equal.  The box is taken over bytes, not values — ``np.round``
-        leaves ``-0.0`` behind, and a value box would merge genomes whose
-        bytes differ only by such signs.
+        equal.  The box is taken over bytes, not values, which matters for
+        float genomes only: a value box would merge genomes whose bytes
+        differ only by a ``-0.0``.  The attack's genomes are ``int16``
+        (:func:`~repro.core.attack.constrain_mask`), which has no negative
+        zero and hashes a quarter of the float64 bytes.
         """
         genome = np.asarray(genome)
         planes = channel_planes(genome.view(f"u{genome.itemsize}"))

@@ -123,7 +123,9 @@ def complement_mutation(
     """Replace sampled pixel values by their complement in ``[-max, max]``.
 
     The complement of value ``v`` is ``sign(v) * max_value - v``, which maps
-    0 to ±max and ±max to 0 — the signed-range analogue of a bit flip.
+    0 to ±max and ±max to 0 — the signed-range analogue of a bit flip.  The
+    float result is cast to the genome's dtype on assignment, which is exact
+    on an integer genome when ``max_value`` is a whole number.
     """
     mutated = genome.copy()
     rows, cols = _sample_pixels(mutated, window_fraction, rng)

@@ -5,8 +5,13 @@ import pytest
 
 from repro.core.attack import ButterflyAttack, constrain_mask, nsga_config
 from repro.core.config import AttackConfig
+from repro.core.ensemble import EnsembleAttack
 from repro.core.regions import HalfImageRegion
-from repro.nsga.algorithm import NSGAConfig
+from repro.core.temporal import SequenceAttack, TemporalAttack
+from repro.data.sequences import generate_sequence
+from repro.nsga.algorithm import NSGAII, NSGAConfig
+
+from tests.conftest import SMALL_LENGTH, SMALL_WIDTH
 
 
 @pytest.fixture(scope="module")
@@ -41,7 +46,7 @@ class TestConstrainMask:
         config = AttackConfig()
         mask = np.full((3, 4, 3), 1.4)
         constrained = constrain_mask(config, mask)
-        assert constrained.dtype == np.float64
+        assert constrained.dtype == np.int16
         assert not np.shares_memory(constrained, mask)
         assert np.all(mask == 1.4)
         assert np.all(constrained == 1.0)
@@ -49,6 +54,103 @@ class TestConstrainMask:
     def test_rounding_is_not_an_option(self):
         with pytest.raises(TypeError):
             AttackConfig(round_masks=False)
+
+    def test_int16_input_is_projected_and_clipped(self):
+        config = AttackConfig(region=HalfImageRegion("right"))
+        mask = np.full((2, 6, 3), 9, dtype=np.int16)
+        mask[0, 1] = 400  # left half: zeroed
+        mask[0, 4] = 300
+        mask[1, 5] = -1000
+        expected = np.full((2, 6, 3), 9, dtype=np.int16)
+        expected[:, :3] = 0
+        expected[0, 4] = 255
+        expected[1, 5] = -255
+        constrained = constrain_mask(config, mask)
+        assert constrained.dtype == np.int16
+        assert not np.shares_memory(constrained, mask)
+        assert np.array_equal(constrained, expected)
+        assert mask[0, 1, 0] == 400  # the input is untouched
+
+    def test_negative_zeros_constrain_to_the_same_genome(self):
+        """int16 has no -0.0: a float genome and its +0.0 twin give the
+        same genome bytes and therefore the same evaluation-cache key."""
+        config = AttackConfig(region=HalfImageRegion("right"))
+        rng = np.random.default_rng(7)
+        mask = np.round(rng.normal(0.0, 0.6, size=(4, 8, 3)))
+        negative = np.where(mask == 0, -0.0, mask)
+        positive = np.where(mask == 0, 0.0, mask)
+        assert np.signbit(negative[negative == 0]).all()
+        assert negative.tobytes() != positive.tobytes()
+        first = constrain_mask(config, negative)
+        second = constrain_mask(config, positive)
+        assert first.tobytes() == second.tobytes()
+        assert NSGAII._genome_key(first) == NSGAII._genome_key(second)
+        assert NSGAII._genome_key(negative) != NSGAII._genome_key(positive)
+
+
+class TestGenomesAreInt16:
+    """Every front-end searches over int16 genomes and reports float64 masks."""
+
+    @pytest.fixture()
+    def populations(self, monkeypatch):
+        """Records the dtypes NSGA-II evaluates and its final population."""
+        record = {"evaluated": set(), "final": None}
+        evaluate, run = NSGAII._evaluate, NSGAII.run
+
+        def recording_evaluate(self, population):
+            record["evaluated"].update(str(ind.genome.dtype) for ind in population)
+            return evaluate(self, population)
+
+        def recording_run(self):
+            result = run(self)
+            record["final"] = result.population
+            return result
+
+        monkeypatch.setattr(NSGAII, "_evaluate", recording_evaluate)
+        monkeypatch.setattr(NSGAII, "run", recording_run)
+        return record
+
+    @staticmethod
+    def _config():
+        return AttackConfig(
+            nsga=NSGAConfig(num_iterations=2, population_size=5, seed=2),
+            region=HalfImageRegion("right"),
+        )
+
+    @staticmethod
+    def _sequence():
+        return generate_sequence(
+            num_frames=2,
+            seed=4,
+            image_length=SMALL_LENGTH,
+            image_width=SMALL_WIDTH,
+            half="left",
+        )
+
+    @pytest.mark.parametrize(
+        "front_end", ["butterfly", "ensemble", "temporal", "sequence"]
+    )
+    def test_final_population_is_int16(
+        self, front_end, populations, yolo_detector, detr_detector, small_dataset
+    ):
+        config = self._config()
+        image = small_dataset[0].image
+        if front_end == "butterfly":
+            result = ButterflyAttack(yolo_detector, config).attack(image)
+        elif front_end == "ensemble":
+            result = EnsembleAttack([yolo_detector, detr_detector], config).attack(
+                image
+            )
+        elif front_end == "temporal":
+            result = TemporalAttack(yolo_detector, config).attack(self._sequence())
+        else:
+            result = SequenceAttack(detr_detector, config).attack(self._sequence())
+        final = populations["final"]
+        assert populations["evaluated"] == {"int16"}
+        assert [ind.genome.dtype for ind in final] == [np.dtype(np.int16)] * 5
+        for individual, solution in zip(final, result.solutions):
+            assert solution.mask.values.dtype == np.float64
+            assert np.array_equal(solution.mask.values, individual.genome)
 
 
 class TestButterflyAttack:

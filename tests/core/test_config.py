@@ -6,6 +6,8 @@ import pytest
 
 from repro.core.config import AttackConfig
 from repro.core.regions import FullImageRegion, HalfImageRegion
+from repro.nsga.algorithm import NSGAConfig
+from repro.nsga.mutation import MutationConfig
 
 
 class TestAttackConfig:
@@ -51,6 +53,19 @@ class TestAttackConfig:
     def test_invalid_values_rejected(self, overrides):
         with pytest.raises(ValueError):
             AttackConfig(**overrides)
+
+    @pytest.mark.parametrize("max_value", [100.5, 0.5, 256.0, 40000.0])
+    def test_mutation_bound_must_fit_int16_genomes(self, max_value):
+        """A fractional bound would make complement truncate on assignment
+        to an int16 genome; one above 255 leaves the paper's range."""
+        nsga = NSGAConfig(mutation=MutationConfig(max_value=max_value))
+        with pytest.raises(ValueError, match="nsga.mutation.max_value"):
+            AttackConfig(nsga=nsga)
+
+    @pytest.mark.parametrize("max_value", [1, 100.0, 255.0])
+    def test_whole_mutation_bounds_accepted(self, max_value):
+        nsga = NSGAConfig(mutation=MutationConfig(max_value=max_value))
+        assert AttackConfig(nsga=nsga).nsga.mutation.max_value == max_value
 
     @pytest.mark.parametrize("name", ["fast_search", "rescore_every"])
     def test_no_two_phase_search_options(self, name):

@@ -124,3 +124,35 @@ class TestMutateDispatch:
     def test_default_config_used_when_none(self, genome, rng):
         mutated = mutate(genome, rng, None)
         assert mutated.shape == genome.shape
+
+
+class TestInt16Genomes:
+    """The operators keep an int16 genome's dtype and draw the same values
+    as on its float64 twin: attack genomes are int16, and the search must
+    follow the trajectory it followed on rounded float64 genomes."""
+
+    @pytest.mark.parametrize(
+        "operator",
+        [
+            complement_mutation,
+            shuffle_mutation,
+            random_value_mutation,
+            inversion_mutation,
+        ],
+    )
+    def test_same_values_as_float64(self, operator, genome):
+        as_int16 = genome.astype(np.int16)
+        mutated = operator(as_int16, np.random.default_rng(8), window_fraction=0.05)
+        reference = operator(genome, np.random.default_rng(8), window_fraction=0.05)
+        assert mutated.dtype == np.int16
+        assert np.array_equal(mutated, reference)
+
+    def test_mutate_keeps_int16(self, genome):
+        config = MutationConfig(probability=1.0)
+        for seed in range(12):
+            mutated = mutate(
+                genome.astype(np.int16), np.random.default_rng(seed), config
+            )
+            reference = mutate(genome, np.random.default_rng(seed), config)
+            assert mutated.dtype == np.int16
+            assert np.array_equal(mutated, reference)
