@@ -31,7 +31,7 @@ from repro.data.scene import SceneSpec, random_scene
 from repro.data.templates import KittiClass
 from repro.detection.boxes import BoundingBox
 from repro.detectors.base import Detector
-from repro.detectors.prototypes import PrototypeBank
+from repro.detectors.prototypes import PrototypeBank, squared_distances
 
 
 @dataclass(frozen=True)
@@ -71,6 +71,12 @@ class TrainingConfig:
         KittiClass.TRUCK,
     )
 
+    def __post_init__(self) -> None:
+        for name in ("scenes_per_class", "background_clusters"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
+
 
 def _cell_coverage(box: BoundingBox, row: int, col: int, cell: int) -> float:
     """Fraction of the cell at grid position (row, col) covered by ``box``."""
@@ -108,7 +114,11 @@ def kmeans(
     """Plain Lloyd's k-means; returns the cluster centroids.
 
     Deterministic given the generator.  Empty clusters are re-seeded from
-    the point farthest from its assigned centroid.
+    the point farthest from its assigned centroid.  Each iteration takes its
+    point-to-centroid distances from the streaming
+    :func:`~repro.detectors.prototypes.squared_distances` kernel, which is
+    bit-identical to the broadcast ``(points, clusters, dim)`` sum for the
+    7-dim cell features, so trained banks do not depend on the kernel.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2:
@@ -120,9 +130,7 @@ def kmeans(
     initial = rng.choice(num_points, size=num_clusters, replace=False)
     centroids = points[initial].copy()
     for _ in range(iterations):
-        distances = np.sum(
-            (points[:, None, :] - centroids[None, :, :]) ** 2, axis=-1
-        )
+        distances = squared_distances(points, centroids)
         assignment = np.argmin(distances, axis=1)
         for cluster in range(num_clusters):
             mask = assignment == cluster

@@ -12,18 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.nn.conv import (
-    avg_pool,
-    avg_pool_batch,
-    gradient_magnitude,
-    std_pool,
-    std_pool_batch,
-)
+from repro.nn.conv import block_mean, block_mean_std, halo_planes
 from repro.nn.incremental import (
     BBox,
     bbox_is_empty,
-    gather_window,
     gradient_magnitude_window,
+    reflected_span,
 )
 
 #: Number of features per cell produced by :class:`GridFeatureExtractor`.
@@ -35,6 +29,27 @@ def cell_grid_shape(image_length: int, image_width: int, cell: int) -> tuple[int
     if cell <= 0:
         raise ValueError("cell size must be positive")
     return image_length // cell, image_width // cell
+
+
+def _cell_features(planes: np.ndarray, cell: int) -> np.ndarray:
+    """Cell features of pixel planes ``(..., 3, h + 2, w + 2)`` with a halo.
+
+    The planes carry the 1-pixel Sobel halo around the ``h x w`` pixels
+    being pooled.  One block sum feeds both the mean and the standard
+    deviation features, and the gradient is taken on the same planes;
+    trailing rows/columns that fill no whole cell are dropped from the
+    pooling.  Returns ``(..., h // cell, w // cell, 7)``.
+    """
+    mean_rgb, std_rgb = block_mean_std(planes[..., 1:-1, 1:-1], cell, axis=-2)
+    grad = gradient_magnitude_window(np.moveaxis(planes, -3, -1))
+    mean_grad = block_mean(grad, cell, axis=-2)
+    # A C-ordered grid, as downstream reductions (the global-context mean)
+    # sum in memory order.
+    features = np.empty(mean_grad.shape + (CELL_FEATURE_DIM,))
+    features[..., 0:3] = np.moveaxis(mean_rgb, -3, -1)
+    features[..., 3:6] = np.moveaxis(std_rgb, -3, -1)
+    features[..., 6] = mean_grad
+    return features
 
 
 @dataclass(frozen=True)
@@ -72,12 +87,7 @@ class GridFeatureExtractor:
             raise ValueError(f"expected an RGB image (L, W, 3), got {image.shape}")
         if self.normalize:
             image = image / 255.0
-        mean_rgb = avg_pool(image, self.cell)
-        std_rgb = std_pool(image, self.cell)
-        grad = gradient_magnitude(image)
-        mean_grad = avg_pool(grad, self.cell)[..., None]
-        features = np.concatenate([mean_rgb, std_rgb, mean_grad], axis=-1)
-        return features
+        return _cell_features(halo_planes(image), self.cell)
 
     def flat(self, image: np.ndarray) -> np.ndarray:
         """Extract features flattened to (rows*cols, 7)."""
@@ -90,38 +100,41 @@ class GridFeatureExtractor:
         """Features of the ``cell_bbox`` cells of the perturbed image.
 
         Computes ``self(clip(image + mask, 0, 255))[cr0:cr1, cc0:cc1]``
-        without materialising the full perturbed image: only the cell-aligned
-        pixel window plus the 1-pixel Sobel halo is gathered (with symmetric
-        reflection at image borders) and pushed through the same pooling and
-        gradient operations, so the result is bit-identical to the full
-        extraction — the property the incremental-inference parity suite
-        enforces.  The mask keeps its dtype (an ``int16`` genome): only its
-        gathered window is added to the float64 image window.
+        without materialising the full perturbed image, bit for bit — the
+        property the incremental-inference parity suite enforces.  Only the
+        cell-aligned pixel window plus the 1-pixel Sobel halo is built:
+
+        * the in-frame part of the window is sliced from the image and the
+          mask and perturbed there, ``clip(image + mask, 0, 255)`` (then
+          ``/ 255`` when normalising).  The mask keeps its dtype (an
+          ``int16`` genome) until the add promotes it to float64;
+        * one ``np.pad(mode="symmetric")`` copies the result into
+          contiguous ``(3, h + 2, w + 2)`` channel planes and reflects the
+          halo where the window overshoots the frame (see
+          :func:`~repro.nn.incremental.reflected_span`).  Reflection only
+          copies values, so it commutes with the clip and the scaling;
+        * the planes are pooled and filtered like a whole image
+          (:func:`_cell_features`).
         """
         if bbox_is_empty(cell_bbox):
             return np.zeros((0, 0, CELL_FEATURE_DIM), dtype=np.float64)
         image = np.asarray(image, dtype=np.float64)
         mask = np.asarray(mask)
         cr0, cr1, cc0, cc1 = cell_bbox
-        pr0, pr1 = cr0 * self.cell, cr1 * self.cell
-        pc0, pc1 = cc0 * self.cell, cc1 * self.cell
-        # One extra pixel on every side feeds the Sobel halo; the perturbed
-        # values are built in-window from clip(image + mask), where the sum
-        # promotes the mask window to float64.
-        rows, cols = (pr0 - 1, pr1 + 1), (pc0 - 1, pc1 + 1)
-        window = np.clip(
-            gather_window(image, rows, cols) + gather_window(mask, rows, cols),
-            0.0,
-            255.0,
+        rows, row_pad, row_window = reflected_span(
+            cr0 * self.cell - 1, cr1 * self.cell + 1, image.shape[0]
         )
+        cols, col_pad, col_window = reflected_span(
+            cc0 * self.cell - 1, cc1 * self.cell + 1, image.shape[1]
+        )
+        pixels = np.add(image[rows, cols], mask[rows, cols])
+        np.clip(pixels, 0.0, 255.0, out=pixels)
         if self.normalize:
-            window = window / 255.0
-        interior = window[1:-1, 1:-1]
-        mean_rgb = avg_pool(interior, self.cell)
-        std_rgb = std_pool(interior, self.cell)
-        grad = gradient_magnitude_window(window)
-        mean_grad = avg_pool(grad, self.cell)[..., None]
-        return np.concatenate([mean_rgb, std_rgb, mean_grad], axis=-1)
+            pixels /= 255.0
+        planes = np.pad(
+            np.moveaxis(pixels, -1, 0), [(0, 0), row_pad, col_pad], mode="symmetric"
+        )
+        return _cell_features(planes[:, row_window, col_window], self.cell)
 
     def batch(self, images: np.ndarray) -> np.ndarray:
         """Extract features for a stack of images; returns (B, rows, cols, 7).
@@ -138,8 +151,4 @@ class GridFeatureExtractor:
             )
         if self.normalize:
             images = images / 255.0
-        mean_rgb = avg_pool_batch(images, self.cell)
-        std_rgb = std_pool_batch(images, self.cell)
-        grad = gradient_magnitude(images)
-        mean_grad = avg_pool_batch(grad[..., None], self.cell)
-        return np.concatenate([mean_rgb, std_rgb, mean_grad], axis=-1)
+        return _cell_features(halo_planes(images), self.cell)

@@ -11,18 +11,20 @@ pass:
   c1)``, dilation by a filter radius, pixel→cell conversion, unions;
 * **windowed kernels** — variants of :func:`~repro.nn.conv.box_filter`,
   the Sobel gradient magnitude and the block pools that compute only an
-  output window, with explicit halo handling: the input window is gathered
-  with symmetric-reflection indices so boundary behaviour matches
-  ``np.pad(..., mode="symmetric")``, and the shifted-sum accumulation
-  visits the kernel taps in exactly the same order as
-  :func:`repro.nn.conv._convolve_same_symm`.  Per-element floating-point
-  operations are therefore identical to the full-image filters — the
-  property the ``predict_delta`` parity suite enforces.
+  output window, with explicit halo handling: the input window is sliced
+  from the array and its out-of-frame part reflected with
+  ``np.pad(..., mode="symmetric")``, exactly the padding of the full-image
+  filters, and the shifted-sum accumulation is the full-image filters' own
+  tap loop, :func:`repro.nn.conv._convolve_valid_prepadded`.  Per-element
+  floating-point operations are therefore identical to the full-image
+  filters — the property the ``predict_delta`` parity suite enforces.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from repro.nn.conv import _convolve_valid_prepadded, sobel_planes
 
 #: A half-open bounding box ``(row_lo, row_hi, col_lo, col_hi)``.
 BBox = tuple[int, int, int, int]
@@ -223,19 +225,25 @@ def frames_differ_bbox(previous: np.ndarray, current: np.ndarray) -> BBox:
     return masks_differ_bbox(previous, current)
 
 
-def reflect_indices(start: int, stop: int, size: int) -> np.ndarray:
-    """Indices ``start..stop`` mapped into ``[0, size)`` by symmetric reflection.
+def reflected_span(start: int, stop: int, size: int) -> tuple[slice, tuple[int, int], slice]:
+    """How symmetric padding rebuilds positions ``start..stop`` of an axis.
 
-    Reproduces ``np.pad(a, pad, mode="symmetric")`` for arbitrary overshoot
-    (including windows wider than the array), so gathering ``a[indices]``
-    equals slicing the symmetrically padded array.
+    Returns ``(source, pad, window)`` such that, for an axis ``a`` of
+    length ``size``, ``np.pad(a[source], pad, mode="symmetric")[window]``
+    equals ``a`` at positions ``start..stop`` with every out-of-range
+    position reflected symmetrically (``-1`` reads ``0``, ``size`` reads
+    ``size - 1``, and so on with period ``2 * size``).  ``source`` reaches
+    as far into the axis as the reflected overshoot does, so the padding
+    never mirrors a partial source; for an in-range span it is the span
+    itself and ``pad`` is ``(0, 0)``.
     """
     if size <= 0:
         raise ValueError("size must be positive")
-    indices = np.arange(start, stop)
-    period = 2 * size
-    indices = np.mod(indices, period)
-    return np.where(indices >= size, period - 1 - indices, indices)
+    lo = max(0, min(start, 2 * size - stop))
+    hi = min(size, max(stop, -start))
+    pad = (max(0, -start), max(0, stop - size))
+    offset = start + pad[0] - lo
+    return slice(lo, hi), pad, slice(offset, offset + stop - start)
 
 
 def gather_window(array: np.ndarray, row_range: tuple[int, int], col_range: tuple[int, int]) -> np.ndarray:
@@ -243,59 +251,33 @@ def gather_window(array: np.ndarray, row_range: tuple[int, int], col_range: tupl
 
     Out-of-bounds positions are filled by symmetric reflection, matching the
     boundary handling of the full-image filters.  Works on 2-D ``(H, W)``
-    and 3-D ``(H, W, C)`` arrays.  Fully in-bounds windows take a plain
-    slicing fast path (a view — no copy); the elements are identical either
-    way.
+    and 3-D ``(H, W, C)`` arrays.  The in-frame part is sliced and the
+    overshoot reflected with one ``np.pad(mode="symmetric")`` (see
+    :func:`reflected_span`), so no fancy-index gather runs; fully in-bounds
+    windows are a plain slice (a view — no copy).  The elements are
+    identical either way.
     """
-    r0, r1 = row_range
-    c0, c1 = col_range
-    if 0 <= r0 and r1 <= array.shape[0] and 0 <= c0 and c1 <= array.shape[1]:
-        return array[r0:r1, c0:c1]
-    rows = reflect_indices(r0, r1, array.shape[0])
-    cols = reflect_indices(c0, c1, array.shape[1])
-    return array[np.ix_(rows, cols)]
-
-
-def _convolve_valid_prepadded(stack: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Valid-mode convolution of a window that already includes its halo.
-
-    ``stack`` has ``kernel//2`` halo elements on every side of the last two
-    axes; the output drops the halo.  The accumulation visits the flipped
-    kernel taps in the same (row, column) order and with the same
-    zero-weight skipping as :func:`repro.nn.conv._convolve_same_symm`, so a
-    gathered window produces bit-identical values to slicing the
-    full-image result.
-    """
-    kernel = np.asarray(kernel, dtype=np.float64)
-    kh, kw = kernel.shape
-    if kh % 2 == 0 or kw % 2 == 0:
-        raise ValueError("kernel side lengths must be odd")
-    height = stack.shape[-2] - (kh - 1)
-    width = stack.shape[-1] - (kw - 1)
-    if height <= 0 or width <= 0:
-        raise ValueError("window smaller than the kernel halo")
-    flipped = kernel[::-1, ::-1]
-    out = np.zeros(stack.shape[:-2] + (height, width), dtype=np.float64)
-    for i in range(kh):
-        for j in range(kw):
-            weight = flipped[i, j]
-            if weight == 0.0:
-                continue
-            out += weight * stack[..., i : i + height, j : j + width]
-    return out
+    rows, row_pad, row_window = reflected_span(*row_range, array.shape[0])
+    cols, col_pad, col_window = reflected_span(*col_range, array.shape[1])
+    source = array[rows, cols]
+    if row_pad == col_pad == (0, 0):
+        return source
+    pad = [row_pad, col_pad] + [(0, 0)] * (array.ndim - 2)
+    return np.pad(source, pad, mode="symmetric")[row_window, col_window]
 
 
 def convolve_window_symm(array: np.ndarray, kernel: np.ndarray, bbox: BBox) -> np.ndarray:
     """The ``bbox`` window of ``_convolve_same_symm(array, kernel)``.
 
     ``array`` is 2-D; the halo needed by the kernel is gathered around the
-    window with symmetric reflection at the array borders.
+    window with symmetric reflection at the array borders and the window
+    runs through the full-image filters' tap loop.
     """
     kernel = np.asarray(kernel, dtype=np.float64)
     r0, r1, c0, c1 = bbox
     pad_r, pad_c = kernel.shape[0] // 2, kernel.shape[1] // 2
     window = gather_window(array, (r0 - pad_r, r1 + pad_r), (c0 - pad_c, c1 + pad_c))
-    return _convolve_valid_prepadded(window, kernel)
+    return _convolve_valid_prepadded(window, (kernel,))[0]
 
 
 def box_filter_window(array: np.ndarray, size: int, bbox: BBox) -> np.ndarray:
@@ -320,9 +302,9 @@ def box_filter_window_channels(features: np.ndarray, size: int, bbox: BBox) -> n
     Equivalent to stacking ``box_filter(features[:, :, d], size)[bbox]``
     over the channels of an ``(H, W, C)`` feature grid — the single-stage
     detector's local-smoothing stage — computed on the gathered window only.
-    The channel axis rides through :func:`_convolve_valid_prepadded` as a
-    leading axis, so the accumulation per channel is identical to the 2-D
-    filter and the result is bit-exact against the full-grid slice.
+    The channel axis rides through the tap loop as a leading axis, so the
+    accumulation per channel is identical to the 2-D filter and the result
+    is bit-exact against the full-grid slice.
     """
     if size <= 0:
         raise ValueError("size must be positive")
@@ -333,22 +315,21 @@ def box_filter_window_channels(features: np.ndarray, size: int, bbox: BBox) -> n
     pad = size // 2
     window = gather_window(features, (r0 - pad, r1 + pad), (c0 - pad, c1 + pad))
     leading = np.moveaxis(window, -1, -3)
-    return np.moveaxis(_convolve_valid_prepadded(leading, kernel), -3, -1)
-
-
-#: Sobel kernels, re-exported here to keep the windowed path self-contained.
-_SOBEL_ROW = np.array([[-1, -2, -1], [0, 0, 0], [1, 2, 1]], dtype=np.float64)
+    return np.moveaxis(_convolve_valid_prepadded(leading, (kernel,))[0], -3, -1)
 
 
 def gradient_magnitude_window(window_with_halo: np.ndarray) -> np.ndarray:
     """Sobel gradient magnitude of a window carrying a 1-pixel halo.
 
-    ``window_with_halo`` is an ``(h + 2, w + 2, C)`` pixel window whose halo
-    was gathered with :func:`gather_window`; the result is the ``(h, w)``
-    channel-summed gradient magnitude, bit-identical to the corresponding
-    window of :func:`repro.nn.conv.gradient_magnitude` on the full image.
+    ``window_with_halo`` is an ``(..., h + 2, w + 2, C)`` pixel window whose
+    halo was gathered with :func:`gather_window`; the result is the
+    ``(..., h, w)`` channel-summed gradient magnitude, bit-identical to the
+    corresponding window of :func:`repro.nn.conv.gradient_magnitude` on the
+    full image.  The window is copied once into contiguous ``(C, h + 2,
+    w + 2)`` planes — no copy at all when it already is a channel-last view
+    of such planes — and both Sobel kernels run through the full-image
+    filters' tap loop (:func:`repro.nn.conv.sobel_planes`).
     """
-    leading = np.moveaxis(window_with_halo, -1, -3)
-    grad_row = _convolve_valid_prepadded(leading, _SOBEL_ROW).sum(axis=-3)
-    grad_col = _convolve_valid_prepadded(leading, _SOBEL_ROW.T).sum(axis=-3)
+    planes = np.ascontiguousarray(np.moveaxis(window_with_halo, -1, -3))
+    grad_row, grad_col = sobel_planes(planes)
     return np.hypot(grad_row, grad_col)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.core.config import AttackConfig
 from repro.core.regions import HalfImageRegion
@@ -20,6 +21,14 @@ from repro.detectors.training import TrainingConfig
 from repro.detectors.zoo import build_detector
 from repro.nsga.algorithm import NSGAConfig
 from repro.nsga.mutation import MutationConfig
+
+#: ``--hypothesis-profile=ci`` draws ten times the default number of
+#: examples for every property test that leaves ``max_examples`` to the
+#: profile (the CI fuzz step of the window-feature suite); tier-1 runs
+#: Hypothesis's default profile.
+settings.register_profile(
+    "ci", max_examples=10 * settings.get_profile("default").max_examples
+)
 
 #: Reduced image size used by attack-level tests (wide KITTI-like aspect).
 SMALL_LENGTH = 64

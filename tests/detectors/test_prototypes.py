@@ -38,6 +38,20 @@ class TestConstruction:
         with pytest.raises(ValueError):
             PrototypeBank(np.zeros((1, 3)), np.zeros((1, 3)), temperature=0.0)
 
+    @pytest.mark.parametrize("temperature", [np.nan, np.inf, -np.inf, -1.0])
+    def test_non_finite_or_negative_temperature_rejected(self, temperature):
+        # NaN slips past a plain ``<= 0`` check and turns every probability
+        # into NaN; the bank must refuse it when it is built.
+        with pytest.raises(ValueError, match="temperature"):
+            PrototypeBank(np.zeros((1, 3)), np.zeros((1, 3)), temperature=temperature)
+
+    def test_empty_background_model_rejected(self):
+        # Without a background prototype the background logit has no
+        # minimum to take; the bank must refuse it when it is built, not
+        # on its first ``probabilities`` call.
+        with pytest.raises(ValueError, match="background_prototypes"):
+            PrototypeBank(np.zeros((2, 3)), np.zeros((0, 3)))
+
 
 class TestScoring:
     def test_logits_shape(self):

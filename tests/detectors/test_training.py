@@ -13,6 +13,25 @@ from repro.detectors.training import (
 )
 
 
+class TestTrainingConfig:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("background_clusters", 0),
+            ("background_clusters", -3),
+            ("scenes_per_class", 0),
+            ("scenes_per_class", -1),
+        ],
+    )
+    def test_non_positive_counts_rejected_with_the_field_name(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainingConfig(**{field: value})
+
+    def test_defaults_and_minimum_counts_accepted(self):
+        TrainingConfig()
+        TrainingConfig(scenes_per_class=1, background_clusters=1)
+
+
 class TestCellCoverage:
     def test_fully_covered_cell(self):
         box = ObjectSpec(KittiClass.CAR, x=12.0, y=12.0, scale=2.0).to_box()

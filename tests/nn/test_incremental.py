@@ -25,8 +25,27 @@ from repro.nn.incremental import (
     gradient_magnitude_window,
     mask_nonzero_bbox,
     pixel_bbox_to_cell_bbox,
-    reflect_indices,
+    reflected_span,
 )
+
+
+def reflect_indices(start: int, stop: int, size: int) -> np.ndarray:
+    """Indices ``start..stop`` mapped into ``[0, size)`` by symmetric reflection.
+
+    The fancy-index reference for :func:`gather_window`: gathering
+    ``a[reflect_indices(...)]`` equals slicing ``np.pad(a, pad,
+    mode="symmetric")`` for arbitrary overshoot, including windows wider
+    than the array.
+    """
+    indices = np.mod(np.arange(start, stop), 2 * size)
+    return np.where(indices >= size, 2 * size - 1 - indices, indices)
+
+
+def reference_gather(array, row_range, col_range):
+    """``gather_window`` by fancy indexing with reflected indices."""
+    rows = reflect_indices(*row_range, array.shape[0])
+    cols = reflect_indices(*col_range, array.shape[1])
+    return array[np.ix_(rows, cols)]
 
 
 class TestBBoxGeometry:
@@ -122,6 +141,21 @@ class TestGatherWindow:
         padded = np.pad(array, ((pad, pad), (pad, pad), (0, 0)), mode="symmetric")
         window = gather_window(array, (-2, 3), (4, 8))
         assert np.array_equal(window, padded[0 : pad + 3, 4 + pad : 8 + pad])
+
+    def test_matches_reflected_index_gather_for_any_window(self, rng):
+        # Windows that overshoot by more than the array, that lie wholly
+        # outside it or that span it several times all reflect like the
+        # fancy-index reference.
+        array = rng.normal(size=(4, 5, 3))
+        for start, stop in [(-9, -2), (-1, 1), (-6, 11), (2, 3), (3, 14), (7, 9)]:
+            for col_range in [(-11, 0), (0, 5), (4, 6), (-3, 17)]:
+                assert np.array_equal(
+                    gather_window(array, (start, stop), col_range),
+                    reference_gather(array, (start, stop), col_range),
+                )
+
+    def test_reflected_span_of_in_range_span_is_the_span(self):
+        assert reflected_span(2, 5, 7) == (slice(2, 5), (0, 0), slice(0, 3))
 
 
 def _random_bboxes(shape, rng, count=8):
