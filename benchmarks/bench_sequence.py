@@ -13,9 +13,7 @@ while timing, writes everything to ``BENCH_pr10.json`` and **fails**
   >= 1.5x over the dense per-frame build,
 * transformer: the temporal path must never regress (a measurement
   tolerance absorbs timer noise on shared CI runners),
-* a warm sequence attack must record a frame-cache hit rate > 0,
-* a shared-memory-backed sequence cache must leave zero segments
-  after shutdown.
+* a warm sequence attack must record a frame-cache hit rate > 0.
 
 Usage::
 
@@ -39,13 +37,9 @@ from repro.core.config import AttackConfig
 from repro.core.regions import HalfImageRegion
 from repro.core.temporal import SequenceAttack
 from repro.data.sequences import generate_sequence
-from repro.detectors.activation_cache import (
-    SequenceActivationCache,
-    SharedMemoryActivationStore,
-)
+from repro.detectors.activation_cache import SequenceActivationCache
 from repro.detectors.training import TrainingConfig
 from repro.detectors.zoo import build_detector
-from repro.experiments.shm import list_segments
 from repro.nsga.algorithm import NSGAConfig
 
 #: The streaming workload runs at the sequence generator's native
@@ -186,24 +180,6 @@ def run_warm_sequence_attack(sequence):
     }
 
 
-def run_shm_audit(sequence):
-    """Frame bundles in shared memory must die with their store."""
-    detector = build_detector("yolo", seed=1, training=_seq_training_config())
-    store = SharedMemoryActivationStore(max_entries=4, segment_prefix="benchseq")
-    prefix = store.segment_prefix
-    try:
-        cache = SequenceActivationCache(detector, max_frames=2, store=store)
-        for frame in sequence.images:
-            cache.advance(frame)
-        segments_while_live = len(list_segments(prefix))
-    finally:
-        store.shutdown()
-    return {
-        "segments_while_live": segments_while_live,
-        "segments_after_shutdown": len(list_segments(prefix)),
-    }
-
-
 def check_gates(report):
     failures = []
     for label, entry in report["scenarios"].items():
@@ -223,13 +199,6 @@ def check_gates(report):
             failures.append(f"{label}: frame cache recorded no temporal hits")
     if report["warm_attack"]["frame_hit_rate"] <= 0.0:
         failures.append("warm sequence attack recorded no frame-cache hits")
-    if report["shm_audit"]["segments_after_shutdown"] != 0:
-        failures.append(
-            f"{report['shm_audit']['segments_after_shutdown']} shm segments "
-            "leaked after shutdown"
-        )
-    if report["shm_audit"]["segments_while_live"] == 0:
-        failures.append("shm audit saw no live segments (nothing was shared)")
     return failures
 
 
@@ -256,7 +225,6 @@ def main(argv=None):
         "no_regression_floor": NO_REGRESSION_FLOOR,
         "scenarios": scenarios,
         "warm_attack": run_warm_sequence_attack(sequence),
-        "shm_audit": run_shm_audit(sequence),
     }
 
     failures = check_gates(report)

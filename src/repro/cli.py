@@ -100,7 +100,7 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
         help=(
             "execution backend for the sweep; default: serial for --jobs 1, "
             "a multiprocessing pool otherwise; 'persistent' keeps a pool of "
-            "long-lived workers with shared-memory scene/activation tensors"
+            "long-lived workers with warm activation caches and shared-memory scenes"
         ),
     )
     parser.add_argument(

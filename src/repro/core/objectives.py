@@ -564,11 +564,6 @@ class ButterflyObjectives:
         ]
         if self.clean_activations is not None:
             self._record_incremental(bboxes)
-            delta = self.clean_activations.delta
-            if delta is not None:
-                # Population boundary: shared-memory mappings of entries
-                # evicted during the previous batch are safe to close now.
-                delta.release_evicted()
             # Ancestry only while reuse is active: without a delta store
             # there is nothing to splice against or store into.
             predictions = self.detector.predict_delta_batch(

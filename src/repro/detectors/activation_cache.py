@@ -12,13 +12,9 @@ cache machinery:
 * :class:`ActivationCacheStore` — a small content-keyed LRU store with a
   size cap, hit/miss/eviction/invalidation counters and explicit
   invalidation, used by the experiment runner to manage per-scene cache
-  lifecycle across a models × images sweep;
-* :class:`SharedMemoryActivationStore` — the same store with every cached
-  tensor placed in a ``multiprocessing.shared_memory`` segment.  The
-  persistent worker runtime (:mod:`repro.experiments.persistent`) gives
-  each long-lived worker one, so bundle memory lives in named segments the
-  parent can audit and reap; segments are refcount-retired on
-  eviction/invalidation and explicitly unlinked on shutdown.
+  lifecycle across a models × images sweep.  Every backend caches through
+  it: the serial sweep, each ``process`` pool worker and each persistent
+  worker (:mod:`repro.experiments.persistent`) holds one in its own heap;
 * :class:`CacheStats` — an immutable counter snapshot that supports
   differences (per-job/per-model deltas) and merging (summing per-worker
   counters into sweep-level totals across a process pool, where every
@@ -34,13 +30,14 @@ cache machinery:
 
 Entries are keyed by the *content digest* of the image (plus the detector
 instance), so presenting a new scene can never hit a stale entry — a fresh
-image always misses and rebuilds.
+image always misses and rebuilds.  Both stores mark the arrays they admit
+read-only, so a splice that writes into a cached grid instead of a copy
+raises instead of corrupting every later lookup.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -67,6 +64,12 @@ def image_digest(image: np.ndarray) -> bytes:
     digest.update(str(image.shape).encode())
     digest.update(np.ascontiguousarray(image).tobytes())
     return digest.digest()
+
+
+def _freeze(*arrays: np.ndarray) -> None:
+    """Mark cached arrays read-only in place (identity is kept)."""
+    for array in arrays:
+        array.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -244,8 +247,7 @@ class DeltaActivations:
         crop is zero by construction) — enough to compute the *exact*
         relative dirty region of a descendant without holding a full-frame
         copy per entry.  Kept in the mask's dtype: ``int16`` for attack
-        genomes (a quarter of the float64 bytes), in process and in
-        shared-memory segments alike.
+        genomes (a quarter of the float64 bytes).
     pixel_bbox:
         The exact nonzero bounding box of the full mask.
     prediction:
@@ -349,34 +351,18 @@ class DeltaActivationStore:
         Unkeyed masks (no provenance) are not stored; re-putting a known
         fingerprint only refreshes its LRU position — the content is
         identical by construction (the fingerprint is a content digest).
+        An admitted entry's mask crop and grids become read-only.
         """
         if fingerprint is None:
             return
         if fingerprint in self._entries:
             self._entries[fingerprint] = self._entries.pop(fingerprint)
             return
-        entry = self._admit(entry)
+        _freeze(entry.mask_window, *entry.tensors.values())
         while len(self._entries) >= self.max_entries:
-            self._evict(next(iter(self._entries)))
+            del self._entries[next(iter(self._entries))]
         self._entries[fingerprint] = entry
         self.bytes_admitted += entry.nbytes
-        self._bind(fingerprint)
-
-    # -- subclass hooks -----------------------------------------------------
-    def _admit(self, entry: DeltaActivations) -> DeltaActivations:
-        """Hook: transform a fresh entry before caching it."""
-        return entry
-
-    def _evict(self, fingerprint: bytes) -> None:
-        """Hook: remove one entry (cap-driven)."""
-        del self._entries[fingerprint]
-
-    def _bind(self, fingerprint: bytes) -> None:
-        """Hook: associate out-of-band resources with the admitted key."""
-
-    def release_evicted(self) -> int:
-        """Hook: free resources of evicted entries (population boundary)."""
-        return 0
 
     def clear(self) -> int:
         """Drop every entry (parent bundle dropped); returns the count."""
@@ -412,7 +398,8 @@ class ActivationCacheStore:
     new scene (or a retrained detector instance) always misses — there are
     no stale hits by construction.  The ``max_entries`` cap bounds memory
     for long models × scenes sweeps; the least recently used entry is
-    evicted first.
+    evicted first.  An admitted bundle's clean image and tensors are
+    marked read-only in place: splices copy before they write.
     """
 
     def __init__(self, max_entries: int = 4, delta_store_size: int = 0) -> None:
@@ -452,15 +439,7 @@ class ActivationCacheStore:
         activations = detector.clean_activations(image)
         if activations is None:
             return None
-        activations = self._admit(activations)
-        if self.delta_store_size > 0 and activations.delta is None:
-            activations.delta = self._make_delta_store()
-        while len(self._entries) >= self.max_entries:
-            oldest = next(iter(self._entries))
-            self._drop(oldest)
-            self.evictions += 1
-        self._entries[key] = _StoreEntry(detector=detector, activations=activations)
-        return activations
+        return self._admit(key, detector, activations)
 
     def put(
         self,
@@ -473,11 +452,9 @@ class ActivationCacheStore:
         The streaming-sequence workload derives frame t's bundle from frame
         t−1's instead of calling ``detector.clean_activations`` — this entry
         point lets such bundles ride the store's machinery anyway (LRU cap,
-        delta-store attachment, and — on the shared-memory subclass —
-        segment placement and lifecycle broadcasts).  Returns the admitted
-        bundle, which callers must use in place of the one they passed in:
-        the shared-memory store re-wraps tensors as read-only segment
-        views.  Re-admitting a cached key only refreshes its LRU position.
+        delta-store attachment, lifecycle broadcasts).  Returns the bundle
+        it was given, or the cached one when the key is already held:
+        re-admitting a cached key only refreshes its LRU position.
         Neither ``hits`` nor ``misses`` move — an admission is not a
         lookup; the temporal traffic is counted by the sequence cache's
         ``frame_hits``/``frame_misses``.
@@ -487,25 +464,27 @@ class ActivationCacheStore:
         if entry is not None:
             self._entries[key] = self._entries.pop(key)
             return entry.activations
-        activations = self._admit(activations)
+        return self._admit(key, detector, activations)
+
+    def _admit(
+        self,
+        key: tuple[int, bytes],
+        detector: "Detector",
+        activations: CleanActivations,
+    ) -> CleanActivations:
+        """Cache a fresh bundle: freeze its arrays, attach a delta store
+        when configured, and evict from the LRU end to make room."""
+        _freeze(activations.clean_image, *activations.tensors.values())
         if self.delta_store_size > 0 and activations.delta is None:
-            activations.delta = self._make_delta_store()
+            activations.delta = DeltaActivationStore(max_entries=self.delta_store_size)
         while len(self._entries) >= self.max_entries:
             self._drop(next(iter(self._entries)))
             self.evictions += 1
         self._entries[key] = _StoreEntry(detector=detector, activations=activations)
         return activations
 
-    def _admit(self, activations: CleanActivations) -> CleanActivations:
-        """Hook: transform a freshly built bundle before caching it."""
-        return activations
-
-    def _make_delta_store(self) -> DeltaActivationStore:
-        """Hook: build the per-bundle delta store (shm stores share segments)."""
-        return DeltaActivationStore(max_entries=self.delta_store_size)
-
     def _drop(self, key: tuple[int, bytes]) -> None:
-        """Hook: remove one entry (eviction or invalidation).
+        """Remove one entry (eviction or invalidation).
 
         A bundle's delta store dies with the bundle: its counters fold into
         the parent totals (so per-job snapshot deltas stay monotonic) and
@@ -616,254 +595,6 @@ class ActivationCacheStore:
         return snapshot
 
 
-# --- shared-memory-backed store ----------------------------------------------
-
-#: Process-wide counter making shared-segment names unique per store.
-_SHM_STORE_SEQ = 0
-
-
-class SharedMemoryActivationStore(ActivationCacheStore):
-    """Activation store whose cached tensors live in named shared memory.
-
-    Functionally identical to :class:`ActivationCacheStore` (same keys,
-    same LRU, same counters — the parity suites cover both), but every
-    admitted bundle's ``clean_image`` and stage tensors are copied into
-    ``multiprocessing.shared_memory`` segments and served as read-only
-    views.  The persistent worker runtime gives each long-lived worker one
-    of these so that
-
-    * bundle memory is visible to (and auditable by) the parent through
-      the segment *name prefix* — a worker killed mid-job leaves segments
-      the runtime reaps by prefix instead of leaking them, and
-    * segments are retired with an explicit lifecycle: ``unlink`` happens
-      immediately on eviction/invalidation (the name disappears), while
-      the mapping is kept on a retired list until :meth:`release_retired`
-      — a bundle fetched earlier in a job stays readable even if a later
-      miss in the same job evicts it (the refcount is the job boundary).
-
-    ``shutdown()`` drops every entry and closes every mapping; after it
-    returns, no segment created by this store exists.
-    """
-
-    def __init__(
-        self,
-        max_entries: int = 4,
-        segment_prefix: str | None = None,
-        delta_store_size: int = 0,
-    ) -> None:
-        super().__init__(max_entries=max_entries, delta_store_size=delta_store_size)
-        global _SHM_STORE_SEQ
-        if segment_prefix is None:
-            segment_prefix = f"rpa{os.getpid()}x{_SHM_STORE_SEQ}"
-            _SHM_STORE_SEQ += 1
-        self.segment_prefix = segment_prefix
-        self._segment_seq = 0
-        self._segments: dict[tuple[int, bytes], list] = {}
-        self._retired: list = []
-        self.segments_created = 0
-
-    # -- segment bookkeeping ------------------------------------------------
-    @property
-    def active_segments(self) -> int:
-        """Live (linked) segments: cached entries only, not retired maps."""
-        return sum(len(segments) for segments in self._segments.values())
-
-    def _share_array(self, array: np.ndarray):
-        """Copy one array into a fresh segment; returns (segment, view)."""
-        from multiprocessing import shared_memory
-
-        array = np.ascontiguousarray(array)
-        name = f"{self.segment_prefix}n{self._segment_seq}"
-        self._segment_seq += 1
-        segment = shared_memory.SharedMemory(
-            create=True, name=name, size=max(1, array.nbytes)
-        )
-        self.segments_created += 1
-        view = np.ndarray(array.shape, dtype=array.dtype, buffer=segment.buf)
-        view[...] = array
-        # Cached bundles are read-only by the PR 2 contract (delta paths
-        # .copy() before splicing); enforce it so a violation fails loudly
-        # instead of corrupting every later job that hits this entry.
-        view.flags.writeable = False
-        return segment, view
-
-    def _admit(self, activations: CleanActivations) -> CleanActivations:
-        segments: list = []
-        clean_segment, clean_view = self._share_array(activations.clean_image)
-        segments.append(clean_segment)
-        tensors: dict[str, np.ndarray] = {}
-        for name, tensor in activations.tensors.items():
-            segment, view = self._share_array(tensor)
-            segments.append(segment)
-            tensors[name] = view
-        shared = CleanActivations(
-            clean_image=clean_view,
-            prediction=activations.prediction,
-            tensors=tensors,
-        )
-        self._pending_segments = segments
-        return shared
-
-    def _make_delta_store(self) -> DeltaActivationStore:
-        """Delta entries share the owner's segment namespace, so the
-        parent's reap-by-prefix and leak audits cover them for free."""
-        return _SharedMemoryDeltaStore(
-            max_entries=self.delta_store_size, owner=self
-        )
-
-    def _drop(self, key: tuple[int, bytes]) -> None:
-        super()._drop(key)
-        for segment in self._segments.pop(key, ()):  # unlink now, close later
-            try:
-                segment.unlink()
-            except FileNotFoundError:
-                pass
-            self._retired.append(segment)
-
-    def get(self, detector, image):
-        activations = super().get(detector, image)
-        pending = getattr(self, "_pending_segments", None)
-        if pending is not None:
-            # _admit ran for this miss: bind the segments to the entry the
-            # base class just inserted (it is the MRU key by construction).
-            self._pending_segments = None
-            if self._entries:
-                newest = next(reversed(self._entries))
-                self._segments[newest] = pending
-            else:  # pragma: no cover - cap >= 1 keeps the new entry cached
-                self._retire_now(pending)
-        return activations
-
-    def put(self, detector, image, activations):
-        shared = super().put(detector, image, activations)
-        pending = getattr(self, "_pending_segments", None)
-        if pending is not None:
-            # _admit ran for this admission: bind the segments to the entry
-            # the base class just inserted (the MRU key by construction).
-            self._pending_segments = None
-            if self._entries:
-                newest = next(reversed(self._entries))
-                self._segments[newest] = pending
-            else:  # pragma: no cover - cap >= 1 keeps the new entry cached
-                self._retire_now(pending)
-        return shared
-
-    def _retire_now(self, segments) -> None:
-        for segment in segments:
-            try:
-                segment.unlink()
-            except FileNotFoundError:
-                pass
-            self._retired.append(segment)
-
-    def release_retired(self) -> int:
-        """Close retired (already unlinked) mappings; returns the count.
-
-        The persistent worker calls this at each job boundary — no view of
-        a retired bundle can be live once the job that fetched it returned.
-        """
-        released = len(self._retired)
-        for segment in self._retired:
-            try:
-                segment.close()
-            except OSError:  # pragma: no cover - close is best-effort
-                pass
-        self._retired.clear()
-        return released
-
-    def shutdown(self) -> None:
-        """Drop every entry and close every mapping (idempotent).
-
-        After this returns no segment created by the store is linked or
-        mapped; the parent's leak audit must find nothing under
-        ``segment_prefix``.
-        """
-        self.invalidate()
-        self.release_retired()
-
-
-class _SharedMemoryDeltaStore(DeltaActivationStore):
-    """Delta store whose entries live in the owning shm store's segments.
-
-    Entries are copied into segments named under the owner's prefix (so the
-    persistent runtime's reap-by-prefix and leak audits cover them), with
-    the same unlink-now / close-later retirement discipline:
-
-    * cap-driven evictions unlink immediately and keep the mapping on a
-      local list until :meth:`release_evicted` — the evaluator calls that
-      at each population boundary, the only point where no view of an
-      evicted entry can still be live;
-    * :meth:`clear` (the parent bundle was dropped) unlinks everything and
-      hands the mappings to the *owner's* retired list, closed at the next
-      job boundary alongside the bundle's own segments — a view fetched
-      earlier in the job stays readable.
-    """
-
-    def __init__(self, max_entries: int, owner: SharedMemoryActivationStore) -> None:
-        super().__init__(max_entries=max_entries)
-        self._owner = owner
-        self._segments: dict[bytes, list] = {}
-        self._evicted: list = []
-        self._pending_segments: list | None = None
-
-    def _admit(self, entry: DeltaActivations) -> DeltaActivations:
-        segments: list = []
-        mask_segment, mask_view = self._owner._share_array(entry.mask_window)
-        segments.append(mask_segment)
-        tensors: dict[str, np.ndarray] = {}
-        for name, tensor in entry.tensors.items():
-            segment, view = self._owner._share_array(tensor)
-            segments.append(segment)
-            tensors[name] = view
-        self._pending_segments = segments
-        return DeltaActivations(
-            mask_window=mask_view,
-            pixel_bbox=entry.pixel_bbox,
-            prediction=entry.prediction,
-            tensors=tensors,
-        )
-
-    def _bind(self, fingerprint: bytes) -> None:
-        if self._pending_segments is not None:
-            self._segments[fingerprint] = self._pending_segments
-            self._pending_segments = None
-
-    def _evict(self, fingerprint: bytes) -> None:
-        super()._evict(fingerprint)
-        for segment in self._segments.pop(fingerprint, ()):
-            try:
-                segment.unlink()
-            except FileNotFoundError:
-                pass
-            self._evicted.append(segment)
-
-    def release_evicted(self) -> int:
-        """Close evicted (already unlinked) mappings; returns the count."""
-        released = len(self._evicted)
-        for segment in self._evicted:
-            try:
-                segment.close()
-            except OSError:  # pragma: no cover - close is best-effort
-                pass
-        self._evicted.clear()
-        return released
-
-    def clear(self) -> int:
-        count = super().clear()
-        for segments in self._segments.values():
-            for segment in segments:
-                try:
-                    segment.unlink()
-                except FileNotFoundError:
-                    pass
-                self._owner._retired.append(segment)
-        self._segments.clear()
-        # Evicted mappings not yet released ride the same owner boundary.
-        self._owner._retired.extend(self._evicted)
-        self._evicted.clear()
-        return count
-
-
 # --- streaming-sequence frame cache -------------------------------------------
 
 
@@ -887,10 +618,9 @@ class SequenceActivationCache:
     still-image caches.
 
     An optional backing ``store`` (the worker's activation store) admits
-    every derived bundle via :meth:`ActivationCacheStore.put`, so on the
-    persistent runtime frame bundles live in shared-memory segments under
-    the worker's prefix and die with the model's lifecycle broadcast; the
-    cache then holds the store's re-wrapped (read-only) views.  Bundles
+    every derived bundle via :meth:`ActivationCacheStore.put`, so frame
+    bundles share the store's cap, become read-only and, on the persistent
+    runtime, die with the model's lifecycle broadcast.  Bundles
     admitted to a store leave delta-counter folding to the store — the
     snapshot only adds its own counters, so merging both never
     double-counts.

@@ -92,13 +92,15 @@ class SingleStageDetector(Detector):
 
         Both terms are whole-grid elementwise/reduction operations, so the
         delta path can run them on a spliced grid and stay bit-identical to
-        the full forward pass.
+        the full forward pass.  The mean runs over a C-ordered grid: its
+        pairwise summation order follows the memory layout.
         """
         if smoothed is not None:
             # Blend raw and smoothed features: the cell itself dominates but
             # neighbours contribute (receptive field larger than one cell).
             features = 0.6 * features + 0.4 * smoothed
         if self.global_context_weight > 0:
+            features = np.ascontiguousarray(features)
             global_mean = features.reshape(-1, features.shape[2]).mean(axis=0)
             features = features - self.global_context_weight * global_mean
         return features
@@ -133,6 +135,7 @@ class SingleStageDetector(Detector):
             smoothed = box_filter_batch(features, self.local_smoothing)
             features = 0.6 * features + 0.4 * smoothed
         if self.global_context_weight > 0:
+            features = np.ascontiguousarray(features)
             flat = features.reshape(features.shape[0], -1, features.shape[3])
             global_mean = flat.mean(axis=1)
             features = features - self.global_context_weight * global_mean[:, None, None, :]

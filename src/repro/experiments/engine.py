@@ -16,7 +16,7 @@ that execute one:
   they complete and the engine reassembles them into plan order.
 * ``PersistentPoolBackend`` (:mod:`repro.experiments.persistent`) — a pool
   of long-lived workers that survive across ``execute_plan`` calls, with
-  model-affinity scheduling and shared-memory scene/activation tensors.
+  model-affinity scheduling and shared-memory scene tensors.
   Resolved by name (``"persistent"``) to avoid an import cycle.
 
 Because every job carries its own pre-derived NSGA-II seed (or the shared

@@ -405,8 +405,8 @@ class SequenceAttackJob:
     backend (serial, process pool, persistent runtime) — the ``model``
     spec opts it into model-affinity scheduling and cache lifecycle, and
     the worker store it receives backs the temporal frame cache (sequence
-    bundles ride the same shared-memory segments and lifecycle broadcasts
-    as single-scene bundles).  The outcome's ``cache_stats`` delta folds
+    bundles ride the same store cap and lifecycle broadcasts as
+    single-scene bundles).  The outcome's ``cache_stats`` delta folds
     in the frame cache's counters, so per-model/per-worker report rows
     carry ``frame_hits``/``frame_misses`` alongside the store traffic.
 

@@ -1,4 +1,4 @@
-"""Persistent shared-memory worker runtime with model-affinity scheduling.
+"""Persistent worker runtime with shared-memory scenes and model affinity.
 
 The one-shot :class:`~repro.experiments.engine.ProcessPoolBackend` loses to
 serial on small machines for three structural reasons: every plan pays pool
@@ -19,12 +19,13 @@ and submission order — while removing all three costs:
   already holding M (most-overlap first, least-loaded as the tiebreak and
   fallback), so a model's bundles are built once per *runtime*, not once
   per worker.
-* **Shared-memory payloads**: scene tensors are interned into
+* **Shared-memory scenes**: scene tensors are interned into
   ``multiprocessing.shared_memory`` segments by the parent
   (:class:`~repro.experiments.shm.SharedScenePool`) and jobs ship segment
-  refs instead of pickled arrays; each worker's activation store is a
-  :class:`~repro.detectors.activation_cache.SharedMemoryActivationStore`
-  whose segments the parent can audit and reap by name prefix.
+  refs instead of pickled arrays.  Each worker caches bundles in a plain
+  :class:`~repro.detectors.activation_cache.ActivationCacheStore` in its
+  own heap, like serial and ``process`` workers — no other process reads
+  them, and the kernel frees them with the worker.
 
 The runtime also runs the per-model cache lifecycle the serial backend
 applies (and the one-shot pool never did): it tracks remaining jobs per
@@ -37,12 +38,12 @@ Failure semantics: a job that raises surfaces as a
 :class:`~repro.experiments.engine.JobExecutionError` carrying the
 worker-side traceback, and an abort-epoch broadcast makes every worker
 skip jobs of the failed plan that were already queued to it; a worker
-that *dies* is reaped (its leftover segments force-unlinked), respawned
-and its jobs re-dispatched, with a per-job crash budget that turns a
-poison job into a :class:`~repro.experiments.engine.WorkerCrashError`
-instead of an infinite respawn loop.  Idle workers emit periodic
-heartbeats, so liveness is policed continuously — including while the
-parent merely waits for stats from a worker that will never answer.
+that *dies* is reaped, respawned and its jobs re-dispatched, with a
+per-job crash budget that turns a poison job into a
+:class:`~repro.experiments.engine.WorkerCrashError` instead of an
+infinite respawn loop.  Idle workers emit periodic heartbeats, so
+liveness is policed continuously — including while the parent merely
+waits for stats from a worker that will never answer.
 Results travel over *per-worker pipes* (multiplexed in the parent with
 ``multiprocessing.connection.wait``), each with its worker as sole
 writer, because a shared result queue is not crash-safe: a worker
@@ -57,7 +58,7 @@ The runtime is job-agnostic: anything picklable with a ``job_id`` and an
 workload (:class:`~repro.experiments.jobs.SequenceAttackJob`) leans on
 that — it ships only a tiny :class:`~repro.experiments.jobs.SequenceSpec`
 recipe (frames are regenerated in-worker, nothing rides the scene pool),
-its per-frame bundles live in the worker's shared-memory store under the
+its per-frame bundles live in the worker's activation store under the
 same lifecycle broadcasts, and ``effective_cache_size`` provisions the
 store for each job's rolling ``frame_cache_size`` window so warm frames
 are not evicted mid-sequence.
@@ -78,7 +79,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.detectors.activation_cache import SharedMemoryActivationStore
+from repro.detectors.activation_cache import ActivationCacheStore
 from repro.experiments.engine import (
     ExecutionBackend,
     JobExecutionError,
@@ -121,7 +122,6 @@ __all__ = [
 def _worker_main(
     index: int,
     generation: int,
-    segment_prefix: str,
     task_queue,
     result_conn,
     use_cache: bool,
@@ -132,11 +132,11 @@ def _worker_main(
 ) -> None:
     """The long-lived worker loop: jobs, lifecycle messages, clean stop.
 
-    All state a worker accumulates — detector memo, shared-memory
-    activation store, scene attachments — lives for the whole process and
-    is what makes the runtime pay off across plans.  Messages arrive on a
-    private FIFO queue, so lifecycle broadcasts (invalidate, detach) are
-    ordered against the job stream.
+    All state a worker accumulates — detector memo, activation store,
+    scene attachments — lives for the whole process and is what makes the
+    runtime pay off across plans.  Messages arrive on a private FIFO
+    queue, so lifecycle broadcasts (invalidate, detach) are ordered
+    against the job stream.
 
     ``abort_epoch`` is a shared value the parent bumps when a plan dies;
     queued jobs from an epoch at or below it are skipped without being
@@ -152,11 +152,7 @@ def _worker_main(
     parent just sees this pipe EOF.
     """
     store = (
-        SharedMemoryActivationStore(
-            max_entries=cache_size,
-            segment_prefix=segment_prefix,
-            delta_store_size=delta_store_size,
-        )
+        ActivationCacheStore(max_entries=cache_size, delta_store_size=delta_store_size)
         if use_cache
         else None
     )
@@ -208,8 +204,6 @@ def _worker_main(
                         if store is not None:
                             store.invalidate(spec.detector)
                         release_detector(spec)
-                if store is not None:
-                    store.release_retired()
         elif kind == "invalidate":
             # Per-model lifecycle broadcast: the model's last job finished
             # somewhere in the runtime; drop its bundles and its memo entry.
@@ -219,8 +213,6 @@ def _worker_main(
                 if detector is not None and store is not None:
                     store.invalidate(detector)
                 release_detector(spec)
-            if store is not None:
-                store.release_retired()
         elif kind == "resize":
             # Grow-only cap broadcast (plan auto-sizing); never changes
             # results, only how many bundles survive between plans.
@@ -242,8 +234,6 @@ def _worker_main(
                 )
             )
         elif kind == "stop":
-            if store is not None:
-                store.shutdown()
             attachments.close_all()
             try:
                 result_conn.send(("stopped", index, generation))
@@ -264,7 +254,6 @@ class _WorkerHandle:
     process: object
     task_queue: object
     reader: object
-    segment_prefix: str
     models: set = field(default_factory=set)
     backlog: deque = field(default_factory=deque)
     inflight: dict = field(default_factory=dict)
@@ -354,7 +343,7 @@ class PersistentWorkerRuntime:
 
     @property
     def segment_prefix(self) -> str:
-        """Prefix under which every segment of this runtime is named."""
+        """Prefix of every segment this runtime's scene pools create."""
         return self._prefix
 
     def start(self) -> None:
@@ -369,7 +358,6 @@ class PersistentWorkerRuntime:
         self.started = True
 
     def _spawn(self, index: int, generation: int) -> _WorkerHandle:
-        segment_prefix = f"{self._prefix}w{index}g{generation}"
         task_queue = self._context.Queue()
         # Results come back over a per-worker pipe, not a shared queue.
         # A shared channel is not crash-safe: a worker SIGKILLed while its
@@ -386,7 +374,6 @@ class PersistentWorkerRuntime:
             args=(
                 index,
                 generation,
-                segment_prefix,
                 task_queue,
                 writer,
                 self.use_cache,
@@ -408,7 +395,6 @@ class PersistentWorkerRuntime:
             process=process,
             task_queue=task_queue,
             reader=reader,
-            segment_prefix=segment_prefix,
         )
 
     def close(self) -> None:
@@ -433,9 +419,6 @@ class PersistentWorkerRuntime:
             if worker.process.is_alive():  # pragma: no cover - stuck worker
                 worker.process.terminate()
                 worker.process.join(timeout=5.0)
-            # Normal stops already unlinked everything; this is the crash
-            # fallback that keeps the no-leaked-segments guarantee.
-            reap_segments(worker.segment_prefix)
             try:
                 worker.task_queue.close()
             except (OSError, ValueError):  # pragma: no cover
@@ -446,6 +429,8 @@ class PersistentWorkerRuntime:
                 except (OSError, ValueError):  # pragma: no cover
                     pass
                 worker.reader = None
+        # Each scene pool unlinks its segments when its plan ends; reaping
+        # the runtime prefix is the backstop for one that did not.
         reap_segments(self._prefix)
         self._workers = []
 
@@ -465,8 +450,12 @@ class PersistentWorkerRuntime:
                 worker.task_queue.put(("resize", max_entries))
 
     def leaked_segments(self) -> list[str]:
-        """Live segments under this runtime's prefix (should be [] when idle
-        with caches empty, and always [] after :meth:`close`)."""
+        """Live segments under this runtime's prefix.
+
+        Only scene pools create them, and a pool lives for one
+        :meth:`execute` call, so this is ``[]`` whenever no plan is
+        executing — warm caches included — and always after :meth:`close`.
+        """
         return list_segments(self._prefix)
 
     # -- model pinning ------------------------------------------------------
@@ -697,7 +686,6 @@ class PersistentWorkerRuntime:
 
     def _reap_worker(self, worker: _WorkerHandle) -> None:
         worker.process.join(timeout=1.0)
-        reap_segments(worker.segment_prefix)
         try:
             worker.task_queue.close()
         except (OSError, ValueError):  # pragma: no cover

@@ -1,21 +1,15 @@
-"""Shared-memory plumbing for the persistent worker runtime.
+"""Shared-memory scene shipping for the persistent worker runtime.
 
 The persistent backend (:mod:`repro.experiments.persistent`) keeps worker
-processes alive across plans and moves the two bulky payloads out of the
-pickle stream:
-
-* **Scene tensors** — a plan's job images (and transfer mask stacks) are
-  interned once per distinct array into ``multiprocessing.shared_memory``
-  segments by the parent's :class:`SharedScenePool`; each dispatched job
-  carries only a :class:`SharedArrayRef` (segment name, shape, dtype) and
-  the worker maps it back to a read-only view through its
-  :class:`SharedArrayAttachments` cache.  A transfer plan whose N jobs all
-  share one scene ships the pixels exactly once, not N times.
-* **Activation bundles** — each worker's
-  :class:`~repro.detectors.activation_cache.SharedMemoryActivationStore`
-  places cached ``CleanActivations`` tensors in segments named under a
-  per-worker prefix, so the parent can audit and reap them by name if the
-  worker dies (see :func:`reap_segments`).
+processes alive across plans and moves the bulky scene payloads out of the
+pickle stream: a plan's job images (and transfer mask stacks) are interned
+once per distinct array into ``multiprocessing.shared_memory`` segments by
+the parent's :class:`SharedScenePool`; each dispatched job carries only a
+:class:`SharedArrayRef` (segment name, shape, dtype) and the worker maps it
+back to a read-only view through its :class:`SharedArrayAttachments`
+cache.  A transfer plan whose N jobs all share one scene ships the pixels
+exactly once, not N times.  This is the runtime's only cross-process
+array traffic: workers cache activation bundles in private memory.
 
 CPython's :mod:`multiprocessing.resource_tracker` registers *every*
 ``SharedMemory`` attach — owner or not — and unlinks registered segments
@@ -23,8 +17,8 @@ when the attaching process exits.  A worker that merely mapped a parent's
 scene segment would therefore destroy it for everyone on shutdown;
 :func:`attach_shared_memory` attaches and immediately unregisters, making
 attachment side-effect free.  Ownership is strictly creator-side: the scene
-pool unlinks what it created, each worker store unlinks what it created,
-and the runtime reaps by prefix as the crash fallback.
+pool unlinks what it created, and :func:`reap_segments` unlinks by prefix
+what a killed parent left behind.
 """
 
 from __future__ import annotations
@@ -32,6 +26,9 @@ from __future__ import annotations
 import copy
 import os
 from dataclasses import dataclass
+# Imported here, never lazily: a worker forked while another thread of the
+# parent is importing these modules deadlocks on the inherited import lock.
+from multiprocessing import resource_tracker, shared_memory
 
 import numpy as np
 
@@ -60,8 +57,6 @@ def attach_shared_memory(name: str):
     which would unlink it when this process exits; the unregister makes the
     attach purely observational.
     """
-    from multiprocessing import resource_tracker, shared_memory
-
     segment = shared_memory.SharedMemory(name=name)
     try:
         resource_tracker.unregister(segment._name, "shared_memory")
@@ -80,9 +75,11 @@ def list_segments(prefix: str) -> list[str]:
 def reap_segments(prefix: str) -> list[str]:
     """Force-unlink every segment under ``prefix``; returns what was reaped.
 
-    The crash path: a worker killed mid-job cannot run its store's
-    ``shutdown()``, so its segments (all named under the worker's prefix)
-    would leak.  The runtime reaps them by name before respawning.
+    The fallback for scene segments whose pool never closed: a parent
+    killed mid-plan cannot unlink its pool, so a later process reaps the
+    dead runtime's prefix (``rpr<pid>``) by name, and
+    :meth:`~repro.experiments.persistent.PersistentWorkerRuntime.close`
+    reaps its own prefix as a backstop.
     """
     reaped = []
     for entry in list_segments(prefix):
@@ -138,8 +135,6 @@ class SharedScenePool:
 
     def share(self, array: np.ndarray) -> SharedArrayRef:
         """The (interned) shared ref for ``array``, creating on first sight."""
-        from multiprocessing import shared_memory
-
         identity = self._by_id.get(id(array))
         if identity is not None and identity[0] is array:
             return identity[1]

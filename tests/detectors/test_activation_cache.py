@@ -12,10 +12,10 @@ from repro.detectors.activation_cache import (
     ActivationCacheStore,
     CacheStats,
     CleanActivations,
-    SharedMemoryActivationStore,
+    DeltaActivations,
+    DeltaActivationStore,
     image_digest,
 )
-from repro.experiments.shm import list_segments
 
 
 def _scene(seed, shape=(64, 208, 3)):
@@ -83,11 +83,14 @@ class TestActivationCacheStore:
         store = ActivationCacheStore(max_entries=2)
         scenes = [_scene(seed) for seed in (5, 6, 7)]
         store.get(yolo_detector, scenes[0])
-        store.get(yolo_detector, scenes[1])
+        held = store.get(yolo_detector, scenes[1])
+        held_image = held.clean_image.copy()
         store.get(yolo_detector, scenes[0])  # refresh scene 0 => scene 1 is LRU
         store.get(yolo_detector, scenes[2])  # evicts scene 1
         assert store.evictions == 1
         assert len(store) == 2
+        # A bundle fetched before its eviction stays readable and intact.
+        assert np.array_equal(held.clean_image, held_image)
         store.get(yolo_detector, scenes[0])
         assert store.hits == 2  # scene 0 survived the eviction
         store.get(yolo_detector, scenes[1])
@@ -129,6 +132,46 @@ class TestActivationCacheStore:
         previous = store.reset_stats()
         assert previous.invalidations == 2
         assert store.invalidations == 0
+
+    def test_admitted_arrays_are_read_only(self, yolo_detector):
+        """Whatever a store admits — a bundle built by ``get``, one handed
+        to ``put``, an entry handed to ``DeltaActivationStore.put`` — is
+        cached as is, with every array marked read-only."""
+        store = ActivationCacheStore(max_entries=2)
+        image = _scene(20)
+        cached = store.get(yolo_detector, image)
+        reference = yolo_detector.clean_activations(image)
+        assert np.array_equal(cached.clean_image, reference.clean_image)
+        for name, tensor in reference.tensors.items():
+            assert np.array_equal(cached.tensors[name], tensor)
+        assert store.get(yolo_detector, image) is cached
+        assert store.hits == 1
+
+        other = _scene(21)
+        bundle = yolo_detector.clean_activations(other)
+        assert bundle.clean_image.flags.writeable
+        assert store.put(yolo_detector, other, bundle) is bundle
+        assert store.get(yolo_detector, other) is bundle
+
+        delta = DeltaActivationStore(max_entries=2)
+        entry = DeltaActivations(
+            mask_window=np.ones((2, 3, 3), dtype=np.int16),
+            pixel_bbox=(0, 2, 0, 3),
+            prediction=reference.prediction,
+            tensors={"features": np.zeros((1, 1, 7))},
+        )
+        delta.put(b"a", entry)
+        assert delta.get(b"a") is entry
+
+        for arrays in (
+            [cached.clean_image, *cached.tensors.values()],
+            [bundle.clean_image, *bundle.tensors.values()],
+            [entry.mask_window, *entry.tensors.values()],
+        ):
+            for array in arrays:
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array[(0,) * array.ndim] = 1
 
     def test_non_incremental_detector_not_cached(self, yolo_detector):
         class Opaque:
@@ -202,70 +245,3 @@ class TestStatsLifecycle:
         assert len(store) == 1  # entries untouched — only counters reset
         store.get(yolo_detector, image)
         assert store.snapshot() == CacheStats(hits=1, misses=0, evictions=0)
-
-
-class TestSharedMemoryActivationStore:
-    """The shm-backed store: same caching semantics, audited segments."""
-
-    def test_bundles_served_from_shared_segments(self, yolo_detector):
-        store = SharedMemoryActivationStore(max_entries=2, segment_prefix="tshma")
-        try:
-            image = _scene(20)
-            cached = store.get(yolo_detector, image)
-            assert isinstance(cached, CleanActivations)
-            # Bundle content matches what a plain store would serve...
-            reference = yolo_detector.clean_activations(image)
-            assert np.array_equal(cached.clean_image, reference.clean_image)
-            for name, tensor in reference.tensors.items():
-                assert np.array_equal(cached.tensors[name], tensor)
-            # ...but the arrays live in named, auditable segments.
-            assert store.active_segments == 1 + len(reference.tensors)
-            assert list_segments("tshma") != []
-            assert not cached.clean_image.flags.writeable
-            assert store.get(yolo_detector, image) is cached
-            assert store.hits == 1
-        finally:
-            store.shutdown()
-
-    def test_drop_unlinks_but_defers_close_until_release(self, yolo_detector):
-        """Evicted/invalidated segments unlink at once, unmap at the job
-        boundary — a view fetched earlier in the job stays readable."""
-        store = SharedMemoryActivationStore(max_entries=1, segment_prefix="tshmb")
-        try:
-            first = store.get(yolo_detector, _scene(21))
-            held = first.clean_image
-            store.get(yolo_detector, _scene(22))  # cap=1: evicts the first
-            assert store.evictions == 1
-            remaining = list_segments("tshmb")
-            assert len(remaining) == store.active_segments  # evictee unlinked
-            assert float(held.sum()) >= 0.0  # mapping still readable
-            released = store.release_retired()
-            assert released > 0
-            assert store.release_retired() == 0  # idempotent
-        finally:
-            store.shutdown()
-
-    def test_invalidate_unlinks_segments(self, yolo_detector, detr_detector):
-        store = SharedMemoryActivationStore(max_entries=4, segment_prefix="tshmc")
-        try:
-            image = _scene(23)
-            store.get(yolo_detector, image)
-            store.get(detr_detector, image)
-            before = len(list_segments("tshmc"))
-            assert store.invalidate(yolo_detector) == 1
-            assert store.invalidations == 1
-            after = len(list_segments("tshmc"))
-            assert after < before
-            assert after == store.active_segments
-        finally:
-            store.shutdown()
-
-    def test_shutdown_leaves_no_segments(self, yolo_detector):
-        store = SharedMemoryActivationStore(max_entries=4, segment_prefix="tshmd")
-        store.get(yolo_detector, _scene(24))
-        store.get(yolo_detector, _scene(25))
-        assert list_segments("tshmd") != []
-        store.shutdown()
-        assert list_segments("tshmd") == []
-        assert store.active_segments == 0
-        store.shutdown()  # idempotent

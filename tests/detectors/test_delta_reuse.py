@@ -15,9 +15,7 @@ from repro.detectors.activation_cache import (
     CacheStats,
     DeltaActivations,
     DeltaActivationStore,
-    SharedMemoryActivationStore,
 )
-from repro.experiments.shm import list_segments
 from repro.nn.incremental import (
     EMPTY_BBOX,
     bbox_is_empty,
@@ -208,56 +206,6 @@ class TestCacheStoreDeltaLifecycle:
         assert store.misses == 4  # scene 1 was the shrink victim
         with pytest.raises(ValueError):
             store.resize(0)
-
-
-class TestSharedMemoryDeltaStore:
-    def test_entries_live_under_owner_prefix(self, yolo_detector):
-        store = SharedMemoryActivationStore(max_entries=2, delta_store_size=2)
-        try:
-            bundle = store.get(yolo_detector, _scene(30))
-            baseline = len(list_segments(store.segment_prefix))
-            bundle.delta.put(
-                b"a", _entry(_patch_mask(bundle.clean_image.shape, (4, 8, 10, 20), 31))
-            )
-            assert len(list_segments(store.segment_prefix)) > baseline
-            fetched = bundle.delta.get(b"a")
-            assert not fetched.mask_window.flags.writeable
-        finally:
-            store.shutdown()
-        assert list_segments(store.segment_prefix) == []
-
-    def test_eviction_unlinks_and_release_closes(self, yolo_detector):
-        store = SharedMemoryActivationStore(max_entries=2, delta_store_size=1)
-        try:
-            bundle = store.get(yolo_detector, _scene(32))
-            shape = bundle.clean_image.shape
-            bundle.delta.put(b"a", _entry(_patch_mask(shape, (4, 8, 10, 20), 33)))
-            linked = len(list_segments(store.segment_prefix))
-            bundle.delta.put(b"b", _entry(_patch_mask(shape, (4, 8, 10, 20), 34)))
-            # Cap 1: admitting b evicted a, whose segment is unlinked now.
-            assert len(list_segments(store.segment_prefix)) == linked
-            assert bundle.delta.get(b"a") is None
-            assert bundle.delta.release_evicted() >= 1
-            assert bundle.delta.release_evicted() == 0  # idempotent
-        finally:
-            store.shutdown()
-        assert list_segments(store.segment_prefix) == []
-
-    def test_bundle_drop_retires_delta_segments(self, yolo_detector):
-        store = SharedMemoryActivationStore(max_entries=1, delta_store_size=2)
-        try:
-            bundle = store.get(yolo_detector, _scene(35))
-            bundle.delta.put(
-                b"a", _entry(_patch_mask(bundle.clean_image.shape, (4, 8, 10, 20), 36))
-            )
-            store.invalidate()
-            # Everything is unlinked immediately; mappings wait on the
-            # owner's retired list until the job boundary.
-            assert list_segments(store.segment_prefix) == []
-            assert store.release_retired() > 0
-        finally:
-            store.shutdown()
-        assert list_segments(store.segment_prefix) == []
 
 
 @pytest.fixture(params=["yolo", "detr"])

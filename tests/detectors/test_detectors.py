@@ -9,6 +9,8 @@ These tests exercise the two properties the whole reproduction rests on:
    mixes features globally through attention.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -158,3 +160,37 @@ class TestConnectivity:
         assert weights.shape[0] == weights.shape[1]
         assert np.allclose(weights.sum(axis=-1), 1.0)
         assert weights.min() >= 0.0
+
+
+def _channel_first(grid):
+    """Equal values, channel-first memory layout (not C-ordered)."""
+    copy = np.moveaxis(np.ascontiguousarray(np.moveaxis(grid, -1, 0)), 0, -1)
+    assert np.array_equal(copy, grid) and not copy.flags.c_contiguous
+    return copy
+
+
+class TestGlobalContextLayout:
+    """The global-context mean is a pairwise reduction whose order follows
+    memory layout; the single-stage head pins it to C order, so a grid
+    producer's layout can never change a bit of the output."""
+
+    def test_single_path(self, yolo_detector, evaluation_dataset):
+        grid = yolo_detector.extractor(evaluation_dataset[0].image)
+        smoothed = yolo_detector._smooth(grid)
+        expected = yolo_detector._finalize_features(grid, smoothed)
+        actual = yolo_detector._finalize_features(
+            _channel_first(grid), _channel_first(smoothed)
+        )
+        assert np.array_equal(actual.view(np.uint64), expected.view(np.uint64))
+
+    def test_batched_path(self, yolo_detector, evaluation_dataset, monkeypatch):
+        images = np.stack([scene.image for scene in evaluation_dataset])
+        expected = yolo_detector.backbone_features_batch(images)
+        extractor = yolo_detector.extractor
+        monkeypatch.setattr(
+            yolo_detector,
+            "extractor",
+            SimpleNamespace(batch=lambda x: _channel_first(extractor.batch(x))),
+        )
+        actual = yolo_detector.backbone_features_batch(images)
+        assert np.array_equal(actual.view(np.uint64), expected.view(np.uint64))

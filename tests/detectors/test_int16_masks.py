@@ -15,12 +15,11 @@ import pytest
 
 from repro.core.objectives import objective_distance, objective_intensity
 from repro.detectors.activation_cache import (
+    ActivationCacheStore,
     DeltaActivations,
     DeltaActivationStore,
-    SharedMemoryActivationStore,
 )
 from repro.detection.prediction import Prediction
-from repro.experiments.shm import list_segments
 from repro.nn.features import GridFeatureExtractor
 from repro.nn.incremental import EMPTY_BBOX, mask_nonzero_bbox
 
@@ -155,23 +154,19 @@ class TestSameRoutesSamePredictions:
             assert np.array_equal(stored.mask_window, twin.mask_window)
         assert int_clean.delta.bytes_admitted < float_clean.delta.bytes_admitted
 
-    def test_shared_memory_entries_are_int16(self, yolo_detector, small_dataset):
+    def test_store_entries_are_int16_and_read_only(self, yolo_detector, small_dataset):
         image = small_dataset[0].image
         parent, batch, ancestry = _every_route(image.shape)
-        store = SharedMemoryActivationStore(max_entries=1, delta_store_size=8)
-        try:
-            clean = store.get(yolo_detector, image)
-            _, predictions = _run(yolo_detector, image, clean, parent, batch, ancestry)
-            reference = _fresh_bundle(yolo_detector, image)
-            _, expected = _run(yolo_detector, image, reference, parent, batch, ancestry)
-            assert repr(predictions) == repr(expected)
-            for key in (b"parent", b"fresh", b"child"):
-                stored = clean.delta.get(key)
-                assert stored.mask_window.dtype == np.int16
-                assert not stored.mask_window.flags.writeable
-        finally:
-            store.shutdown()
-        assert list_segments(store.segment_prefix) == []
+        store = ActivationCacheStore(max_entries=1, delta_store_size=8)
+        clean = store.get(yolo_detector, image)
+        _, predictions = _run(yolo_detector, image, clean, parent, batch, ancestry)
+        reference = _fresh_bundle(yolo_detector, image)
+        _, expected = _run(yolo_detector, image, reference, parent, batch, ancestry)
+        assert repr(predictions) == repr(expected)
+        for key in (b"parent", b"fresh", b"child"):
+            stored = clean.delta.get(key)
+            assert stored.mask_window.dtype == np.int16
+            assert not stored.mask_window.flags.writeable
 
 
 class TestScansAcrossDtypes:

@@ -16,7 +16,10 @@ The persistent backend's contract has three layers, each enforced here:
 """
 
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -387,6 +390,8 @@ class TestModelLifecycle:
             execute_plan(plan, backend)
             pinned_stats = backend.runtime.worker_cache_stats()
             assert sum(p["entries"] for p in pinned_stats.values()) > 0
+            # Warm worker bundles live in private memory, not in segments.
+            assert list_segments(backend.runtime.segment_prefix) == []
             backend.unpin_models(specs)
             unpinned_stats = backend.runtime.worker_cache_stats()
             assert sum(p["entries"] for p in unpinned_stats.values()) == 0
@@ -656,3 +661,29 @@ class TestSharedMemoryPlumbing:
             assert len(pool) == 0
         finally:
             pool.close()
+
+    def test_runtime_import_loads_the_shared_memory_modules(self):
+        """Workers fork from a parent that already holds both modules, so
+        none imports them after the fork — where an import lock inherited
+        from another thread's half-done import would deadlock it."""
+        import repro
+
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(repro.__file__).resolve().parents[1])]
+            + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        check = (
+            "import sys, repro.experiments.persistent; "
+            "print('multiprocessing.shared_memory' in sys.modules, "
+            "'multiprocessing.resource_tracker' in sys.modules)"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", check],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=True,
+        )
+        assert result.stdout.split() == ["True", "True"]
