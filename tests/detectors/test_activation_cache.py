@@ -83,14 +83,11 @@ class TestActivationCacheStore:
         store = ActivationCacheStore(max_entries=2)
         scenes = [_scene(seed) for seed in (5, 6, 7)]
         store.get(yolo_detector, scenes[0])
-        held = store.get(yolo_detector, scenes[1])
-        held_image = held.clean_image.copy()
+        store.get(yolo_detector, scenes[1])
         store.get(yolo_detector, scenes[0])  # refresh scene 0 => scene 1 is LRU
         store.get(yolo_detector, scenes[2])  # evicts scene 1
         assert store.evictions == 1
         assert len(store) == 2
-        # A bundle fetched before its eviction stays readable and intact.
-        assert np.array_equal(held.clean_image, held_image)
         store.get(yolo_detector, scenes[0])
         assert store.hits == 2  # scene 0 survived the eviction
         store.get(yolo_detector, scenes[1])
@@ -172,6 +169,34 @@ class TestActivationCacheStore:
                 assert not array.flags.writeable
                 with pytest.raises(ValueError):
                     array[(0,) * array.ndim] = 1
+
+    def test_dropped_bundle_stays_readable(self, yolo_detector, detr_detector):
+        """A bundle fetched before the store drops it — by eviction, by a
+        shrinking resize or by invalidation — stays intact and read-only
+        for as long as its holder keeps it; a later lookup rebuilds."""
+        store = ActivationCacheStore(max_entries=2)
+        image, other = _scene(26), _scene(27)
+        held = [store.get(yolo_detector, image), store.get(detr_detector, image)]
+        store.get(yolo_detector, other)  # cap 2: evicts the first
+        store.resize(1)  # evicts the second
+        held.append(store.get(yolo_detector, other))
+        store.invalidate()  # drops the third
+        assert store.evictions == 2 and store.invalidations == 1
+        assert len(store) == 0
+        for bundle, detector, scene in zip(
+            held, (yolo_detector, detr_detector, yolo_detector), (image, image, other)
+        ):
+            reference = detector.clean_activations(scene)
+            assert np.array_equal(bundle.clean_image, reference.clean_image)
+            assert bundle.tensors.keys() == reference.tensors.keys()
+            for name, tensor in reference.tensors.items():
+                assert np.array_equal(bundle.tensors[name], tensor)
+            assert not bundle.clean_image.flags.writeable
+            assert not any(t.flags.writeable for t in bundle.tensors.values())
+        rebuilt = store.get(yolo_detector, image)
+        assert rebuilt is not held[0]
+        assert np.array_equal(rebuilt.clean_image, held[0].clean_image)
+        assert store.misses == 4
 
     def test_non_incremental_detector_not_cached(self, yolo_detector):
         class Opaque:

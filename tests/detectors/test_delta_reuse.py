@@ -180,6 +180,53 @@ class TestCacheStoreDeltaLifecycle:
         assert store.stats["delta_misses"] == 1
         assert store.snapshot().delta_bytes > 0
 
+    def test_evicted_delta_entry_stays_readable(self, yolo_detector):
+        """The delta cap evicts an entry its holder still uses: the store
+        forgets it, the holder's view stays intact and read-only."""
+        store = ActivationCacheStore(max_entries=2, delta_store_size=1)
+        bundle = store.get(yolo_detector, _scene(32))
+        shape = bundle.clean_image.shape
+        first = _entry(_patch_mask(shape, (4, 8, 10, 20), 33))
+        first.tensors["features"] = np.arange(12.0).reshape(2, 2, 3)
+        copies = [first.mask_window.copy(), first.tensors["features"].copy()]
+        bundle.delta.put(b"a", first)
+        held = bundle.delta.get(b"a")
+        second = _entry(_patch_mask(shape, (4, 8, 10, 20), 34))
+        bundle.delta.put(b"b", second)
+        # Cap 1: admitting b evicted a.
+        assert len(bundle.delta) == 1
+        assert bundle.delta.get(b"a") is None
+        assert bundle.delta.get(b"b") is second
+        assert bundle.delta.bytes_admitted == first.nbytes + second.nbytes
+        assert held is first
+        for array, copy in zip((held.mask_window, held.tensors["features"]), copies):
+            assert np.array_equal(array, copy)
+            assert not array.flags.writeable
+
+    def test_bundle_eviction_keeps_fetched_delta_entries_readable(
+        self, yolo_detector
+    ):
+        """Evicting a bundle clears its delta store, yet an entry fetched
+        before the eviction stays intact; the rebuilt bundle starts with
+        an empty delta store of its own."""
+        store = ActivationCacheStore(max_entries=1, delta_store_size=2)
+        image = _scene(35)
+        bundle = store.get(yolo_detector, image)
+        bundle.delta.put(
+            b"a", _entry(_patch_mask(bundle.clean_image.shape, (4, 8, 10, 20), 36))
+        )
+        held = bundle.delta.get(b"a")
+        window = held.mask_window.copy()
+        store.get(yolo_detector, _scene(37))  # cap 1: evicts the bundle
+        assert store.evictions == 1
+        assert len(bundle.delta) == 0
+        assert np.array_equal(held.mask_window, window)
+        assert not held.mask_window.flags.writeable
+        rebuilt = store.get(yolo_detector, image)
+        assert rebuilt is not bundle
+        assert rebuilt.delta is not bundle.delta and len(rebuilt.delta) == 0
+        assert store.stats["delta_hits"] == 1
+
     def test_reset_stats_zeroes_delta_counters_keeps_entries(self, yolo_detector):
         store = ActivationCacheStore(max_entries=2, delta_store_size=4)
         bundle = store.get(yolo_detector, _scene(13))

@@ -228,3 +228,22 @@ class TestStoreBackedSequenceCache:
         stats = cache.snapshot()
         assert stats.frame_hits == len(sequence) - 1
         assert stats.delta_hits == 0 and stats.delta_misses == 0
+
+    def test_store_smaller_than_the_window(self, yolo_detector, sequence):
+        """A store cap below the frame window evicts bundles the cache
+        still holds and derives from; they stay intact, so every frame —
+        and a revisit of a frame the store dropped — matches its dense
+        pass."""
+        store = ActivationCacheStore(max_entries=1)
+        cache = SequenceActivationCache(yolo_detector, max_frames=2, store=store)
+        for frame in sequence.images:
+            bundle = cache.advance(frame)
+            _assert_bundle_matches_dense(yolo_detector, bundle, frame)
+        assert len(store) == 1 and store.evictions == len(sequence) - 1
+        assert len(cache) == 2
+        previous = sequence.images[-2]
+        revisited = cache.advance(previous)  # in the window, not in the store
+        _assert_bundle_matches_dense(yolo_detector, revisited, previous)
+        assert not revisited.clean_image.flags.writeable
+        assert cache.snapshot().frame_hits == len(sequence)
+        assert store.evictions == len(sequence) - 1  # a window hit admits nothing

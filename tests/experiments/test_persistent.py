@@ -662,6 +662,21 @@ class TestSharedMemoryPlumbing:
         finally:
             pool.close()
 
+    def test_leaked_segments_names_open_scene_segments(self):
+        """Scene pools are the only segment owners under a runtime's
+        prefix: ``leaked_segments`` names a pool's segment while the pool
+        is open and nothing once it closes."""
+        runtime = PersistentWorkerRuntime(n_jobs=1)
+        pool = SharedScenePool(prefix=f"{runtime.segment_prefix}s0")
+        try:
+            assert runtime.leaked_segments() == []
+            ref = pool.share(np.arange(SHARE_MIN_BYTES, dtype=np.float64))
+            assert runtime.leaked_segments() == [ref.segment]
+        finally:
+            pool.close()
+            runtime.close()
+        assert runtime.leaked_segments() == []
+
     def test_runtime_import_loads_the_shared_memory_modules(self):
         """Workers fork from a parent that already holds both modules, so
         none imports them after the fork — where an import lock inherited
