@@ -82,7 +82,7 @@ def predict_front(
     """Fill the front's perturbed predictions and error transitions.
 
     ``result.solutions`` must be ``population`` in order.  The front's
-    genomes (``int16``, the values of the solutions' float64 masks) go
+    genomes (``int16``, the arrays the solutions' masks hold) go
     through ``evaluator.predict_population`` with each member's ancestry
     pointing at its own fingerprint: a member whose spliced grids are still
     in the delta store scans as identical to them and answers from the

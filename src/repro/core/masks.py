@@ -44,21 +44,44 @@ def apply_mask(
     return np.clip(out, 0.0, 255.0, out=out)
 
 
+def mask_array(values: np.ndarray) -> np.ndarray:
+    """``values`` in a mask's storage dtype: ``int16`` as given, else float64.
+
+    An ``int16`` array (an attack genome, see
+    :func:`~repro.core.attack.constrain_mask`) is returned as is, with no
+    copy; any other input is converted to float64 (no copy when it already
+    is float64).
+    """
+    array = np.asarray(values)
+    if array.dtype == np.int16:
+        return array
+    return array.astype(np.float64, copy=False)
+
+
 @dataclass
 class FilterMask:
     """A perturbation mask with convenience accessors.
 
+    The values keep the paper's integer encoding when they come as one: an
+    ``int16`` array (every attack's genome) is stored as given — no copy,
+    no float64 conversion, a quarter of the float64 bytes — and any other
+    input becomes float64 (:func:`mask_array`).  The accessors follow the
+    stored dtype (``per_pixel_max`` of an ``int16`` mask is ``int16``); the
+    norms are floats either way.  Wrapped arrays are shared, not copied:
+    the values must not be mutated in place afterwards.
+
     Attributes
     ----------
     values:
-        Signed perturbation array of shape (L, W, 3) in ``[-255, 255]``.
+        Signed perturbation array of shape (L, W, 3) in ``[-255, 255]``,
+        ``int16`` or float64.
     """
 
     values: np.ndarray
     _nonzero_bbox: BBox | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=np.float64)
+        self.values = mask_array(self.values)
         if self.values.ndim != 3 or self.values.shape[2] != 3:
             raise ValueError(
                 f"a filter mask must have shape (L, W, 3), got {self.values.shape}"

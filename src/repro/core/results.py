@@ -136,10 +136,15 @@ class AttackResult:
         """Exact content digest of everything the attack asserts.
 
         Two results are the same attack outcome iff their fingerprints are
-        equal: detector, evaluation bookkeeping and every solution's raw
-        mask bytes and float objectives, compared bit for bit (no
-        tolerance).  The engine/backend parity suites and the A/B
-        benchmarks compare sweeps through this single canonical digest.
+        equal: detector, evaluation bookkeeping and every solution's mask
+        and float objectives, compared bit for bit (no tolerance).  The
+        engine/backend parity suites and the A/B benchmarks compare sweeps
+        through this single canonical digest.
+
+        Masks are hashed as the bytes of their values in float64, whatever
+        dtype stores them: an ``int16`` mask and its float64 copy give the
+        same fingerprint (the conversion is exact), so the digest does not
+        depend on how a result was stored, moved or reloaded.
         """
         return (
             self.detector_name,
@@ -147,7 +152,7 @@ class AttackResult:
             self.cache_hits,
             tuple(
                 (
-                    s.mask.values.tobytes(),
+                    np.asarray(s.mask.values, dtype=np.float64).tobytes(),
                     s.intensity,
                     s.degradation,
                     s.distance,

@@ -13,10 +13,13 @@ returns the journaled outcomes so
 Robustness properties:
 
 * **Bit-exact payloads** — outcome results ride the typed JSON round-trips
-  of :mod:`repro.io.serialization` (arrays as base64 raw bytes), so a
-  resumed sweep's report is bit-identical to an uninterrupted run — the
-  same fingerprint gates the backend parity suites enforce.  Result types
-  without a registered codec fall back to pickle-in-base64.
+  of :mod:`repro.io.serialization` (arrays as base64 raw bytes; each
+  attack mask as its byte-support window in its own dtype, ``int16`` for
+  an attack's masks), so a resumed sweep's report is bit-identical to an
+  uninterrupted run — the same fingerprint gates the backend parity
+  suites enforce — and every mask comes back in the dtype it was
+  journaled in.  Result types without a registered codec fall back to
+  pickle-in-base64.
 * **Torn-write tolerance** — a process killed mid-append leaves a partial
   final line; :meth:`load` discards it (and truncates the file so later
   appends start on a clean line boundary).  The journaled prefix is always
@@ -27,6 +30,15 @@ Robustness properties:
   :class:`CheckpointMismatchError` instead of silently splicing foreign
   outcomes into the report; an existing journal with ``resume=False``
   raises :class:`CheckpointExistsError` instead of silently skipping work.
+* **Version rule** — the header carries :data:`JOURNAL_VERSION`, bumped
+  whenever the shape of a record changes; a journal of any other version
+  raises :class:`CheckpointMismatchError` naming both versions (records
+  are not converted across versions).
+* **Corruption is typed** — every outcome record is decoded while the
+  journal is read; a record that parses as JSON but does not decode (bad
+  base64, a mask shape its bytes do not fill, a missing field) raises
+  :class:`CheckpointCorruptError` naming the journal, the record's byte
+  offset and its ``job_id``.
 """
 
 from __future__ import annotations
@@ -51,8 +63,10 @@ from repro.io.serialization import (
     attack_result_to_jsonable,
 )
 
-#: Journal format version stamped into every header line.
-JOURNAL_VERSION = 1
+#: Journal format version stamped into every header line; resuming
+#: requires an equal version.  2: attack masks are byte-support windows in
+#: their own dtype (1 stored them whole, as float64).
+JOURNAL_VERSION = 2
 
 #: Header fields compared between a journal and the plan resuming from it.
 _FINGERPRINT_KEYS = ("name", "num_jobs", "experiment_seed", "jobs_digest")
@@ -71,7 +85,8 @@ class CheckpointExistsError(CheckpointError):
 
 
 class CheckpointCorruptError(CheckpointError):
-    """A non-final journal line failed to parse (not a torn tail)."""
+    """A non-final journal line failed to parse (not a torn tail), or a
+    parsed outcome record failed to decode."""
 
 
 # --- result payload codecs ---------------------------------------------------
@@ -346,7 +361,7 @@ class PlanCheckpoint:
     ) -> dict[object, JobOutcome]:
         """Parse a journal, validate its header, drop a torn tail."""
         raw = path.read_bytes()
-        records: list[dict[str, Any]] = []
+        records: list[tuple[int, dict[str, Any]]] = []  # (byte offset, record)
         valid_end = 0
         offset = 0
         for chunk in raw.split(b"\n"):
@@ -357,7 +372,7 @@ class PlanCheckpoint:
                 break
             if chunk:
                 try:
-                    records.append(json.loads(chunk.decode("utf-8")))
+                    records.append((offset, json.loads(chunk.decode("utf-8"))))
                 except (UnicodeDecodeError, json.JSONDecodeError) as error:
                     if end >= len(raw):
                         break  # torn final line that happens to end in \n
@@ -377,11 +392,16 @@ class PlanCheckpoint:
             )
             with path.open("rb+") as handle:
                 handle.truncate(valid_end)
-        if not records or records[0].get("kind") != "plan":
+        if not records or records[0][1].get("kind") != "plan":
             raise CheckpointCorruptError(
                 f"journal {path} has no plan header; not a checkpoint journal"
             )
-        header = records[0]
+        header = records[0][1]
+        if header.get("version") != JOURNAL_VERSION:
+            raise CheckpointMismatchError(
+                f"journal {path} has format version {header.get('version')!r}, "
+                f"expected version {JOURNAL_VERSION}; refusing to resume"
+            )
         mismatched = [
             key
             for key in _FINGERPRINT_KEYS
@@ -393,9 +413,23 @@ class PlanCheckpoint:
                 f"(mismatched: {', '.join(mismatched)}); refusing to resume"
             )
         restored: dict[object, JobOutcome] = {}
-        for record in records[1:]:
+        for offset, record in records[1:]:
             if record.get("kind") != "outcome":
                 continue
-            outcome = decode_outcome(record)
+            try:
+                outcome = decode_outcome(record)
+            except (
+                LookupError,  # a missing field
+                TypeError,
+                ValueError,  # bad base64, a shape its bytes do not fill
+                EOFError,
+                pickle.UnpicklingError,
+                CheckpointError,  # an unknown result type
+            ) as error:
+                raise CheckpointCorruptError(
+                    f"journal {path} has an outcome record at byte {offset} "
+                    f"(job_id {record.get('job_id')!r}) that does not decode: "
+                    f"{type(error).__name__}: {error}"
+                ) from error
             restored[outcome.job_id] = outcome
         return restored

@@ -34,7 +34,7 @@ import numpy as np
 
 from repro.core.attack import ButterflyAttack
 from repro.core.config import AttackConfig
-from repro.core.masks import apply_mask
+from repro.core.masks import apply_mask, mask_array
 from repro.core.objectives import objective_degradation
 from repro.detectors.base import Detector
 from repro.experiments.engine import (
@@ -135,11 +135,13 @@ class TransferEvalJob:
     One instance of the generic job protocol (see
     :mod:`repro.experiments.jobs`): ``model`` is the *target* spec, and
     ``masks`` stacks the N best masks of the optimisation stage (shipped by
-    value, like scenes).  The clean prediction is computed **once** — from
-    the cached clean activations when the context has a store, else one
-    ``predict`` call — and the masks are evaluated through the batched
-    delta path with their exact ``dirty_bounds``, so no matrix cell ever
-    pays a dense per-cell ``predict``.  The job runs no NSGA search and
+    value, like scenes) in a mask's storage dtype
+    (:func:`~repro.core.masks.mask_array`): the attack's ``int16`` masks
+    stay ``int16``, other inputs become float64.  The clean prediction is
+    computed **once** — from the cached clean activations when the context
+    has a store, else one ``predict`` call — and the masks are evaluated
+    through the batched delta path with their exact ``dirty_bounds``, so
+    no matrix cell ever pays a dense per-cell ``predict``.  The job runs no NSGA search and
     therefore takes no ``nsga_seed``.
     """
 
@@ -153,7 +155,7 @@ class TransferEvalJob:
 
     def __post_init__(self) -> None:
         self.image = np.asarray(self.image, dtype=np.float64)
-        self.masks = np.asarray(self.masks, dtype=np.float64)
+        self.masks = mask_array(self.masks)
 
     def _any_mask_sparse(self, detector) -> bool:
         """Whether any mask's exact dirty bound can use the windowed path.
@@ -250,8 +252,12 @@ def build_transfer_eval_plan(
     dirty_bounds: Sequence[BBox],
     attack_config: AttackConfig,
 ) -> ExperimentPlan:
-    """Stage 2: one cross-evaluation job per target model (a matrix column)."""
-    masks = np.stack([np.asarray(mask, dtype=np.float64) for mask in best_masks])
+    """Stage 2: one cross-evaluation job per target model (a matrix column).
+
+    The masks are stacked in their storage dtype (:func:`mask_array`):
+    ``int16`` best masks ship to the workers as ``int16``.
+    """
+    masks = np.stack([mask_array(mask) for mask in best_masks])
     jobs = [
         TransferEvalJob(
             job_id=index,

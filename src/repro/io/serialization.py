@@ -18,13 +18,21 @@ Sweep reports persist the shared execution-provenance summary produced by
 :meth:`repro.experiments.engine.ExecutionReport.summary`, so a saved report
 records the backend, worker count and cache traffic that produced it.
 
+Masks are stored in their own dtype: an attack's masks are ``int16`` (see
+:class:`~repro.core.masks.FilterMask`), so the archives hold ``int16``
+arrays, and older float64 archives load as float64 with the same
+:meth:`~repro.core.results.AttackResult.fingerprint`.
+
 Besides the directory formats, this module exposes *pure JSON* round-trips
-(:func:`array_to_jsonable` / :func:`attack_result_to_jsonable` and their
-inverses): one self-contained dict per object, arrays carried as base64 raw
-bytes with dtype and shape, so the round-trip is bit-exact.  The
-checkpoint journal (:mod:`repro.experiments.checkpoint`) appends these
-dicts as JSONL records — one line per completed job — and reloads them on
-resume.
+(:func:`array_to_jsonable` / :func:`mask_to_jsonable` /
+:func:`attack_result_to_jsonable` and their inverses): one self-contained
+dict per object, bit-exact for every dtype.  An array travels whole, as
+base64 raw bytes with dtype and shape; a mask travels as its byte-support
+window — the box of pixels whose bytes are nonzero, with the dtype, the
+full shape and the window's raw bytes in base64 — since everything outside
+that box is zero bytes.  The checkpoint journal
+(:mod:`repro.experiments.checkpoint`) appends these dicts as JSONL records
+— one line per completed job — and reloads them on resume.
 """
 
 from __future__ import annotations
@@ -42,6 +50,7 @@ from repro.defenses.evaluation import DefenseEvaluation, EnsembleDefenseEvaluati
 from repro.detection.boxes import BoundingBox
 from repro.detection.prediction import Prediction
 from repro.experiments.transfer import TransferabilityResult
+from repro.nn.incremental import byte_support_bbox
 
 
 def save_mask(mask: FilterMask | np.ndarray, path: str | Path) -> Path:
@@ -112,6 +121,54 @@ def array_from_jsonable(data: dict[str, Any]) -> np.ndarray:
     raw = base64.b64decode(data["data"])
     array = np.frombuffer(raw, dtype=np.dtype(data["dtype"]))
     return array.reshape([int(size) for size in data["shape"]]).copy()
+
+
+def mask_to_jsonable(values: np.ndarray) -> dict[str, Any]:
+    """Encode a mask as a JSON-safe dict holding only its byte-support window.
+
+    The window is :func:`~repro.nn.incremental.byte_support_bbox`: the box
+    of pixels whose *bytes* are nonzero in some channel, so a float
+    ``-0.0`` (and a NaN) stays inside it.  Every byte outside the box is
+    zero, so dtype, full shape, box and the window's raw bytes give the mask
+    back bit for bit, whatever its dtype.  A right-half ``int16`` mask stores
+    half its pixels at two bytes each: an eighth of the float64 encoding.
+    """
+    values = np.asarray(values)
+    box = byte_support_bbox(values)
+    r0, r1, c0, c1 = box
+    return {
+        "dtype": values.dtype.str,
+        "shape": list(values.shape),
+        "box": list(box),
+        "data": base64.b64encode(values[r0:r1, c0:c1].tobytes()).decode("ascii"),
+    }
+
+
+def mask_from_jsonable(data: dict[str, Any]) -> np.ndarray:
+    """Rebuild a mask encoded by :func:`mask_to_jsonable`, bit for bit.
+
+    Zero bytes fill the frame and the window's bytes are written back.
+    Raises ``ValueError`` (``binascii.Error`` for bad base64) when the box
+    does not fit the shape or the bytes do not fill the box, and
+    ``KeyError`` for a missing field.
+    """
+    dtype = np.dtype(data["dtype"])
+    shape = tuple(int(size) for size in data["shape"])
+    r0, r1, c0, c1 = (int(edge) for edge in data["box"])
+    raw = base64.b64decode(data["data"], validate=True)
+    if len(shape) < 2 or not (
+        0 <= r0 <= r1 <= shape[0] and 0 <= c0 <= c1 <= shape[1]
+    ):
+        raise ValueError(f"mask box {[r0, r1, c0, c1]} does not fit shape {shape}")
+    values = np.zeros(shape, dtype=dtype)
+    window = values[r0:r1, c0:c1]
+    if len(raw) != window.nbytes:
+        raise ValueError(
+            f"mask window {window.shape} of {dtype} needs {window.nbytes} "
+            f"bytes, the record holds {len(raw)}"
+        )
+    window[...] = np.frombuffer(raw, dtype=dtype).reshape(window.shape)
+    return values
 
 
 def save_prediction(prediction: Prediction, path: str | Path) -> Path:
@@ -208,13 +265,15 @@ def attack_result_to_jsonable(result: AttackResult) -> dict[str, Any]:
 
     Same provenance round-trip as :func:`save_attack_result` (history and
     transitions are dropped; everything :meth:`AttackResult.fingerprint`
-    asserts survives bit-exactly), but arrays travel inline as base64 so
-    the dict fits a single JSONL journal line.
+    asserts survives bit-exactly, and each mask keeps its dtype), but
+    arrays travel inline as base64 so the dict fits a single JSONL journal
+    line: the image whole, each mask as its byte-support window
+    (:func:`mask_to_jsonable`).
     """
     meta = _attack_result_meta(result)
     meta["image"] = array_to_jsonable(result.image)
     meta["masks"] = [
-        array_to_jsonable(solution.mask.values) for solution in result.solutions
+        mask_to_jsonable(solution.mask.values) for solution in result.solutions
     ]
     return meta
 
@@ -224,7 +283,7 @@ def attack_result_from_jsonable(data: dict[str, Any]) -> AttackResult:
     return _attack_result_from_meta(
         data,
         image=array_from_jsonable(data["image"]),
-        masks=[array_from_jsonable(mask) for mask in data.get("masks", [])],
+        masks=[mask_from_jsonable(mask) for mask in data.get("masks", [])],
     )
 
 

@@ -171,6 +171,25 @@ def channels_differ(first: np.ndarray, second: np.ndarray) -> np.ndarray:
     return differ
 
 
+def byte_support_bbox(array: np.ndarray) -> BBox:
+    """Exact box of the pixels whose *bytes* are nonzero in some channel.
+
+    Every byte outside the box is zero, so the box, the array's dtype and
+    shape and the box's bytes determine the array bit for bit: the
+    genome-key digest (``NSGAII._genome_key``) and the journal's mask codec
+    (:func:`repro.io.serialization.mask_to_jsonable`) both rest on this.
+    Unlike :func:`mask_nonzero_bbox` a float ``-0.0`` counts as set.
+    Works on 2-D and ``(H, W, C)`` arrays of any 1-, 2-, 4- or 8-byte
+    dtype; returns :data:`EMPTY_BBOX` when every byte is zero.
+    """
+    array = np.asarray(array)
+    planes = channel_planes(array.view(f"u{array.itemsize}"))
+    occupied = planes[0].copy()
+    for plane in planes[1:]:
+        occupied |= plane
+    return support_bbox(occupied != 0)
+
+
 def mask_nonzero_bbox(mask: np.ndarray, within: BBox | None = None) -> BBox:
     """Exact bounding box of the pixels with a nonzero value in any channel.
 

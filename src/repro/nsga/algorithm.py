@@ -49,7 +49,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from repro.nn.incremental import channel_planes, support_bbox
+from repro.nn.incremental import byte_support_bbox
 # The variation operators are bound under the names perfbench/spans.py
 # patches by attribute.
 from repro.nsga.crossover import one_point_crossover as one_point_crossover_lineage
@@ -227,21 +227,19 @@ class NSGAII:
     def _genome_key(genome: np.ndarray) -> bytes:
         """Stable cache key: a digest of the genome's dtype, shape and bytes.
 
-        Only the box of pixels whose *bytes* are nonzero in some channel is
-        hashed, together with the box itself: every byte outside it is
-        zero, so two keys collide exactly when the full genome bytes are
-        equal.  The box is taken over bytes, not values, which matters for
-        float genomes only: a value box would merge genomes whose bytes
-        differ only by a ``-0.0``.  The attack's genomes are ``int16``
-        (:func:`~repro.core.attack.constrain_mask`), which has no negative
-        zero and hashes a quarter of the float64 bytes.
+        Only the box of pixels whose *bytes* are nonzero in some channel
+        (:func:`~repro.nn.incremental.byte_support_bbox`, the box the
+        journal's mask codec stores) is hashed, together with the box
+        itself: every byte outside it is zero, so two keys collide exactly
+        when the full genome bytes are equal.  The box is taken over bytes,
+        not values, which matters for float genomes only: a value box would
+        merge genomes whose bytes differ only by a ``-0.0``.  The attack's
+        genomes are ``int16`` (:func:`~repro.core.attack.constrain_mask`),
+        which has no negative zero and hashes a quarter of the float64
+        bytes.
         """
         genome = np.asarray(genome)
-        planes = channel_planes(genome.view(f"u{genome.itemsize}"))
-        occupied = planes[0].copy()
-        for plane in planes[1:]:
-            occupied |= plane
-        box = support_bbox(occupied != 0)
+        box = byte_support_bbox(genome)
         r0, r1, c0, c1 = box
         digest = hashlib.blake2b(digest_size=16)
         digest.update(str(genome.dtype).encode())

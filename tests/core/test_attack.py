@@ -89,7 +89,7 @@ class TestConstrainMask:
 
 
 class TestGenomesAreInt16:
-    """Every front-end searches over int16 genomes and reports float64 masks."""
+    """Every front-end searches over int16 genomes and reports them as masks."""
 
     @pytest.fixture()
     def populations(self, monkeypatch):
@@ -148,9 +148,13 @@ class TestGenomesAreInt16:
         final = populations["final"]
         assert populations["evaluated"] == {"int16"}
         assert [ind.genome.dtype for ind in final] == [np.dtype(np.int16)] * 5
-        for individual, solution in zip(final, result.solutions):
-            assert solution.mask.values.dtype == np.float64
+        fingerprinted = result.fingerprint()[3]
+        for individual, solution, entry in zip(
+            final, result.solutions, fingerprinted
+        ):
+            assert solution.mask.values.dtype == np.int16
             assert np.array_equal(solution.mask.values, individual.genome)
+            assert entry[0] == individual.genome.astype(np.float64).tobytes()
 
 
 class TestButterflyAttack:

@@ -6,15 +6,18 @@ Three layers:
    produce (attack results, transfer columns, defense bundles, scalars,
    pickle fallback) survives ``encode_outcome``/``decode_outcome``
    bit-exactly (fingerprints compare mask bytes, not approximations).
-2. **Journal robustness** — plan-fingerprint validation, refusal to
-   silently reuse an existing journal without ``resume=True``, torn-tail
-   truncation after a mid-append kill, corrupt-line rejection.
+2. **Journal robustness** — plan-fingerprint and format-version
+   validation, refusal to silently reuse an existing journal without
+   ``resume=True``, torn-tail truncation after a mid-append kill,
+   corrupt-line rejection, and typed errors for records that parse but do
+   not decode.
 3. **Engine integration** — ``execute_plan(checkpoint=...)`` skips
    journaled jobs on resume (``journal_hits``), journals stream *before*
    a failure aborts the plan, and ``RetryPolicy`` re-dispatches the
    un-collected remainder after transient worker-side failures.
 """
 
+import binascii
 import json
 import os
 
@@ -22,7 +25,10 @@ import numpy as np
 import pytest
 
 from repro.core.config import AttackConfig
+from repro.core.masks import FilterMask
 from repro.core.regions import HalfImageRegion
+from repro.core.results import AttackResult, ParetoSolution
+from repro.detection.prediction import Prediction
 from repro.defenses.jobs import DefenseJobResult, EnsembleDefenseJobResult
 from repro.detectors.activation_cache import CacheStats
 from repro.experiments.checkpoint import (
@@ -30,6 +36,7 @@ from repro.experiments.checkpoint import (
     CheckpointError,
     CheckpointExistsError,
     CheckpointMismatchError,
+    JOURNAL_VERSION,
     PlanCheckpoint,
     decode_outcome,
     decode_result,
@@ -259,6 +266,75 @@ class TestJournalRobustness:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(CheckpointCorruptError, match="non-final"):
             PlanCheckpoint(tmp_path).load(plan)
+
+    def test_journal_of_another_format_version_is_rejected(self, tmp_path):
+        plan = _counting_plan()
+        checkpoint = PlanCheckpoint(tmp_path)
+        execute_plan(plan, SerialBackend(), checkpoint=checkpoint)
+        checkpoint.close()
+        path = checkpoint.journal_path(plan)
+        lines = path.read_text().splitlines()
+        header = json.loads(lines[0])
+        assert header["version"] == JOURNAL_VERSION == 2
+        header["version"] = 99
+        path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+        with pytest.raises(CheckpointMismatchError, match="version 99.*version 2"):
+            PlanCheckpoint(tmp_path).load(plan)
+
+    @staticmethod
+    def _attack_journal(tmp_path):
+        """A journal holding one attack-result record (job 1) among others."""
+        mask = np.zeros((8, 12, 3), dtype=np.int16)
+        mask[2:6, 5:11] = np.arange(72, dtype=np.int16).reshape(4, 6, 3) - 30
+        result = AttackResult(
+            image=np.full((8, 12, 3), 17.0),
+            clean_prediction=Prediction.empty(),
+            solutions=[
+                ParetoSolution(
+                    mask=FilterMask(mask), intensity=0.5, degradation=0.75, distance=2.0
+                )
+            ],
+            detector_name="single_stage-seed1",
+        )
+        plan = _counting_plan(3)
+        checkpoint = PlanCheckpoint(tmp_path)
+        checkpoint.load(plan)
+        checkpoint.record(JobOutcome(job_id=0, result=0))
+        checkpoint.record(JobOutcome(job_id=1, result=result))
+        checkpoint.record(JobOutcome(job_id=2, result=4))
+        checkpoint.close()
+        path = checkpoint.journal_path(plan)
+        assert PlanCheckpoint(tmp_path).load(plan)[1].result.fingerprint() == (
+            result.fingerprint()
+        )
+        return plan, path
+
+    @pytest.mark.parametrize(
+        "corrupt, error",
+        [
+            (lambda mask: mask.update(data=mask["data"][:101]), binascii.Error),
+            (lambda mask: mask.update(shape=[8, 12, 4]), ValueError),
+            (lambda mask: mask.pop("dtype"), KeyError),
+        ],
+        ids=["truncated-base64", "shape-mismatch", "missing-dtype"],
+    )
+    def test_undecodable_record_is_corrupt(self, tmp_path, corrupt, error):
+        plan, path = self._attack_journal(tmp_path)
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[2])
+        mask = record["result"]["payload"]["masks"][0]
+        assert len(mask["data"]) > 101
+        corrupt(mask)
+        lines[2] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+        offset = sum(len(line) + 1 for line in lines[:2])
+        with pytest.raises(CheckpointCorruptError) as raised:
+            PlanCheckpoint(tmp_path).load(plan)
+        message = str(raised.value)
+        assert str(path) in message
+        assert f"at byte {offset} " in message
+        assert "job_id 1" in message
+        assert type(raised.value.__cause__) is error
 
     def test_fingerprint_tracks_job_identity(self):
         base = _counting_plan(3)

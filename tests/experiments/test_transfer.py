@@ -15,13 +15,16 @@ from repro.core.regions import HalfImageRegion
 from repro.data.dataset import generate_dataset
 from repro.detectors.training import TrainingConfig
 from repro.detectors.zoo import build_model_zoo
-from repro.experiments.engine import ProcessPoolBackend
+from repro.experiments.engine import ProcessPoolBackend, SerialBackend, execute_plan
 from repro.experiments.jobs import ModelSpec
+from repro.experiments.persistent import PersistentPoolBackend
 from repro.experiments.transfer import (
     TransferabilityResult,
+    build_transfer_eval_plan,
     run_transferability_experiment,
     run_transferability_reference,
 )
+from repro.nn.incremental import mask_nonzero_bbox
 from repro.nsga.algorithm import NSGAConfig
 
 
@@ -213,3 +216,63 @@ class TestTransferEngineParity:
         # job (the cross-evaluation stage adds one more per column only
         # when a best mask is sparse enough for the windowed path).
         assert stats["misses"] >= 2
+
+
+class TestTransferMaskDtype:
+    """The cross-evaluation stage ships the attack's int16 best masks as int16.
+
+    The matrix built from them must equal, bit for bit, the matrix built
+    from the same values in float64, on the serial and persistent backends.
+    """
+
+    @staticmethod
+    def _matrix(plan, backend):
+        matrix = np.ones((len(plan.jobs), len(plan.jobs)))
+        for outcome in execute_plan(plan, backend).outcomes:
+            matrix[:, outcome.result.target_index] = outcome.result.degradations
+        return matrix
+
+    def test_best_masks_and_eval_jobs_are_int16(
+        self, serial_transfer, parity_specs, parity_image, parity_config
+    ):
+        best = serial_transfer.best_masks
+        assert [mask.dtype for mask in best] == [np.dtype(np.int16)] * 2
+        bounds = [mask_nonzero_bbox(mask) for mask in best]
+        plan = build_transfer_eval_plan(
+            parity_specs, parity_image, best, bounds, parity_config
+        )
+        assert all(job.masks.dtype == np.int16 for job in plan.jobs)
+        as_float = [mask.astype(np.float32) for mask in best]
+        plan = build_transfer_eval_plan(
+            parity_specs, parity_image, as_float, bounds, parity_config
+        )
+        assert all(job.masks.dtype == np.float64 for job in plan.jobs)
+
+    @pytest.mark.parametrize("backend_name", ["serial", "persistent"])
+    def test_int16_matrix_equals_float64_matrix(
+        self, backend_name, serial_transfer, parity_specs, parity_image,
+        parity_config,
+    ):
+        best = serial_transfer.best_masks
+        bounds = [mask_nonzero_bbox(mask) for mask in best]
+        backend = (
+            SerialBackend()
+            if backend_name == "serial"
+            else PersistentPoolBackend(n_jobs=2, submission_seed=3)
+        )
+        try:
+            matrices = [
+                self._matrix(
+                    build_transfer_eval_plan(
+                        parity_specs, parity_image, masks, bounds, parity_config
+                    ),
+                    backend,
+                )
+                for masks in (best, [mask.astype(np.float64) for mask in best])
+            ]
+        finally:
+            backend.close()
+        assert matrices[0].view(np.uint64).tobytes() == (
+            matrices[1].view(np.uint64).tobytes()
+        )
+        assert np.array_equal(matrices[0], serial_transfer.matrix)

@@ -152,3 +152,40 @@ class TestGenomeKey:
         assert NSGAII._genome_key(np.zeros((4, 6))) != NSGAII._genome_key(
             np.zeros((6, 4))
         )
+
+    #: Keys recorded before the byte box moved into
+    #: ``repro.nn.incremental.byte_support_bbox``: the key hashes the same
+    #: dtype, shape, box and bytes, so evaluation-cache hits do not move.
+    RECORDED_KEYS = {
+        "right_half_int16": "1bb3753de524ec602862cc1715915f0c",
+        "sparse_int16": "b2ff7acf78c48f836eb47255a18aed3a",
+        "zero_int16": "88c291236ec82b277f8d5404c18f7677",
+        "float64_negative_zero": "852b59e842aa14cde5ee2ebf61d362db",
+        "float64_plane": "d7faccf315f3b85276a485d1b0867680",
+    }
+
+    @staticmethod
+    def _recorded_genomes():
+        rng = np.random.default_rng(26)
+        right = np.zeros((96, 320, 3), dtype=np.int16)
+        right[:, 160:] = rng.integers(-255, 256, size=(96, 160, 3))
+        sparse = np.zeros((8, 12, 3), dtype=np.int16)
+        sparse[2:5, 7:9, 1] = [[3, -4], [0, 255], [-255, 1]]
+        signed = np.zeros((8, 12, 3))
+        signed[1, 2, 0] = -0.0
+        signed[4, 9, 2] = 7.0
+        plane = np.zeros((5, 7))
+        plane[3, 1] = 2.5
+        plane[0, 6] = -0.0
+        return {
+            "right_half_int16": right,
+            "sparse_int16": sparse,
+            "zero_int16": np.zeros((8, 12, 3), dtype=np.int16),
+            "float64_negative_zero": signed,
+            "float64_plane": plane,
+        }
+
+    @pytest.mark.parametrize("name", sorted(RECORDED_KEYS))
+    def test_keys_equal_recorded_digests(self, name):
+        genome = self._recorded_genomes()[name]
+        assert NSGAII._genome_key(genome).hex() == self.RECORDED_KEYS[name]
