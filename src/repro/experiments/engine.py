@@ -66,6 +66,7 @@ from repro.experiments.jobs import (
     job_model_specs,
     job_stats_label,
 )
+from repro.nn.parallel import split_cores
 
 #: Backend names accepted by :func:`resolve_backend` (and the CLI).
 BACKEND_NAMES: tuple[str, ...] = ("serial", "process", "persistent")
@@ -395,13 +396,17 @@ class SerialBackend(ExecutionBackend):
 # Workers keep exactly one activation store for their whole life (plus the
 # per-process detector memo in repro.experiments.jobs).  The initializer
 # rebuilds the store from the plan's attack config so forked children never
-# reuse the parent's store object.
+# reuse the parent's store object, and gives each worker its share of the
+# cores.
 
 _WORKER_STORE: ActivationCacheStore | None = None
 
 
-def _init_worker(use_cache: bool, cache_size: int, delta_store_size: int = 0) -> None:
+def _init_worker(
+    use_cache: bool, cache_size: int, delta_store_size: int = 0, n_jobs: int = 1
+) -> None:
     global _WORKER_STORE
+    split_cores(n_jobs)
     _WORKER_STORE = (
         ActivationCacheStore(
             max_entries=cache_size, delta_store_size=delta_store_size
@@ -492,6 +497,7 @@ class ProcessPoolBackend(ExecutionBackend):
                 config.use_activation_cache,
                 effective_cache_size(plan),
                 plan_delta_store_size(plan),
+                self.n_jobs,
             ),
         ) as pool:
             outcomes = []

@@ -105,6 +105,7 @@ from repro.experiments.shm import (
     reap_segments,
     restore_shared_arrays,
 )
+from repro.nn.parallel import split_cores
 
 #: Process-wide counter giving each runtime a unique segment-name prefix.
 _RUNTIME_SEQ = 0
@@ -129,6 +130,7 @@ def _worker_main(
     delta_store_size: int = 0,
     abort_epoch=None,
     heartbeat_interval: float = 1.0,
+    n_jobs: int = 1,
 ) -> None:
     """The long-lived worker loop: jobs, lifecycle messages, clean stop.
 
@@ -150,7 +152,11 @@ def _worker_main(
     with other workers and share no lock with them, so a SIGKILL at any
     moment — even mid-``send`` — can corrupt or block nobody else; the
     parent just sees this pipe EOF.
+
+    The worker computes on its share of the cores, one of ``n_jobs``
+    (:func:`~repro.nn.parallel.split_cores`).
     """
+    split_cores(n_jobs)
     store = (
         ActivationCacheStore(max_entries=cache_size, delta_store_size=delta_store_size)
         if use_cache
@@ -381,6 +387,7 @@ class PersistentWorkerRuntime:
                 self.delta_store_size,
                 self._abort_epoch,
                 self.heartbeat_interval,
+                self.n_jobs,
             ),
             daemon=True,
             name=f"repro-persistent-{index}",

@@ -8,10 +8,12 @@ import numpy as np
 
 from repro.nn.linear import Linear
 from repro.nn.ops import layer_norm, softmax
+from repro.nn.parallel import run_shared
 
 #: Bytes of float64 scores one block of query rows holds.  About 1 MiB
 #: measured near the fastest block at both 480 tokens (the 96x320 working
-#: size, 273 rows) and 7130 tokens (full KITTI resolution, 18 rows).
+#: size, 273 rows) and 7130 tokens (full KITTI resolution, 18 rows).  Each
+#: thread of a call owns one such buffer, so scores peak at threads x 1 MiB.
 BLOCK_SCORE_BYTES = 1 << 20
 
 
@@ -34,15 +36,25 @@ def attention_rows(
 ) -> np.ndarray:
     """Exact attention ``softmax(query @ keyᵀ / scale) @ value``.
 
-    Inputs are ``(..., tokens, dim)`` with equal leading axes.  For each
-    leading index, one block of :func:`block_rows` query rows at a time is
-    scored into a single reused buffer, scaled and normalised in place
+    Inputs are ``(..., tokens, dim)`` with equal leading axes.  The work is
+    split into independent *units*: one block of :func:`block_rows` query
+    rows of one leading index (image or head).  A unit scores its rows into
+    its thread's one reused buffer, scales and normalises them in place
     (``normalize(block, axis=-1, temperature=scale, out=block)``, the
-    signature of :func:`~repro.nn.ops.softmax`) and multiplied into its
-    output rows, so no (tokens, tokens) score matrix is ever allocated
-    (Rabe & Staats 2021; a full score row is small enough that no online
-    softmax is needed).  Each image's arithmetic depends only on its own
-    token count, so ``attention_rows(stack)[b]`` equals
+    signature of :func:`~repro.nn.ops.softmax`) and multiplies them into
+    its own output rows, so no (tokens, tokens) score matrix is ever
+    allocated (Rabe & Staats 2021; a full score row is small enough that no
+    online softmax is needed).
+
+    Units run on the calling thread plus helper threads that live only for
+    this call (FlashAttention's parallel grid over batch, head and query
+    block; Dao et al. 2022), :func:`~repro.nn.parallel.threads_for` of them:
+    at least two units per thread, at most the process's core share.  Every
+    participating thread runs BLAS on one thread
+    (:func:`~repro.nn.parallel.blas_one_thread`).  Which thread runs a unit
+    never changes its three calls or their operands, so the result is bit
+    for bit the same at any thread count.  Each image's arithmetic depends
+    only on its own token count, so ``attention_rows(stack)[b]`` equals
     ``attention_rows(stack[b])`` bit for bit.
 
     These attention weights are what connect "two arbitrary regions in an
@@ -60,18 +72,23 @@ def attention_rows(
         raise ValueError("query, key and value leading axes differ")
     if not scale > 0:
         raise ValueError(f"scale must be positive, got {scale}")
-    tokens = query.shape[-2]
-    rows = block_rows(tokens, key.shape[-2])
+    tokens, keys = query.shape[-2], key.shape[-2]
+    if keys == 0:
+        raise ValueError("attention over an empty key axis (0 key tokens)")
+    rows = block_rows(tokens, keys)
     output = np.empty(lead + (tokens, value.shape[-1]))
-    scores = np.empty((rows, key.shape[-2]))
-    for index in np.ndindex(lead):
-        q, key_t, v, out = query[index], key[index].T, value[index], output[index]
-        for start in range(0, tokens, rows):
+    units = [(i, start) for i in np.ndindex(lead) for start in range(0, tokens, rows)]
+
+    def run(stream) -> None:
+        scores = np.empty((rows, keys))
+        for index, start in stream:
             stop = min(start + rows, tokens)
             block = scores[: stop - start]
-            np.matmul(q[start:stop], key_t, out=block)
+            np.matmul(query[index][start:stop], key[index].T, out=block)
             normalize(block, axis=-1, temperature=scale, out=block)
-            np.matmul(block, v, out=out[start:stop])
+            np.matmul(block, value[index], out=output[index][start:stop])
+
+    run_shared(run, units)
     return output
 
 

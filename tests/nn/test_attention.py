@@ -6,9 +6,12 @@ for ``weights @ value`` (and so its summation order), so the tolerance is
 set from float64 beforehand: ``rtol=1e-12, atol=1e-14``.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from repro.nn import parallel
 from repro.nn.attention import (
     BLOCK_SCORE_BYTES,
     MultiHeadSelfAttention,
@@ -132,7 +135,9 @@ class TestBatchIndependence:
             first = attention_rows(query[pair], key[pair], value[pair], np.sqrt(8))[0]
             assert np.array_equal(_bits(first), _bits(alone))
 
-    def test_normalize_sees_one_block_of_rows_at_a_time(self):
+    @staticmethod
+    def _spied_blocks(monkeypatch, cores):
+        monkeypatch.setattr(parallel, "_share", cores)
         rng = np.random.default_rng(8)
         tokens = 2 * ROWS + 3
         query = rng.normal(size=(2, tokens, 8))
@@ -144,9 +149,23 @@ class TestBatchIndependence:
             return softmax(block, **kwargs)
 
         spied = attention_rows(query, key, value, 2.0, normalize=spy)
-        assert seen == [(ROWS, KEYS), (ROWS, KEYS), (3, KEYS)] * 2
         plain = attention_rows(query, key, value, 2.0)
         assert np.array_equal(_bits(spied), _bits(plain))
+        return seen
+
+    def test_normalize_sees_one_block_of_rows_at_a_time(self, monkeypatch):
+        """On one thread (a core share of 1) the blocks come in order."""
+        seen = self._spied_blocks(monkeypatch, 1)
+        assert seen == [(ROWS, KEYS), (ROWS, KEYS), (3, KEYS)] * 2
+
+    @pytest.mark.parametrize("cores", [2, 8])
+    def test_normalize_sees_each_block_once_on_several_threads(
+        self, monkeypatch, cores
+    ):
+        """On several threads the blocks' order depends on timing, but each
+        block still comes exactly once, one block of rows at a time."""
+        seen = self._spied_blocks(monkeypatch, cores)
+        assert Counter(seen) == Counter([(ROWS, KEYS), (ROWS, KEYS), (3, KEYS)] * 2)
 
 
 class TestKernelValidation:
@@ -163,6 +182,21 @@ class TestKernelValidation:
     def test_non_positive_scale_rejected(self, scale):
         with pytest.raises(ValueError, match="scale"):
             attention_rows(np.ones((2, 3)), np.ones((2, 3)), np.ones((2, 3)), scale)
+
+    @pytest.mark.parametrize("queries", [3, 0])
+    def test_empty_key_axis_rejected(self, queries):
+        """A softmax over no keys is undefined, with or without queries."""
+        with pytest.raises(ValueError, match="empty key axis"):
+            attention_rows(np.ones((queries, 8)), np.ones((0, 8)), np.ones((0, 3)), 2.0)
+        with pytest.raises(ValueError, match="empty key axis"):
+            stacked = np.ones((2, 0, 8))
+            attention_rows(np.ones((2, queries, 8)), stacked, stacked, 2.0)
+
+    @pytest.mark.parametrize("lead", [(), (2,), (2, 3)])
+    def test_no_queries_give_an_empty_output(self, lead):
+        key, value = np.ones(lead + (4, 8)), np.ones(lead + (4, 3))
+        output = attention_rows(np.ones(lead + (0, 8)), key, value, 2.0)
+        assert output.shape == lead + (0, 3)
 
 
 class TestAttentionSemantics:
