@@ -23,9 +23,6 @@ missed:
   mechanism gate keeps the comparison honest: the journaled sweep must
   restore *zero* jobs (fresh journal directory per repeat), otherwise it
   timed skipped work.
-* **Leak audit**: after the induced worker crash and every ``close()``,
-  no shared-memory segment created by this process may remain in
-  ``/dev/shm``.
 
 Model training is hoisted out of every timed region (the parent builds the
 zoo once; fork workers inherit it copy-on-write).
@@ -70,7 +67,6 @@ from repro.experiments.jobs import (
     build_cached,
 )
 from repro.experiments.persistent import PersistentPoolBackend
-from repro.experiments.shm import list_segments
 from repro.experiments.transfer import (
     build_transfer_attack_plan,
     build_transfer_eval_plan,
@@ -128,7 +124,7 @@ def _eval_fingerprints(report) -> list:
     ]
 
 
-def bench_crash_resume(args, start_method, leak_prefixes, workdir) -> dict:
+def bench_crash_resume(args, start_method, workdir) -> dict:
     """Scenario A: hard-kill a worker mid-plan, resume from the journal."""
     training = bench_training_config()
     dataset = generate_dataset(
@@ -193,8 +189,6 @@ def bench_crash_resume(args, start_method, leak_prefixes, workdir) -> dict:
         finally:
             checkpoint.close()
         resume_seconds = time.perf_counter() - start
-        if backend.runtime is not None:
-            leak_prefixes.append(backend.runtime.segment_prefix)
     finally:
         backend.close()
 
@@ -209,7 +203,7 @@ def bench_crash_resume(args, start_method, leak_prefixes, workdir) -> dict:
     }
 
 
-def bench_checkpoint_overhead(args, start_method, leak_prefixes, workdir) -> dict:
+def bench_checkpoint_overhead(args, start_method, workdir) -> dict:
     """Scenario B: warm evaluation-service rounds, journal on vs off."""
     training = bench_training_config()
     dataset = generate_dataset(
@@ -305,8 +299,6 @@ def bench_checkpoint_overhead(args, start_method, leak_prefixes, workdir) -> dic
             journal_bytes = sum(
                 path.stat().st_size for path in journal_dir.glob("*.jsonl")
             )
-        if backend.runtime is not None:
-            leak_prefixes.append(backend.runtime.segment_prefix)
     finally:
         backend.unpin_models(specs)
         backend.close()
@@ -328,22 +320,14 @@ def bench_checkpoint_overhead(args, start_method, leak_prefixes, workdir) -> dic
 
 def run_benchmark(args) -> dict:
     start_method = "fork" if _fork_available() else None
-    leak_prefixes: list[str] = []
     with tempfile.TemporaryDirectory(prefix="bench-fault-") as tmp:
         workdir = Path(tmp)
         scenarios = {
-            "crash_resume": bench_crash_resume(
-                args, start_method, leak_prefixes, workdir
-            ),
+            "crash_resume": bench_crash_resume(args, start_method, workdir),
             "checkpoint_overhead": bench_checkpoint_overhead(
-                args, start_method, leak_prefixes, workdir
+                args, start_method, workdir
             ),
         }
-    leaked = sorted(
-        segment
-        for prefix in set(leak_prefixes) | {f"rpr{os.getpid()}"}
-        for segment in list_segments(prefix)
-    )
     return {
         "benchmark": "fault-tolerant checkpointed plan execution",
         "image_shape": [BENCH_LENGTH, BENCH_WIDTH, 3],
@@ -352,8 +336,6 @@ def run_benchmark(args) -> dict:
         "cpu_count": os.cpu_count(),
         "start_method": start_method or multiprocessing.get_start_method(),
         "scenarios": scenarios,
-        "runtime_prefixes": sorted(set(leak_prefixes)),
-        "leaked_segments": leaked,
     }
 
 
@@ -396,12 +378,6 @@ def check_gates(report: dict) -> list[str]:
             f"evaluation service ({overhead['checkpointed_wall_seconds']:.2f}s "
             f"vs {overhead['plain_wall_seconds']:.2f}s), ceiling is "
             f"{(OVERHEAD_CEILING - 1.0) * 100:.0f}%"
-        )
-
-    if report["leaked_segments"]:
-        failures.append(
-            "leak audit: shared-memory segments survived the induced crash "
-            "and close(): " + ", ".join(report["leaked_segments"])
         )
     return failures
 

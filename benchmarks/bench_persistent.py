@@ -1,8 +1,8 @@
 """A/B benchmark of the persistent worker runtime against serial execution.
 
 PR 6 replaces the fire-and-forget process pool with a persistent runtime:
-long-lived workers with model-affinity scheduling, shared-memory scene and
-activation payloads, and the serial backend's per-model cache lifecycle.
+long-lived workers with model-affinity scheduling and the serial backend's
+per-model cache lifecycle.
 This benchmark measures the two claims that matter and **fails** (exit 1)
 when a gate is missed:
 
@@ -23,8 +23,6 @@ when a gate is missed:
   timed region for *both* sides, exactly like model training: a service
   pays it once, and timing it would compare process spawn against zero
   instead of steady-state throughput.
-* **Leak audit**: after every persistent backend is closed, no shared
-  memory segment created by this process may remain in ``/dev/shm``.
 
 Model training is hoisted out of every timed region (the parent builds the
 zoo once; fork workers inherit it copy-on-write), so timings compare sweep
@@ -58,7 +56,6 @@ from repro.data.dataset import generate_dataset
 from repro.experiments.engine import SerialBackend, execute_plan
 from repro.experiments.jobs import ModelSpec, build_attack_plan, build_cached
 from repro.experiments.persistent import PersistentPoolBackend
-from repro.experiments.shm import list_segments
 from repro.experiments.transfer import (
     build_transfer_attack_plan,
     build_transfer_eval_plan,
@@ -130,7 +127,7 @@ def _attack_config(args) -> AttackConfig:
     )
 
 
-def bench_attack_plan(args, start_method, leak_prefixes) -> dict:
+def bench_attack_plan(args, start_method) -> dict:
     """Scenario A: one models × images sweep, serial vs persistent."""
     training = bench_training_config()
     dataset = generate_dataset(
@@ -169,8 +166,6 @@ def bench_attack_plan(args, start_method, leak_prefixes) -> dict:
             start = time.perf_counter()
             report = execute_plan(plan, backend)
             wall = time.perf_counter() - start
-            if backend.runtime is not None:
-                leak_prefixes.append(backend.runtime.segment_prefix)
         finally:
             backend.close()
         runs[f"persistent_{workers}"] = {
@@ -189,7 +184,7 @@ def bench_attack_plan(args, start_method, leak_prefixes) -> dict:
     }
 
 
-def bench_warm_eval(args, start_method, leak_prefixes) -> dict:
+def bench_warm_eval(args, start_method) -> dict:
     """Scenario C: rounds of fresh-mask evaluations over pinned warm models.
 
     The repeated-sweep service shape (evaluate incoming masks against a
@@ -268,8 +263,6 @@ def bench_warm_eval(args, start_method, leak_prefixes) -> dict:
             execute_plan(plan, backend) for plan in round_plans[1:]
         ]
         persistent_seconds = time.perf_counter() - start
-        if backend.runtime is not None:
-            leak_prefixes.append(backend.runtime.segment_prefix)
     finally:
         backend.unpin_models(specs)
         backend.close()
@@ -310,16 +303,10 @@ def bench_warm_eval(args, start_method, leak_prefixes) -> dict:
 
 def run_benchmark(args) -> dict:
     start_method = "fork" if _fork_available() else None
-    leak_prefixes: list[str] = []
     scenarios = {
-        "attack_plan": bench_attack_plan(args, start_method, leak_prefixes),
-        "warm_eval": bench_warm_eval(args, start_method, leak_prefixes),
+        "attack_plan": bench_attack_plan(args, start_method),
+        "warm_eval": bench_warm_eval(args, start_method),
     }
-    leaked = sorted(
-        segment
-        for prefix in set(leak_prefixes) | {f"rpr{os.getpid()}"}
-        for segment in list_segments(prefix)
-    )
     return {
         "benchmark": "persistent worker runtime vs serial",
         "image_shape": [BENCH_LENGTH, BENCH_WIDTH, 3],
@@ -329,8 +316,6 @@ def run_benchmark(args) -> dict:
         "start_method": start_method or multiprocessing.get_start_method(),
         "fork_available": _fork_available(),
         "scenarios": scenarios,
-        "runtime_prefixes": sorted(set(leak_prefixes)),
-        "leaked_segments": leaked,
     }
 
 
@@ -348,12 +333,6 @@ def check_gates(report: dict) -> tuple[list[str], list[str]]:
                     f"{scenario_name}/{name}: results differ from the serial "
                     "reference (parity gate)"
                 )
-
-    if report["leaked_segments"]:
-        failures.append(
-            "leak audit: shared-memory segments survived close(): "
-            + ", ".join(report["leaked_segments"])
-        )
 
     # Scenario A: multi-core speed targets for a single cold plan.
     attack_runs = report["scenarios"]["attack_plan"]["runs"]

@@ -58,8 +58,9 @@ class ExperimentConfig:
         ``"serial"`` (always the in-process reference executor, even with
         ``n_jobs > 1``), ``"process"`` (``multiprocessing`` pool of
         ``n_jobs`` workers, each with its own activation-cache store) or
-        ``"persistent"`` (long-lived shared-memory worker runtime of
-        ``n_jobs`` workers; see :mod:`repro.experiments.persistent`).
+        ``"persistent"`` (long-lived worker runtime of ``n_jobs`` workers
+        with model-affinity scheduling; see
+        :mod:`repro.experiments.persistent`).
         Explicit ``n_jobs``/``backend`` arguments to
         :func:`~repro.experiments.runner.run_architecture_comparison`
         override these.

@@ -16,8 +16,9 @@ that execute one:
   they complete and the engine reassembles them into plan order.
 * ``PersistentPoolBackend`` (:mod:`repro.experiments.persistent`) — a pool
   of long-lived workers that survive across ``execute_plan`` calls, with
-  model-affinity scheduling and shared-memory scene tensors.
-  Resolved by name (``"persistent"``) to avoid an import cycle.
+  model-affinity scheduling; like the process pool it ships each job, scene
+  included, by value.  Resolved by name (``"persistent"``) to avoid an
+  import cycle.
 
 Because every job carries its own pre-derived NSGA-II seed (or the shared
 default), and jobs are deterministic given (model specs, image, config,
@@ -322,7 +323,7 @@ class ExecutionBackend(ABC):
             callback(outcome)
 
     def close(self) -> None:
-        """Release backend-held resources (worker processes, shared memory).
+        """Release backend-held resources (worker processes and their pipes).
 
         A no-op for the stateless backends; sweeps that *resolve* a backend
         from a name own it and close it when done, while a caller-provided
@@ -515,8 +516,8 @@ def resolve_backend(
     """Build a backend from a name (or pass an instance through).
 
     ``None`` auto-selects: serial for ``n_jobs == 1``, a process pool
-    otherwise.  ``"persistent"`` builds the long-lived shared-memory
-    worker runtime (lazily imported — it depends on this module).
+    otherwise.  ``"persistent"`` builds the long-lived worker runtime
+    (lazily imported — it depends on this module).
     """
     if isinstance(backend, ExecutionBackend):
         return backend

@@ -1,31 +1,33 @@
-"""Persistent worker runtime with shared-memory scenes and model affinity.
+"""Persistent worker runtime with model affinity.
 
 The one-shot :class:`~repro.experiments.engine.ProcessPoolBackend` loses to
-serial on small machines for three structural reasons: every plan pays pool
-startup, every job pickles its full scene across the pipe, and every worker
-privately rebuilds detectors and ``CleanActivations`` bundles that some
-other worker (or the previous plan stage) already built.  This module keeps
-the engine's contract — bit-identical results to
+serial on small machines for two structural reasons, which this module
+removes: every plan pays pool startup, and every worker privately rebuilds
+detectors and ``CleanActivations`` bundles that some other worker (or the
+previous plan stage) already built.  Both pooled backends pickle each
+job's scene across the pipe; that cost is the same here.  The engine's
+contract holds throughout — bit-identical results to
 :class:`~repro.experiments.engine.SerialBackend` for any plan, worker count
-and submission order — while removing all three costs:
+and submission order:
 
 * **Long-lived workers** (:class:`PersistentWorkerRuntime`): processes
   spawn once and survive across ``execute_plan`` calls, keeping their
   detector memo and activation store warm.  A transfer sweep's
   cross-evaluation stage lands on workers that still hold the attack
   stage's bundles — under the one-shot pool (and serial, which rebuilds
-  its store per ``run()``) that state is rebuilt from scratch.
+  its store per ``run()``) that state is rebuilt from scratch.  Each
+  worker caches bundles in a plain
+  :class:`~repro.detectors.activation_cache.ActivationCacheStore` in its
+  own heap, like serial and ``process`` workers — no other process reads
+  them, and the kernel frees them with the worker.
 * **Model-affinity scheduling**: a job for model M routes to the worker
   already holding M (most-overlap first, least-loaded as the tiebreak and
   fallback), so a model's bundles are built once per *runtime*, not once
   per worker.
-* **Shared-memory scenes**: scene tensors are interned into
-  ``multiprocessing.shared_memory`` segments by the parent
-  (:class:`~repro.experiments.shm.SharedScenePool`) and jobs ship segment
-  refs instead of pickled arrays.  Each worker caches bundles in a plain
-  :class:`~repro.detectors.activation_cache.ActivationCacheStore` in its
-  own heap, like serial and ``process`` workers — no other process reads
-  them, and the kernel frees them with the worker.
+
+Jobs travel by value: each is pickled onto its worker's task queue, so a
+worker receives its own copy of the job's scene (and masks), and a job
+that writes into its scene changes no other job's input.
 
 The runtime also runs the per-model cache lifecycle the serial backend
 applies (and the one-shot pool never did): it tracks remaining jobs per
@@ -57,7 +59,7 @@ The runtime is job-agnostic: anything picklable with a ``job_id`` and an
 ``execute(WorkerContext)`` runs here unchanged.  The streaming sequence
 workload (:class:`~repro.experiments.jobs.SequenceAttackJob`) leans on
 that — it ships only a tiny :class:`~repro.experiments.jobs.SequenceSpec`
-recipe (frames are regenerated in-worker, nothing rides the scene pool),
+recipe (frames are regenerated in-worker, so no pixel crosses the pipe),
 its per-frame bundles live in the worker's activation store under the
 same lifecycle broadcasts, and ``effective_cache_size`` provisions the
 store for each job's rolling ``frame_cache_size`` window so warm frames
@@ -97,17 +99,9 @@ from repro.experiments.jobs import (
     job_model_specs,
     release_detector,
 )
-from repro.experiments.shm import (
-    SharedArrayAttachments,
-    SharedScenePool,
-    extract_shared_arrays,
-    list_segments,
-    reap_segments,
-    restore_shared_arrays,
-)
 from repro.nn.parallel import split_cores
 
-#: Process-wide counter giving each runtime a unique segment-name prefix.
+#: Process-wide counter giving each runtime a unique ``segment_prefix``.
 _RUNTIME_SEQ = 0
 
 __all__ = [
@@ -134,18 +128,19 @@ def _worker_main(
 ) -> None:
     """The long-lived worker loop: jobs, lifecycle messages, clean stop.
 
-    All state a worker accumulates — detector memo, activation store,
-    scene attachments — lives for the whole process and is what makes the
-    runtime pay off across plans.  Messages arrive on a private FIFO
-    queue, so lifecycle broadcasts (invalidate, detach) are ordered
-    against the job stream.
+    All state a worker accumulates — detector memo, activation store —
+    lives for the whole process and is what makes the runtime pay off
+    across plans.  Messages arrive on a private FIFO queue, so lifecycle
+    broadcasts (invalidate, resize) are ordered against the job stream.
+    Each job arrives by value: the worker unpickles its own copy of the
+    job's scene and masks.
 
     ``abort_epoch`` is a shared value the parent bumps when a plan dies;
     queued jobs from an epoch at or below it are skipped without being
-    restored or executed, so an aborted plan's backlog cannot burn minutes
-    of compute producing results nobody will collect.  While the queue is
-    idle the worker emits a heartbeat every ``heartbeat_interval`` seconds
-    — the parent's proof of life when no job traffic is flowing.
+    executed, so an aborted plan's backlog cannot burn minutes of compute
+    producing results nobody will collect.  While the queue is idle the
+    worker emits a heartbeat every ``heartbeat_interval`` seconds — the
+    parent's proof of life when no job traffic is flowing.
 
     ``result_conn`` is this worker's *private* pipe to the parent (this
     process is its only writer): sends are synchronous, never interleave
@@ -162,7 +157,6 @@ def _worker_main(
         if use_cache
         else None
     )
-    attachments = SharedArrayAttachments()
     context = WorkerContext(store=store, worker_id=f"worker-{index}")
     job_counters = {"executed": 0, "skipped_stale": 0}
     while True:
@@ -176,16 +170,15 @@ def _worker_main(
             continue
         kind = message[0]
         if kind == "job":
-            _, epoch, job, refs = message
+            _, epoch, job = message
             if abort_epoch is not None and epoch <= abort_epoch.value:
                 # The plan this job belongs to already died in the parent;
-                # skipping here (before any restore/execute work) is what
-                # makes abort cheap even with deep prefetch backlogs.
+                # skipping here (before any execute work) is what makes
+                # abort cheap even with deep prefetch backlogs.
                 job_counters["skipped_stale"] += 1
                 continue
             job_counters["executed"] += 1
             try:
-                restore_shared_arrays(job, refs, attachments)
                 outcome = job.execute(context)
                 outcome.worker_id = context.worker_id
                 result_conn.send(("done", index, generation, epoch, outcome))
@@ -225,8 +218,6 @@ def _worker_main(
             _, new_size = message
             if store is not None:
                 store.resize(new_size)
-        elif kind == "detach":
-            attachments.close_all()
         elif kind == "stats":
             result_conn.send(
                 (
@@ -240,7 +231,6 @@ def _worker_main(
                 )
             )
         elif kind == "stop":
-            attachments.close_all()
             try:
                 result_conn.send(("stopped", index, generation))
             except (OSError, ValueError):  # pragma: no cover - parent gone
@@ -285,7 +275,9 @@ class PersistentWorkerRuntime:
     prefetch:
         Jobs kept in flight per worker.  Small (default 2) so the per-model
         lifecycle broadcasts interleave with the job stream instead of
-        arriving after a worker's whole plan share is queued.
+        arriving after a worker's whole plan share is queued.  Only
+        in-flight jobs are pickled onto a worker's queue; the rest of its
+        backlog stays in the parent as objects.
     max_crashes_per_job:
         Worker deaths a single job may witness before the runtime raises
         :class:`~repro.experiments.engine.WorkerCrashError` instead of
@@ -349,7 +341,11 @@ class PersistentWorkerRuntime:
 
     @property
     def segment_prefix(self) -> str:
-        """Prefix of every segment this runtime's scene pools create."""
+        """A name prefix unique to this runtime; no segment carries it.
+
+        Kept because ``perfbench``'s sweep workload reads it for its leak
+        audit; the runtime ships jobs by value and creates no shared memory.
+        """
         return self._prefix
 
     def start(self) -> None:
@@ -405,13 +401,13 @@ class PersistentWorkerRuntime:
         )
 
     def close(self) -> None:
-        """Stop every worker and release all shared memory (idempotent)."""
+        """Stop every worker and close its queue and pipe (idempotent)."""
         if self.closed:
             return
         self.closed = True
         # The safety-net registration from __init__ would otherwise pin
-        # this runtime (workers, queues, segments and all) until
-        # interpreter exit — a real leak for apps cycling many runtimes.
+        # this runtime (workers, queues and all) until interpreter exit —
+        # a real leak for apps cycling many runtimes.
         atexit.unregister(self.close)
         if not self.started:
             return
@@ -426,19 +422,7 @@ class PersistentWorkerRuntime:
             if worker.process.is_alive():  # pragma: no cover - stuck worker
                 worker.process.terminate()
                 worker.process.join(timeout=5.0)
-            try:
-                worker.task_queue.close()
-            except (OSError, ValueError):  # pragma: no cover
-                pass
-            if worker.reader is not None:
-                try:
-                    worker.reader.close()
-                except (OSError, ValueError):  # pragma: no cover
-                    pass
-                worker.reader = None
-        # Each scene pool unlinks its segments when its plan ends; reaping
-        # the runtime prefix is the backstop for one that did not.
-        reap_segments(self._prefix)
+            self._reap_worker(worker)
         self._workers = []
 
     def resize_cache(self, max_entries: int) -> None:
@@ -455,15 +439,6 @@ class PersistentWorkerRuntime:
         if self.started:
             for worker in self._workers:
                 worker.task_queue.put(("resize", max_entries))
-
-    def leaked_segments(self) -> list[str]:
-        """Live segments under this runtime's prefix.
-
-        Only scene pools create them, and a pool lives for one
-        :meth:`execute` call, so this is ``[]`` whenever no plan is
-        executing — warm caches included — and always after :meth:`close`.
-        """
-        return list_segments(self._prefix)
 
     # -- model pinning ------------------------------------------------------
     def pin_models(self, specs: Sequence) -> None:
@@ -505,9 +480,12 @@ class PersistentWorkerRuntime:
     def _fill(self, worker: _WorkerHandle, epoch: int) -> None:
         """Top the worker's in-flight window up from its backlog."""
         while worker.backlog and len(worker.inflight) < self.prefetch:
-            job_id, slim, refs = worker.backlog.popleft()
-            worker.inflight[job_id] = (slim, refs)
-            worker.task_queue.put(("job", epoch, slim, refs))
+            job_id, job = worker.backlog.popleft()
+            worker.inflight[job_id] = job
+            # ``put`` pickles in the queue's feeder thread after it returns,
+            # so the worker's copy is only as stable as the job object:
+            # nothing in the parent edits a job once it is dispatched.
+            worker.task_queue.put(("job", epoch, job))
 
     # -- execution ----------------------------------------------------------
     def execute(self, jobs: Sequence, on_outcome=None) -> list[JobOutcome]:
@@ -524,7 +502,6 @@ class PersistentWorkerRuntime:
         self._epoch += 1
         epoch = self._epoch
         jobs = list(jobs)
-        scene_pool = SharedScenePool(prefix=f"{self._prefix}s{epoch}")
 
         for worker in self._workers:
             worker.assigned = 0
@@ -540,9 +517,8 @@ class PersistentWorkerRuntime:
                 remaining[spec] = remaining.get(spec, 0) + 1
 
         for job in jobs:
-            slim, refs = extract_shared_arrays(job, scene_pool)
             worker = self._pick_worker(job)
-            worker.backlog.append((job.job_id, slim, refs))
+            worker.backlog.append((job.job_id, job))
             worker.assigned += 1
             worker.models.update(job_model_specs(job))
 
@@ -579,13 +555,6 @@ class PersistentWorkerRuntime:
         except BaseException:
             self._abort()
             raise
-        finally:
-            for worker in self._workers:
-                try:
-                    worker.task_queue.put(("detach",))
-                except (OSError, ValueError):  # pragma: no cover
-                    pass
-            scene_pool.close()
         return [outcomes[job.job_id] for job in jobs]
 
     def _finish_models(self, specs, remaining: dict) -> None:
@@ -683,16 +652,21 @@ class PersistentWorkerRuntime:
         # Re-dispatch in-flight jobs first, then the untouched backlog; the
         # fresh process holds no models, so its affinity set restarts from
         # what it is about to run.
-        for job_id, (slim, refs) in worker.inflight.items():
-            replacement.backlog.append((job_id, slim, refs))
+        replacement.backlog.extend(worker.inflight.items())
         replacement.backlog.extend(worker.backlog)
         replacement.assigned = worker.assigned
-        for job_id, slim, refs in replacement.backlog:
-            replacement.models.update(job_model_specs(slim))
+        for _, job in replacement.backlog:
+            replacement.models.update(job_model_specs(job))
         self._fill(replacement, epoch)
 
     def _reap_worker(self, worker: _WorkerHandle) -> None:
+        """Join an exited worker and close its task queue and result pipe."""
         worker.process.join(timeout=1.0)
+        # A worker that died never reads the rest of its queue, so a job
+        # bigger than the pipe buffer leaves the queue's feeder thread
+        # blocked in its write for good; joining that thread at interpreter
+        # exit would then hang.
+        worker.task_queue.cancel_join_thread()
         try:
             worker.task_queue.close()
         except (OSError, ValueError):  # pragma: no cover

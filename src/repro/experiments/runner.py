@@ -225,7 +225,7 @@ def run_architecture_comparison(
         release_plan_models(plan)
         if owns_backend:
             # Resolved from a name: this sweep owns the backend and its
-            # resources (persistent workers, shared memory).  A caller-
+            # resources (worker processes and their pipes).  A caller-
             # provided instance stays alive for the caller to reuse.
             engine_backend.close()
 

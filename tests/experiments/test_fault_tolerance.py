@@ -10,9 +10,9 @@ plan in :mod:`fault_plan` (tiny geometry, deterministic outcomes):
 * a **transient job failure** on the one-shot process pool — resume and
   in-run retry both recover;
 * the **parent process** SIGKILLed mid-plan (both pooled backends,
-  ``n_jobs`` ∈ {2, 4}) — a fresh process resumes from the journal and the
-  final report is bit-identical to an uninterrupted serial run;
-* every scenario leaves **zero shared-memory segments** behind.
+  ``n_jobs`` ∈ {2, 4}) — it leaves no shared-memory segment behind, a
+  fresh process resumes from the journal and the final report is
+  bit-identical to an uninterrupted serial run.
 """
 
 import os
@@ -44,7 +44,7 @@ from repro.experiments.engine import (
     execute_plan,
 )
 from repro.experiments.persistent import PersistentPoolBackend
-from repro.experiments.shm import list_segments, reap_segments
+from repro.experiments.shm import list_segments
 
 
 @pytest.fixture(scope="module")
@@ -106,7 +106,6 @@ class TestWorkerDeathResume:
                 execute_plan(
                     faulty, backend, checkpoint=PlanCheckpoint(tmp_path)
                 )
-            prefix = backend.runtime.segment_prefix
             resumed = execute_plan(
                 faulty, backend, checkpoint=PlanCheckpoint(tmp_path)
             )
@@ -114,7 +113,6 @@ class TestWorkerDeathResume:
             backend.close()
         assert resumed.journal_hits >= 1
         assert _fingerprints(resumed) == serial_fingerprints
-        assert list_segments(prefix) == []
 
     def test_worker_kill_absorbed_by_retry_policy(
         self, plan, serial_fingerprints, tmp_path
@@ -130,12 +128,10 @@ class TestWorkerDeathResume:
                 checkpoint=PlanCheckpoint(tmp_path),
                 retry=RetryPolicy(max_retries=2),
             )
-            prefix = backend.runtime.segment_prefix
         finally:
             backend.close()
         assert report.retries >= 1
         assert _fingerprints(report) == serial_fingerprints
-        assert list_segments(prefix) == []
 
 
 class TestTransientFailureResume:
@@ -245,9 +241,8 @@ class TestParentDeathResume:
             if child.poll() is None:  # pragma: no cover - cleanup backstop
                 os.killpg(child.pid, signal.SIGKILL)
                 child.wait(timeout=30)
-        # A SIGKILLed parent cannot clean its shared memory; the resuming
-        # process reaps the dead runtime's segments by name prefix.
-        reap_segments(f"rpr{child.pid}")
+        # A SIGKILLed parent cleans nothing up, and it has nothing to:
+        # jobs travel by value, so no shared-memory segment outlives it.
         assert list_segments(f"rpr{child.pid}") == []
         assert journaled >= 1
 

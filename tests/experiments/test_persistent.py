@@ -1,6 +1,6 @@
-"""Persistent-runtime parity, lifecycle, failure-recovery and shm tests.
+"""Persistent-runtime parity, lifecycle, failure-recovery and transport tests.
 
-The persistent backend's contract has three layers, each enforced here:
+The persistent backend's contract has four layers, each enforced here:
 
 1. **Parity** — bit-identical results to ``SerialBackend`` for any worker
    count, submission order and seed derivation mode (the engine contract).
@@ -9,12 +9,18 @@ The persistent backend's contract has three layers, each enforced here:
    multi-stage sweeps keep their bundles warm between stages.
 3. **Failure** — a raising job surfaces a :class:`JobExecutionError` and
    broadcasts an abort-epoch so queued stale jobs are skipped, a killed
-   worker is reaped and replaced without corrupting shared memory (the
-   slot always holds a live replacement, even on the poison path), idle
-   liveness is policed through heartbeats, and no segment survives
-   ``close()``.
+   worker is reaped and replaced (the slot always holds a live
+   replacement, even on the poison path), idle liveness is policed through
+   heartbeats, and no worker outlives ``close()``.
+4. **Transport** — jobs travel by value, so a job that writes into its
+   scene changes no other job's input, and neither the parent nor a
+   worker imports ``multiprocessing.shared_memory``; two sweeps in one
+   interpreter print no resource-tracker errors.
 """
 
+import hashlib
+import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -45,14 +51,6 @@ from repro.experiments.persistent import (
     PersistentPoolBackend,
     PersistentWorkerRuntime,
     WorkerCrashError,
-)
-from repro.experiments.shm import (
-    SHARE_MIN_BYTES,
-    SharedArrayAttachments,
-    SharedScenePool,
-    extract_shared_arrays,
-    list_segments,
-    restore_shared_arrays,
 )
 from repro.nsga.algorithm import NSGAConfig
 
@@ -200,10 +198,41 @@ class _SleepJob:
         return JobOutcome(job_id=self.job_id, result="slept")
 
 
-class _ArrayCarrier:
-    def __init__(self, job_id: int, image):
+class _SceneDigestJob:
+    """Digests its scene, optionally after overwriting it with zeros."""
+
+    def __init__(self, job_id: int, image, scribble: bool = False):
         self.job_id = job_id
         self.image = image
+        self.scribble = scribble
+
+    def execute(self, context):
+        if self.scribble:
+            self.image[...] = 0.0
+        return JobOutcome(job_id=self.job_id, result=_digest(self.image))
+
+
+def _digest(array) -> str:
+    return hashlib.blake2b(array.tobytes(), digest_size=16).hexdigest()
+
+
+def _run_fresh_interpreter(script: str) -> subprocess.CompletedProcess:
+    """Run ``script`` in a new interpreter that imports this checkout's repro."""
+    import repro
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(repro.__file__).resolve().parents[1])]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    return subprocess.run(
+        [sys.executable, "-c", script],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+        check=True,
+    )
 
 
 # --- parity ------------------------------------------------------------------
@@ -390,8 +419,6 @@ class TestModelLifecycle:
             execute_plan(plan, backend)
             pinned_stats = backend.runtime.worker_cache_stats()
             assert sum(p["entries"] for p in pinned_stats.values()) > 0
-            # Warm worker bundles live in private memory, not in segments.
-            assert list_segments(backend.runtime.segment_prefix) == []
             backend.unpin_models(specs)
             unpinned_stats = backend.runtime.worker_cache_stats()
             assert sum(p["entries"] for p in unpinned_stats.values()) == 0
@@ -447,10 +474,8 @@ class TestFailureHandling:
             assert report.outcomes[1].result == "survived"
             runtime = backend.runtime
             assert runtime.workers_respawned >= 1
-            prefix = runtime.segment_prefix
         finally:
             backend.close()
-        assert list_segments(prefix) == []  # reaped worker leaked nothing
 
     def test_poison_job_raises_worker_crash_error(self):
         plan = ExperimentPlan(
@@ -490,10 +515,8 @@ class TestFailureHandling:
             )
             report = execute_plan(healthy, backend)
             assert [o.result for o in report.outcomes] == [1, 4, 9, 16]
-            prefix = runtime.segment_prefix
         finally:
             backend.close()
-        assert list_segments(prefix) == []
 
     def test_abort_epoch_skips_stale_queued_jobs(self):
         """After a JobExecutionError aborts a plan, jobs of that plan still
@@ -550,7 +573,9 @@ class TestFailureHandling:
         finally:
             backend.close()
 
-    def test_close_leaves_no_shared_memory(self, training, dataset):
+    def test_close_leaves_no_worker_alive(self, training, dataset):
+        """``close()`` stops every worker: each exits cleanly on the stop
+        message and is joined, so none outlives the runtime."""
         plan = build_attack_plan(
             architectures=("yolo",),
             seeds=SEEDS,
@@ -561,9 +586,12 @@ class TestFailureHandling:
         backend = PersistentPoolBackend(n_jobs=2)
         report = execute_plan(plan, backend)
         assert len(report.outcomes) == 1
-        prefix = backend.runtime.segment_prefix
+        processes = [worker.process for worker in backend.runtime._workers]
+        assert len(processes) == 2
+        assert all(process.is_alive() for process in processes)
         backend.close()
-        assert list_segments(prefix) == []
+        assert not any(process.is_alive() for process in processes)
+        assert [process.exitcode for process in processes] == [0, 0]
 
 
 # --- runtime bookkeeping -----------------------------------------------------
@@ -610,95 +638,262 @@ class TestRuntimeBookkeeping:
             runtime.close()
 
 
-# --- shared-memory plumbing --------------------------------------------------
+# --- transport ---------------------------------------------------------------
+
+#: Probe run in a fresh interpreter: a 2-worker persistent transfer sweep
+#: (scene plus int16 masks) and a compare plan, each against serial, then
+#: one probe job per worker reporting which watched modules it has loaded.
+#: A fork hook records which of them the parent held at each fork.
+_IMPORT_PROBE = """
+import json, os, sys
+
+WATCHED = ("multiprocessing.shared_memory", "multiprocessing.resource_tracker")
+at_fork = []
+os.register_at_fork(
+    before=lambda: at_fork.append([name for name in WATCHED if name in sys.modules])
+)
+
+from repro.core.config import AttackConfig
+from repro.core.regions import HalfImageRegion
+from repro.data.dataset import generate_dataset
+from repro.detectors.training import TrainingConfig
+from repro.experiments.engine import SerialBackend, execute_plan
+from repro.experiments.jobs import (
+    ExperimentPlan, JobOutcome, ModelSpec, build_attack_plan,
+)
+from repro.experiments.persistent import PersistentPoolBackend
+from repro.experiments.transfer import run_transferability_experiment
+from repro.nsga.algorithm import NSGAConfig
 
 
-class TestSharedMemoryPlumbing:
-    def test_scene_pool_interns_by_content(self):
-        pool = SharedScenePool(prefix="tpool1")
-        try:
-            image = np.arange(SHARE_MIN_BYTES, dtype=np.float64)
-            first = pool.share(image)
-            second = pool.share(image.copy())
-            assert first == second
-            assert len(pool) == 1
-            assert pool.share(image + 1.0) != first
-            assert len(pool) == 2
-            assert len(list_segments("tpool1")) == 2
-        finally:
-            pool.close()
-        assert list_segments("tpool1") == []
+class ProbeJob:
+    def __init__(self, job_id):
+        self.job_id = job_id
 
-    def test_extract_restore_roundtrip(self):
-        pool = SharedScenePool(prefix="tpool2")
-        attachments = SharedArrayAttachments()
-        try:
-            image = np.random.default_rng(0).uniform(
-                0, 255, size=(LENGTH, WIDTH, 3)
-            )
-            job = _ArrayCarrier(0, image)
-            slim, refs = extract_shared_arrays(job, pool)
-            assert slim is not job and job.image is image  # original untouched
-            assert slim.image is None and set(refs) == {"image"}
-            restore_shared_arrays(slim, refs, attachments)
-            assert np.array_equal(slim.image, image)
-            assert not slim.image.flags.writeable
-            # Second restore of the same segment reuses the attachment.
-            assert restore_shared_arrays(
-                _ArrayCarrier(1, None), refs, attachments
-            ).image is slim.image
-            assert len(attachments) == 1
-        finally:
-            attachments.close_all()
-            pool.close()
+    def execute(self, context):
+        loaded = [name for name in WATCHED if name in sys.modules]
+        return JobOutcome(job_id=self.job_id, result=loaded)
 
-    def test_small_arrays_stay_in_the_job(self):
-        pool = SharedScenePool(prefix="tpool3")
-        try:
-            job = _ArrayCarrier(0, np.zeros(4))
-            slim, refs = extract_shared_arrays(job, pool)
-            assert slim is job and refs == {}
-            assert len(pool) == 0
-        finally:
-            pool.close()
 
-    def test_leaked_segments_names_open_scene_segments(self):
-        """Scene pools are the only segment owners under a runtime's
-        prefix: ``leaked_segments`` names a pool's segment while the pool
-        is open and nothing once it closes."""
-        runtime = PersistentWorkerRuntime(n_jobs=1)
-        pool = SharedScenePool(prefix=f"{runtime.segment_prefix}s0")
-        try:
-            assert runtime.leaked_segments() == []
-            ref = pool.share(np.arange(SHARE_MIN_BYTES, dtype=np.float64))
-            assert runtime.leaked_segments() == [ref.segment]
-        finally:
-            pool.close()
-            runtime.close()
-        assert runtime.leaked_segments() == []
+training = TrainingConfig(
+    scenes_per_class=2, image_length=48, image_width=96, background_clusters=12
+)
+dataset = generate_dataset(
+    num_images=2, seed=5, image_length=48, image_width=96, half="left"
+)
+config = AttackConfig(
+    nsga=NSGAConfig(num_iterations=2, population_size=4, seed=7),
+    region=HalfImageRegion("right"),
+)
+specs = [ModelSpec("yolo", 1, training=training), ModelSpec("detr", 1, training=training)]
+compare = build_attack_plan(
+    architectures=("yolo", "detr"), seeds=(1,), dataset=dataset,
+    attack_config=config, training=training,
+)
+probe = ExperimentPlan(jobs=[ProbeJob(0), ProbeJob(1)], attack_config=config, name="probe")
 
-    def test_runtime_import_loads_the_shared_memory_modules(self):
-        """Workers fork from a parent that already holds both modules, so
-        none imports them after the fork — where an import lock inherited
-        from another thread's half-done import would deadlock it."""
-        import repro
 
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(Path(repro.__file__).resolve().parents[1])]
-            + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+def transfer_bytes(result):
+    return [result.matrix.tobytes()] + [mask.tobytes() for mask in result.best_masks]
+
+
+backend = PersistentPoolBackend(n_jobs=2)
+try:
+    transfer = run_transferability_experiment(
+        specs, dataset[0].image, config, backend=backend
+    )
+    swept = execute_plan(compare, backend)
+    probed = execute_plan(probe, backend)
+finally:
+    backend.close()
+serial_transfer = run_transferability_experiment(
+    specs, dataset[0].image, config, backend=SerialBackend()
+)
+serial_swept = execute_plan(compare, SerialBackend())
+print(json.dumps({
+    "parent": [name for name in WATCHED if name in sys.modules],
+    "at_fork": at_fork,
+    "workers": {o.worker_id: o.result for o in probed.outcomes},
+    "mask_dtypes": sorted({str(mask.dtype) for mask in transfer.best_masks}),
+    "transfer_matches_serial": transfer_bytes(transfer) == transfer_bytes(serial_transfer),
+    "compare_matches_serial": [o.result.fingerprint() for o in swept.outcomes]
+    == [o.result.fingerprint() for o in serial_swept.outcomes],
+}))
+"""
+
+#: Two 2-worker persistent sweeps in one fresh interpreter, over 48x96
+#: float64 scenes (110 KB each, far above any pickling threshold).
+_TWO_SWEEPS = """
+from repro.core.config import AttackConfig
+from repro.core.regions import HalfImageRegion
+from repro.data.dataset import generate_dataset
+from repro.detectors.training import TrainingConfig
+from repro.experiments.engine import execute_plan
+from repro.experiments.jobs import build_attack_plan
+from repro.experiments.persistent import PersistentPoolBackend
+from repro.nsga.algorithm import NSGAConfig
+
+plan = build_attack_plan(
+    architectures=("yolo", "detr"),
+    seeds=(1,),
+    dataset=generate_dataset(
+        num_images=2, seed=5, image_length=48, image_width=96, half="left"
+    ),
+    attack_config=AttackConfig(
+        nsga=NSGAConfig(num_iterations=1, population_size=4, seed=7),
+        region=HalfImageRegion("right"),
+    ),
+    training=TrainingConfig(
+        scenes_per_class=2, image_length=48, image_width=96, background_clusters=12
+    ),
+)
+assert plan.jobs[0].image.nbytes >= 16 * 1024
+for sweep in range(2):
+    backend = PersistentPoolBackend(n_jobs=2)
+    try:
+        assert len(execute_plan(plan, backend).outcomes) == len(plan.jobs)
+    finally:
+        backend.close()
+print("swept twice")
+"""
+
+
+#: One worker, two jobs over one 737 KB scene: the first zeroes its copy
+#: and kills its worker before the second is read off the task queue.
+_RESPAWN_AFTER_SCRIBBLE = """
+import hashlib, json, os, tempfile
+
+import numpy as np
+
+from repro.core.config import AttackConfig
+from repro.experiments.engine import execute_plan
+from repro.experiments.jobs import ExperimentPlan, JobOutcome
+from repro.experiments.persistent import PersistentPoolBackend
+
+SENTINEL = os.path.join(tempfile.mkdtemp(), "died-once")
+
+
+def digest(array):
+    return hashlib.blake2b(array.tobytes(), digest_size=16).hexdigest()
+
+
+class SceneJob:
+    def __init__(self, job_id, image, die_once):
+        self.job_id = job_id
+        self.image = image
+        self.die_once = die_once
+
+    def execute(self, context):
+        if self.die_once and not os.path.exists(SENTINEL):
+            self.image[...] = 0.0
+            open(SENTINEL, "w").close()
+            os._exit(13)
+        return JobOutcome(job_id=self.job_id, result=digest(self.image))
+
+
+image = np.random.default_rng(1).uniform(0, 255, size=(96, 320, 3))
+original = digest(image)
+plan = ExperimentPlan(
+    jobs=[SceneJob(0, image, True), SceneJob(1, image, False)],
+    attack_config=AttackConfig(),
+    name="respawn-by-value",
+)
+backend = PersistentPoolBackend(n_jobs=1)
+try:
+    report = execute_plan(plan, backend)
+    respawned = backend.runtime.workers_respawned
+finally:
+    backend.close()
+print(json.dumps({
+    "original": original,
+    "digests": [o.result for o in report.outcomes],
+    "parent_after": digest(image),
+    "respawned": respawned,
+}))
+"""
+
+
+class TestTransport:
+    def test_jobs_travel_by_value(self):
+        """A job that writes into its scene changes no other job's input:
+        the second job over the same parent array sees the parent's bytes
+        on the same worker."""
+        image = np.random.default_rng(0).uniform(0, 255, size=(LENGTH, WIDTH, 3))
+        original = _digest(image)
+        plan = ExperimentPlan(
+            jobs=[
+                _SceneDigestJob(0, image, scribble=True),
+                _SceneDigestJob(1, image),
+            ],
+            attack_config=_toy_config(),
+            name="by-value",
         )
-        check = (
-            "import sys, repro.experiments.persistent; "
-            "print('multiprocessing.shared_memory' in sys.modules, "
-            "'multiprocessing.resource_tracker' in sys.modules)"
+        backend = PersistentPoolBackend(n_jobs=1)
+        try:
+            report = execute_plan(plan, backend)
+        finally:
+            backend.close()
+        assert [o.worker_id for o in report.outcomes] == ["worker-0", "worker-0"]
+        assert report.outcomes[0].result == _digest(np.zeros_like(image))
+        assert report.outcomes[1].result == original
+        assert _digest(image) == original
+
+    def test_respawn_redispatches_the_parents_bytes(self):
+        """A worker that scribbles on its scene and dies takes its copy with
+        it: the replacement receives the parent's unchanged jobs.  The job
+        queued behind it is bigger than the pipe buffer, so the dead
+        worker's queue is left with a write in flight; the interpreter must
+        still exit."""
+        result = _run_fresh_interpreter(_RESPAWN_AFTER_SCRIBBLE)
+        report = json.loads(result.stdout.strip().splitlines()[-1])
+        assert report["respawned"] >= 1
+        assert report["digests"] == [report["original"]] * 2
+        assert report["parent_after"] == report["original"]
+
+    def test_list_segments_filters_by_prefix(self, tmp_path, monkeypatch):
+        """The leak-audit helper kept for the benchmark names the entries
+        under a prefix, sorted, and finds nothing without a directory."""
+        from repro.experiments import shm
+
+        for name in ("rpr7x0s1n1", "rpr7x0s1n0", "rpr71x0s1n0", "other"):
+            (tmp_path / name).touch()
+        monkeypatch.setattr(shm, "SHM_DIR", str(tmp_path))
+        assert shm.list_segments("rpr7x") == ["rpr7x0s1n0", "rpr7x0s1n1"]
+        assert shm.list_segments("rps") == []
+        monkeypatch.setattr(shm, "SHM_DIR", str(tmp_path / "missing"))
+        assert shm.list_segments("rpr7x") == []
+
+    @pytest.mark.skipif(
+        multiprocessing.get_all_start_methods()[0] != "fork",
+        reason="the fork hook sees worker starts only under the fork method",
+    )
+    def test_no_shared_memory_import_in_parent_or_workers(self):
+        """Workers fork from the parent, and a worker that imports a module
+        after its fork can block on an import lock inherited from another
+        parent thread.  So the parent never imports ``shared_memory``, and a
+        watched module the parent lacked at fork time stays out of every
+        worker — through a transfer sweep (scene plus int16 masks) and a
+        compare plan, both equal to serial."""
+        report = json.loads(
+            _run_fresh_interpreter(_IMPORT_PROBE).stdout.strip().splitlines()[-1]
         )
-        result = subprocess.run(
-            [sys.executable, "-c", check],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=120,
-            check=True,
-        )
-        assert result.stdout.split() == ["True", "True"]
+        assert report["transfer_matches_serial"] is True
+        assert report["compare_matches_serial"] is True
+        assert report["mask_dtypes"] == ["int16"]
+        assert "multiprocessing.shared_memory" not in report["parent"]
+        assert len(report["at_fork"]) >= 2  # both workers forked
+        held_at_fork = {name for names in report["at_fork"] for name in names}
+        assert "multiprocessing.shared_memory" not in held_at_fork
+        assert set(report["workers"]) == {"worker-0", "worker-1"}
+        for loaded in report["workers"].values():
+            assert set(loaded) <= held_at_fork
+
+    def test_second_sweep_prints_no_resource_tracker_errors(self):
+        """Two 2-worker persistent sweeps over 110 KB scenes in one
+        interpreter: no traceback, no ``KeyError`` and no leaked
+        ``shared_memory`` warning reach stderr."""
+        result = _run_fresh_interpreter(_TWO_SWEEPS)
+        assert result.stdout.strip().splitlines()[-1] == "swept twice"
+        assert "Traceback" not in result.stderr
+        assert "KeyError" not in result.stderr
+        assert "leaked shared_memory" not in result.stderr

