@@ -4,7 +4,8 @@ PR 5 rebuilt the transferability and defense evaluations as declarative
 plans over the generic experiment engine.  This benchmark runs both sweeps
 
 * on the in-process ``SerialBackend`` (the reference executor),
-* on ``ProcessPoolBackend`` at each requested worker count (default 2, 4),
+* on ``PersistentPoolBackend`` at each requested worker count (default 2,
+  4), a fresh pool per run (its start-up is timed),
 * and (transfer only) through the preserved pre-engine reference loop,
 
 verifies that every run is **bit-identical** (parity is a hard gate on
@@ -20,7 +21,7 @@ gate is missed:
 * ≥ 4 cores: the 4-worker pooled sweeps must reach 2x over serial.
 
 Speed gates are recorded but skipped on machines with fewer cores than
-workers (mirroring ``bench_parallel.py``); the JSON records ``cpu_count``
+workers (mirroring ``bench_persistent.py``); the JSON records ``cpu_count``
 so CI results are interpretable.  Model training is hoisted out of the
 timed region (the parent pre-builds the models once; ``fork`` workers
 inherit them copy-on-write).
@@ -52,15 +53,15 @@ from repro.data.dataset import generate_dataset
 from repro.defenses.augmentation import NoiseAugmentationConfig
 from repro.defenses.evaluation import evaluate_defense, evaluate_defense_reference
 from repro.defenses.jobs import DefendedModelSpec
-from repro.experiments.engine import ProcessPoolBackend
 from repro.experiments.jobs import ModelSpec, build_cached
+from repro.experiments.persistent import PersistentPoolBackend
 from repro.experiments.transfer import (
     run_transferability_experiment,
     run_transferability_reference,
 )
 from repro.nsga.algorithm import NSGAConfig
 
-#: Ratio tolerance for "must not be slower" gates — pool startup, IPC and
+#: Ratio tolerance for "must not be slower" gates — pool start-up, IPC and
 #: timer noise cost a few percent on small CI sweeps.
 EQUAL_SPEED_TOLERANCE = 0.95
 
@@ -107,6 +108,15 @@ def _timed(fn, repeats: int = 1):
         result = fn()
         best = min(best, time.perf_counter() - start)
     return result, best
+
+
+def _on_fresh_pool(sweep, workers: int, start_method):
+    """Run ``sweep(backend)`` on a new persistent pool, then close the pool."""
+    backend = PersistentPoolBackend(n_jobs=workers, start_method=start_method)
+    try:
+        return sweep(backend)
+    finally:
+        backend.close()
 
 
 def run_benchmark(args) -> dict:
@@ -183,17 +193,21 @@ def run_benchmark(args) -> dict:
     }
     for workers in args.workers:
         pooled, wall = _timed(
-            lambda: run_transferability_experiment(
-                transfer_specs,
-                sample.image,
-                attack_config,
-                n_jobs=workers,
-                backend=ProcessPoolBackend(n_jobs=workers, start_method=start_method),
-                release_models=False,
+            lambda: _on_fresh_pool(
+                lambda backend: run_transferability_experiment(
+                    transfer_specs,
+                    sample.image,
+                    attack_config,
+                    n_jobs=workers,
+                    backend=backend,
+                    release_models=False,
+                ),
+                workers,
+                start_method,
             )
         )
-        transfer_runs[f"pool_{workers}"] = {
-            "backend": "process",
+        transfer_runs[f"persistent_{workers}"] = {
+            "backend": "persistent",
             "n_jobs": workers,
             "wall_seconds": wall,
             "speedup_vs_serial": serial_seconds / wall if wall > 0 else float("inf"),
@@ -234,17 +248,21 @@ def run_benchmark(args) -> dict:
     }
     for workers in args.workers:
         pooled, wall = _timed(
-            lambda: evaluate_defense(
-                undefended,
-                defended,
-                *defense_args,
-                n_jobs=workers,
-                backend=ProcessPoolBackend(n_jobs=workers, start_method=start_method),
-                release_models=False,
+            lambda: _on_fresh_pool(
+                lambda backend: evaluate_defense(
+                    undefended,
+                    defended,
+                    *defense_args,
+                    n_jobs=workers,
+                    backend=backend,
+                    release_models=False,
+                ),
+                workers,
+                start_method,
             )
         )
-        defense_runs[f"pool_{workers}"] = {
-            "backend": "process",
+        defense_runs[f"persistent_{workers}"] = {
+            "backend": "persistent",
             "n_jobs": workers,
             "wall_seconds": wall,
             "speedup_vs_serial": serial_seconds / wall if wall > 0 else float("inf"),
@@ -291,7 +309,7 @@ def check_gates(report: dict) -> tuple[list[str], list[str]]:
 
         serial_seconds = serial["wall_seconds"]
         for name, run in runs.items():
-            if run["backend"] != "process" or not run["parity"]:
+            if run["backend"] != "persistent" or not run["parity"]:
                 continue
             workers = run["n_jobs"]
             speedup = run["speedup_vs_serial"]

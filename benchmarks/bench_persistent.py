@@ -1,18 +1,18 @@
 """A/B benchmark of the persistent worker runtime against serial execution.
 
-PR 6 replaces the fire-and-forget process pool with a persistent runtime:
-long-lived workers with model-affinity scheduling and the serial backend's
-per-model cache lifecycle.
-This benchmark measures the two claims that matter and **fails** (exit 1)
-when a gate is missed:
+The persistent runtime is the repo's one pooled backend: long-lived workers
+pulling jobs from one plan-ordered queue, with the serial backend's
+per-model cache lifecycle.  This benchmark measures the two claims that
+matter and **fails** (exit 1) when a gate is missed:
 
-* **Scenario A — one attack plan** (models × images sweep): serial vs the
-  persistent backend at each requested worker count.  Parity is a hard
-  gate on every machine; on multi-core hardware the 2-worker run must not
-  be slower than serial and the 4-worker run must reach 2x (the PR 4
-  targets, now for the persistent backend).
-* **Scenario C — warm evaluation service**: the workload the one-shot pool
-  structurally loses: repeated rounds of transfer-evaluation plans (fresh
+* **Scenario A — one attack plan** (models × images sweep: yolo + detr ×
+  2 models × 2 scenes of dataset seed 11, 6 generations × 12, experiment
+  seed 2023): serial vs the persistent backend at each requested worker
+  count.  Parity is a hard gate on every machine; on ≥ 2 cores the
+  2-worker run must reach 0.95x serial, and on ≥ 4 cores the 4-worker run
+  must reach 2x.
+* **Scenario C — warm evaluation service**: the workload a pool that
+  restarts per plan structurally loses: repeated rounds of transfer-evaluation plans (fresh
   masks each round) over the *same pinned models and scene*.  Serial
   rebuilds its activation store every round; persistent workers keep the
   bundles warm across rounds, so in the service's steady state **even one
@@ -22,7 +22,10 @@ when a gate is missed:
   (worker spawn + the first round's bundle builds) is hoisted out of the
   timed region for *both* sides, exactly like model training: a service
   pays it once, and timing it would compare process spawn against zero
-  instead of steady-state throughput.
+  instead of steady-state throughput.  Its timed region is short (about
+  0.7 s on a 2-core VM), and there its speed-up read 0.95–1.73x over seven
+  runs of the same code, so one failing run of this gate says little;
+  repeat it before reading a regression into it.
 
 Model training is hoisted out of every timed region (the parent builds the
 zoo once; fork workers inherit it copy-on-write), so timings compare sweep

@@ -59,9 +59,9 @@ def main() -> None:
 
     print()
     print("=== 2. Transferability across model seeds ===")
-    # Both sweeps run on the generic experiment engine; pass n_jobs=2 (or
-    # backend="process") to fan the per-model attacks out over worker
-    # processes — results are bit-identical for every worker count.
+    # Both sweeps run on the generic experiment engine; pass n_jobs=2 to fan
+    # the per-model attacks out over the persistent worker pool — results
+    # are bit-identical for every worker count.
     models = build_model_zoo("detr", seeds=(1, 2))
     transfer = run_transferability_experiment(models, sample.image, attack_config)
     print(format_table(transfer.as_rows()))

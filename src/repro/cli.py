@@ -54,7 +54,7 @@ from repro.experiments.figures import (
     figure3_figure4_contrast,
     figure5_ghost_objects,
 )
-from repro.experiments.engine import RetryPolicy
+from repro.experiments.engine import BACKEND_NAMES, RetryPolicy
 from repro.experiments.jobs import ModelSpec, SequenceSpec
 from repro.experiments.runner import run_architecture_comparison, run_sequence_sweep
 from repro.experiments.transfer import run_transferability_experiment
@@ -95,12 +95,12 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--backend",
-        choices=["serial", "process", "persistent"],
+        choices=list(BACKEND_NAMES),
         default=None,
         help=(
             "execution backend for the sweep; default: serial for --jobs 1, "
-            "a multiprocessing pool otherwise; 'persistent' keeps a pool of "
-            "long-lived workers with warm activation caches and model affinity"
+            "persistent otherwise (a pool of long-lived workers with warm "
+            "activation caches, pulling jobs from one plan-ordered queue)"
         ),
     )
     parser.add_argument(

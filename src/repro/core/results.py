@@ -61,7 +61,7 @@ class AttackResult:
 
     The provenance fields (``architecture``, ``model_seed``,
     ``scene_index``, ``job_id``) are filled in by the experiment execution
-    engine: results produced inside process-pool workers travel back to the
+    engine: results produced inside pool workers travel back to the
     parent as plain pickles, so each one must carry enough context to be
     re-attached to its position in the sweep's work plan regardless of the
     order in which workers complete.

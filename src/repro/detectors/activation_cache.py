@@ -13,11 +13,11 @@ cache machinery:
   size cap, hit/miss/eviction/invalidation counters and explicit
   invalidation, used by the experiment runner to manage per-scene cache
   lifecycle across a models × images sweep.  Every backend caches through
-  it: the serial sweep, each ``process`` pool worker and each persistent
-  worker (:mod:`repro.experiments.persistent`) holds one in its own heap;
+  it: the serial sweep and each persistent worker
+  (:mod:`repro.experiments.persistent`) holds one in its own heap;
 * :class:`CacheStats` — an immutable counter snapshot that supports
   differences (per-job/per-model deltas) and merging (summing per-worker
-  counters into sweep-level totals across a process pool, where every
+  counters into sweep-level totals across a worker pool, where every
   worker owns a private store).
 * :class:`DeltaActivationStore` — a second-order cache hanging off each
   clean bundle: it memoizes the *spliced* activation grids of already
@@ -79,7 +79,7 @@ class CacheStats:
     Snapshots subtract (``after - before`` gives the delta attributable to
     one attack job) and add (merging per-worker or per-model deltas into
     sweep totals), so the experiment engine can report per-model hit rates
-    even when jobs fan out over a process pool of private stores.
+    even when jobs fan out over a worker pool of private stores.
 
     ``evictions`` counts cap-driven LRU drops only; ``invalidations``
     counts entries dropped by explicit :meth:`ActivationCacheStore.invalidate`

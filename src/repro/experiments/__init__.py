@@ -6,8 +6,9 @@
 * :mod:`repro.experiments.jobs` — the declarative models × images work
   plan (model specs, attack jobs, deterministic per-job seed derivation),
 * :mod:`repro.experiments.engine` — interchangeable execution backends
-  (in-process serial, ``multiprocessing`` pool) that run a plan with
-  bit-identical results,
+  (in-process serial, and the persistent worker pool of
+  :mod:`repro.experiments.persistent`) that run a plan with bit-identical
+  results,
 * :mod:`repro.experiments.runner` — the Figure 2 sweep comparing the
   single-stage and transformer architectures over seeded models and images,
 * :mod:`repro.experiments.figures` — the qualitative scenarios of
@@ -23,7 +24,6 @@ from repro.experiments.config import (
 from repro.experiments.engine import (
     ExecutionBackend,
     ExecutionReport,
-    ProcessPoolBackend,
     SerialBackend,
     execute_plan,
     merge_execution_summaries,
@@ -81,7 +81,6 @@ __all__ = [
     "seed_from_sequence",
     "ExecutionBackend",
     "ExecutionReport",
-    "ProcessPoolBackend",
     "SerialBackend",
     "execute_plan",
     "merge_execution_summaries",

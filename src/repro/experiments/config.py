@@ -54,12 +54,11 @@ class ExperimentConfig:
         serial execution).  The sweep is bit-identical for every worker
         count; this only changes wall-clock time.
     execution_backend:
-        ``"auto"`` (serial for ``n_jobs == 1``, a process pool otherwise),
+        ``"auto"`` (serial for ``n_jobs == 1``, persistent otherwise),
         ``"serial"`` (always the in-process reference executor, even with
-        ``n_jobs > 1``), ``"process"`` (``multiprocessing`` pool of
-        ``n_jobs`` workers, each with its own activation-cache store) or
-        ``"persistent"`` (long-lived worker runtime of ``n_jobs`` workers
-        with model-affinity scheduling; see
+        ``n_jobs > 1``) or ``"persistent"`` (long-lived runtime of
+        ``n_jobs`` workers, each with its own activation-cache store,
+        pulling jobs from one plan-ordered queue; see
         :mod:`repro.experiments.persistent`).
         Explicit ``n_jobs``/``backend`` arguments to
         :func:`~repro.experiments.runner.run_architecture_comparison`

@@ -10,15 +10,12 @@ that execute one:
   and reproduces the historical runner's cache lifecycle exactly (entries
   invalidated and stats counters reset once a model's last job finishes, so
   hit rates are per-model, not cumulative).
-* :class:`ProcessPoolBackend` — fans jobs out over ``multiprocessing``
-  workers.  Each worker owns a private activation store and a private
-  detector memo (stores are never shared across processes); jobs return as
-  they complete and the engine reassembles them into plan order.
-* ``PersistentPoolBackend`` (:mod:`repro.experiments.persistent`) — a pool
-  of long-lived workers that survive across ``execute_plan`` calls, with
-  model-affinity scheduling; like the process pool it ships each job, scene
-  included, by value.  Resolved by name (``"persistent"``) to avoid an
-  import cycle.
+* ``PersistentPoolBackend`` (:mod:`repro.experiments.persistent`) — the
+  pooled engine: long-lived workers that survive across ``execute_plan``
+  calls, each with a private activation store and detector memo, pulling
+  jobs (shipped by value) from one plan-ordered queue.  Resolved by name
+  (``"persistent"``, and by default for ``n_jobs > 1``) to avoid an import
+  cycle.
 
 Because every job carries its own pre-derived NSGA-II seed (or the shared
 default), and jobs are deterministic given (model specs, image, config,
@@ -47,16 +44,11 @@ long plans restartable:
 
 from __future__ import annotations
 
-import multiprocessing
-import os
 import time
-import traceback
 import warnings
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field, replace as dataclasses_replace
 from typing import Callable, Sequence
-
-import numpy as np
 
 from repro.detectors.activation_cache import ActivationCacheStore, CacheStats
 from repro.experiments.jobs import (
@@ -67,10 +59,9 @@ from repro.experiments.jobs import (
     job_model_specs,
     job_stats_label,
 )
-from repro.nn.parallel import split_cores
 
 #: Backend names accepted by :func:`resolve_backend` (and the CLI).
-BACKEND_NAMES: tuple[str, ...] = ("serial", "process", "persistent")
+BACKEND_NAMES: tuple[str, ...] = ("serial", "persistent")
 
 
 def effective_cache_size(plan: ExperimentPlan) -> int:
@@ -174,7 +165,8 @@ class RetryPolicy:
     poison-job verdict, as opposed to a transient failure that succeeds on
     requeue.  Only failures raised *by workers* are retried: an exception
     escaping :class:`SerialBackend` is an in-process bug, re-running it
-    would re-raise identically.
+    would re-raise identically — as would a job the persistent runtime
+    cannot pickle (:class:`pickle.PicklingError`).
     """
 
     max_retries: int = 2
@@ -336,8 +328,8 @@ class ExecutionBackend(ABC):
         Multi-stage sweeps pin the models bridging their stages so the
         per-model lifecycle (drop a finished model's cache entries) does
         not destroy state the next stage will hit.  No-op on backends
-        without cross-plan state — serial and the one-shot pool rebuild
-        their stores per ``run()`` anyway.
+        without cross-plan state — serial rebuilds its store per ``run()``
+        anyway.
         """
 
     def unpin_models(self, specs: Sequence) -> None:
@@ -392,142 +384,21 @@ class SerialBackend(ExecutionBackend):
         return outcomes
 
 
-# --- process-pool worker plumbing -------------------------------------------
-#
-# Workers keep exactly one activation store for their whole life (plus the
-# per-process detector memo in repro.experiments.jobs).  The initializer
-# rebuilds the store from the plan's attack config so forked children never
-# reuse the parent's store object, and gives each worker its share of the
-# cores.
-
-_WORKER_STORE: ActivationCacheStore | None = None
-
-
-def _init_worker(
-    use_cache: bool, cache_size: int, delta_store_size: int = 0, n_jobs: int = 1
-) -> None:
-    global _WORKER_STORE
-    split_cores(n_jobs)
-    _WORKER_STORE = (
-        ActivationCacheStore(
-            max_entries=cache_size, delta_store_size=delta_store_size
-        )
-        if use_cache
-        else None
-    )
-
-
-def _run_job_in_worker(job) -> JobOutcome:
-    worker_id = f"pid-{os.getpid()}"
-    try:
-        outcome = job.execute(WorkerContext(store=_WORKER_STORE, worker_id=worker_id))
-    except Exception as exc:
-        # Re-raise as a picklable, self-describing error: the parent's
-        # imap_unordered re-raises it with the failing job and the
-        # worker-side traceback attached instead of hanging on or silently
-        # truncating the outcome list.
-        raise JobExecutionError(
-            getattr(job, "job_id", None),
-            worker_id,
-            f"{type(exc).__name__}: {exc}",
-            traceback.format_exc(),
-        ) from exc
-    outcome.worker_id = worker_id
-    return outcome
-
-
-class ProcessPoolBackend(ExecutionBackend):
-    """Fan the plan out over a ``multiprocessing`` pool.
-
-    Parameters
-    ----------
-    n_jobs:
-        Number of worker processes.
-    start_method:
-        ``multiprocessing`` start method (``None`` = platform default).
-        Jobs carry their seeds and model specs by value, so every start
-        method — including ``spawn`` — produces identical results.
-    submission_seed:
-        Optional seed shuffling the submission order before dispatch.  With
-        ``imap_unordered`` the completion order is nondeterministic anyway;
-        shuffling the *submission* order on top lets the parity suite prove
-        scheduling independence deterministically.
-    warm_start:
-        Build the plan's detectors in the parent before forking so workers
-        inherit the memo copy-on-write instead of each retraining the zoo.
-        Only effective (and only applied) under the ``fork`` start method;
-        results are identical either way because builds are deterministic.
-    chunksize:
-        Jobs handed to a worker per dispatch (``imap_unordered`` batching).
-    """
-
-    name = "process"
-
-    def __init__(
-        self,
-        n_jobs: int = 2,
-        start_method: str | None = None,
-        submission_seed: int | None = None,
-        warm_start: bool = True,
-        chunksize: int = 1,
-    ) -> None:
-        if n_jobs < 1:
-            raise ValueError("n_jobs must be at least 1")
-        self.n_jobs = int(n_jobs)
-        self.start_method = start_method
-        self.submission_seed = submission_seed
-        self.warm_start = warm_start
-        self.chunksize = max(1, int(chunksize))
-
-    def run(self, plan: ExperimentPlan) -> list[JobOutcome]:
-        config = plan.attack_config
-        jobs = list(plan.jobs)
-        if self.submission_seed is not None:
-            rng = np.random.default_rng(self.submission_seed)
-            jobs = [jobs[i] for i in rng.permutation(len(jobs))]
-
-        context = multiprocessing.get_context(self.start_method)
-        if self.warm_start and context.get_start_method() == "fork":
-            for spec in plan.model_specs():
-                build_cached(spec)
-
-        with context.Pool(
-            processes=self.n_jobs,
-            initializer=_init_worker,
-            initargs=(
-                config.use_activation_cache,
-                effective_cache_size(plan),
-                plan_delta_store_size(plan),
-                self.n_jobs,
-            ),
-        ) as pool:
-            outcomes = []
-            for outcome in pool.imap_unordered(
-                _run_job_in_worker, jobs, chunksize=self.chunksize
-            ):
-                outcomes.append(outcome)
-                self._notify(outcome)
-        return outcomes
-
-
 def resolve_backend(
     backend: "str | ExecutionBackend | None" = None, n_jobs: int = 1
 ) -> ExecutionBackend:
     """Build a backend from a name (or pass an instance through).
 
-    ``None`` auto-selects: serial for ``n_jobs == 1``, a process pool
-    otherwise.  ``"persistent"`` builds the long-lived worker runtime
-    (lazily imported — it depends on this module).
+    ``None`` auto-selects: serial for ``n_jobs == 1``, the persistent
+    worker runtime otherwise (lazily imported — it depends on this module).
     """
     if isinstance(backend, ExecutionBackend):
         return backend
     if backend is None:
-        backend = "serial" if n_jobs <= 1 else "process"
+        backend = "serial" if n_jobs <= 1 else "persistent"
     name = backend.lower()
     if name == "serial":
         return SerialBackend()
-    if name == "process":
-        return ProcessPoolBackend(n_jobs=max(1, n_jobs))
     if name == "persistent":
         from repro.experiments.persistent import PersistentPoolBackend
 

@@ -70,7 +70,7 @@ class ModelSpec:
     """Recipe for one trained detector, picklable and hashable.
 
     Two equal specs build bit-identical detectors (training is fully
-    deterministic in the seed), which is what lets process-pool workers
+    deterministic in the seed), which is what lets pool workers
     reconstruct the model zoo locally instead of unpickling live models.
     """
 
@@ -402,8 +402,8 @@ class SequenceAttackJob:
     """One unit of the streaming workload: attack one model on one sequence.
 
     Follows the generic job protocol, so it runs unchanged on every
-    backend (serial, process pool, persistent runtime) — the ``model``
-    spec opts it into model-affinity scheduling and cache lifecycle, and
+    backend (serial, persistent runtime) — the ``model`` spec opts it
+    into model-affinity dispatch and cache lifecycle, and
     the worker store it receives backs the temporal frame cache (sequence
     bundles ride the same store cap and lifecycle broadcasts as
     single-scene bundles).  The outcome's ``cache_stats`` delta folds

@@ -1,12 +1,9 @@
-"""Persistent worker runtime with model affinity.
+"""Persistent worker runtime: the pooled execution backend.
 
-The one-shot :class:`~repro.experiments.engine.ProcessPoolBackend` loses to
-serial on small machines for two structural reasons, which this module
-removes: every plan pays pool startup, and every worker privately rebuilds
-detectors and ``CleanActivations`` bundles that some other worker (or the
-previous plan stage) already built.  Both pooled backends pickle each
-job's scene across the pipe; that cost is the same here.  The engine's
-contract holds throughout — bit-identical results to
+A pool of long-lived workers that keeps what one plan built — detector
+memos, activation bundles — warm for the next, instead of paying pool
+start-up and rebuilding both per plan.  The engine's contract holds
+throughout — bit-identical results to
 :class:`~repro.experiments.engine.SerialBackend` for any plan, worker count
 and submission order:
 
@@ -14,38 +11,45 @@ and submission order:
   spawn once and survive across ``execute_plan`` calls, keeping their
   detector memo and activation store warm.  A transfer sweep's
   cross-evaluation stage lands on workers that still hold the attack
-  stage's bundles — under the one-shot pool (and serial, which rebuilds
-  its store per ``run()``) that state is rebuilt from scratch.  Each
-  worker caches bundles in a plain
+  stage's bundles — serial, which rebuilds its store per ``run()``, builds
+  them again.  Each worker caches bundles in a plain
   :class:`~repro.detectors.activation_cache.ActivationCacheStore` in its
-  own heap, like serial and ``process`` workers — no other process reads
-  them, and the kernel frees them with the worker.
-* **Model-affinity scheduling**: a job for model M routes to the worker
-  already holding M (most-overlap first, least-loaded as the tiebreak and
-  fallback), so a model's bundles are built once per *runtime*, not once
-  per worker.
+  own heap, like the serial backend — no other process reads them, and the
+  kernel frees them with the worker.
+* **One plan-ordered queue**: the parent keeps a plan's pending jobs in one
+  deque, in plan order.  A worker with a free slot (``prefetch`` of them)
+  takes the first pending job for a model it already holds, else the first
+  pending job, so a model's bundles are reused where they live and no
+  worker idles while jobs wait.  The first fill goes round the workers one
+  slot at a time, so even a one-model plan spreads over every worker.
 
-Jobs travel by value: each is pickled onto its worker's task queue, so a
-worker receives its own copy of the job's scene (and masks), and a job
-that writes into its scene changes no other job's input.
+Jobs travel by value: the parent pickles each one in the dispatching
+thread and queues the bytes, so a worker receives its own copy of the
+job's scene (and masks), and a job that writes into its scene changes no
+other job's input.  A job that cannot be pickled raises
+:class:`pickle.PicklingError` naming it, instead of vanishing in a queue's
+feeder thread.
 
 The runtime also runs the per-model cache lifecycle the serial backend
-applies (and the one-shot pool never did): it tracks remaining jobs per
-model across the whole plan and broadcasts an invalidation to every worker
-when a model's last job finishes, so long sweeps do not thrash worker LRUs
-with dead models' scenes.  :meth:`PersistentWorkerRuntime.pin_models`
-defers that invalidation for models bridging multi-stage sweeps.
+applies: it tracks remaining jobs per model across the whole plan and
+broadcasts an invalidation to every worker when a model's last job
+finishes, so long sweeps do not thrash worker LRUs with dead models'
+scenes.  :meth:`PersistentWorkerRuntime.pin_models` defers that
+invalidation for models bridging multi-stage sweeps.
 
 Failure semantics: a job that raises surfaces as a
 :class:`~repro.experiments.engine.JobExecutionError` carrying the
 worker-side traceback, and an abort-epoch broadcast makes every worker
 skip jobs of the failed plan that were already queued to it; a worker
-that *dies* is reaped, respawned and its jobs re-dispatched, with a
-per-job crash budget that turns a poison job into a
+that *dies* is reaped, respawned and its in-flight jobs put back at the
+front of the queue (the same bytes are re-sent), with a per-job crash
+budget that turns a poison job into a
 :class:`~repro.experiments.engine.WorkerCrashError` instead of an
-infinite respawn loop.  Idle workers emit periodic heartbeats, so
-liveness is policed continuously — including while the parent merely
-waits for stats from a worker that will never answer.
+infinite respawn loop.  The parent polices liveness (``is_alive()``)
+whenever no message arrives for 0.2 s, also while it waits for stats from
+a worker that will never answer; idle workers' heartbeats are dropped.
+A worker whose parent dies (killed, ``os._exit``) exits by itself within
+a heartbeat interval: a watchdog thread sees ``os.getppid()`` change.
 Results travel over *per-worker pipes* (multiplexed in the parent with
 ``multiprocessing.connection.wait``), each with its worker as sole
 writer, because a shared result queue is not crash-safe: a worker
@@ -71,8 +75,11 @@ from __future__ import annotations
 import atexit
 import multiprocessing
 import os
+import pickle
 import queue as queue_module
+import threading
 from multiprocessing import connection as mp_connection
+from multiprocessing.reduction import ForkingPickler
 import time
 import traceback
 from collections import deque
@@ -104,6 +111,10 @@ from repro.nn.parallel import split_cores
 #: Process-wide counter giving each runtime a unique ``segment_prefix``.
 _RUNTIME_SEQ = 0
 
+#: Seconds between an idle worker's heartbeats, and between its checks
+#: that its parent is still alive.
+HEARTBEAT_INTERVAL = 1.0
+
 __all__ = [
     "PersistentPoolBackend",
     "PersistentWorkerRuntime",
@@ -112,6 +123,20 @@ __all__ = [
 
 
 # --- worker process ----------------------------------------------------------
+
+
+def _watch_parent(parent_pid: int) -> None:
+    """End this worker once its parent is gone (daemon thread body).
+
+    A dead parent breaks none of the worker's pipes — the worker and its
+    later-forked siblings hold their parent-side ends too — so no send ever
+    fails.  The kernel does reparent the worker, which changes
+    ``os.getppid()``.  A thread sees that whether the worker is idle or in
+    the middle of a job.
+    """
+    while os.getppid() == parent_pid:
+        time.sleep(HEARTBEAT_INTERVAL)
+    os._exit(1)
 
 
 def _worker_main(
@@ -123,7 +148,6 @@ def _worker_main(
     cache_size: int,
     delta_store_size: int = 0,
     abort_epoch=None,
-    heartbeat_interval: float = 1.0,
     n_jobs: int = 1,
 ) -> None:
     """The long-lived worker loop: jobs, lifecycle messages, clean stop.
@@ -132,15 +156,14 @@ def _worker_main(
     lives for the whole process and is what makes the runtime pay off
     across plans.  Messages arrive on a private FIFO queue, so lifecycle
     broadcasts (invalidate, resize) are ordered against the job stream.
-    Each job arrives by value: the worker unpickles its own copy of the
-    job's scene and masks.
+    Each job arrives as the bytes the parent pickled: the worker unpickles
+    its own copy of the job's scene and masks.
 
     ``abort_epoch`` is a shared value the parent bumps when a plan dies;
     queued jobs from an epoch at or below it are skipped without being
     executed, so an aborted plan's backlog cannot burn minutes of compute
     producing results nobody will collect.  While the queue is idle the
-    worker emits a heartbeat every ``heartbeat_interval`` seconds — the
-    parent's proof of life when no job traffic is flowing.
+    worker emits a heartbeat every :data:`HEARTBEAT_INTERVAL` seconds.
 
     ``result_conn`` is this worker's *private* pipe to the parent (this
     process is its only writer): sends are synchronous, never interleave
@@ -149,8 +172,15 @@ def _worker_main(
     parent just sees this pipe EOF.
 
     The worker computes on its share of the cores, one of ``n_jobs``
-    (:func:`~repro.nn.parallel.split_cores`).
+    (:func:`~repro.nn.parallel.split_cores`), and exits when its parent
+    dies (:func:`_watch_parent`).
     """
+    threading.Thread(
+        target=_watch_parent,
+        args=(os.getppid(),),
+        daemon=True,
+        name="repro-parent-watch",
+    ).start()
     split_cores(n_jobs)
     store = (
         ActivationCacheStore(max_entries=cache_size, delta_store_size=delta_store_size)
@@ -161,7 +191,7 @@ def _worker_main(
     job_counters = {"executed": 0, "skipped_stale": 0}
     while True:
         try:
-            message = task_queue.get(timeout=heartbeat_interval)
+            message = task_queue.get(timeout=HEARTBEAT_INTERVAL)
         except queue_module.Empty:
             try:
                 result_conn.send(("heartbeat", index, generation, time.monotonic()))
@@ -170,7 +200,7 @@ def _worker_main(
             continue
         kind = message[0]
         if kind == "job":
-            _, epoch, job = message
+            _, epoch, job_id, payload = message
             if abort_epoch is not None and epoch <= abort_epoch.value:
                 # The plan this job belongs to already died in the parent;
                 # skipping here (before any execute work) is what makes
@@ -178,7 +208,9 @@ def _worker_main(
                 job_counters["skipped_stale"] += 1
                 continue
             job_counters["executed"] += 1
+            job = None
             try:
+                job = pickle.loads(payload)
                 outcome = job.execute(context)
                 outcome.worker_id = context.worker_id
                 result_conn.send(("done", index, generation, epoch, outcome))
@@ -189,7 +221,7 @@ def _worker_main(
                         index,
                         generation,
                         epoch,
-                        getattr(job, "job_id", None),
+                        job_id,
                         f"{type(exc).__name__}: {exc}",
                         traceback.format_exc(),
                     )
@@ -251,9 +283,8 @@ class _WorkerHandle:
     task_queue: object
     reader: object
     models: set = field(default_factory=set)
-    backlog: deque = field(default_factory=deque)
+    #: ``job_id -> (job, payload)`` for jobs sent and not yet answered.
     inflight: dict = field(default_factory=dict)
-    assigned: int = 0
 
     @property
     def worker_id(self) -> str:
@@ -261,7 +292,7 @@ class _WorkerHandle:
 
 
 class PersistentWorkerRuntime:
-    """A pool of long-lived workers executing plans with affinity routing.
+    """A pool of long-lived workers pulling jobs from one plan-ordered queue.
 
     Parameters
     ----------
@@ -273,19 +304,17 @@ class PersistentWorkerRuntime:
     start_method:
         ``multiprocessing`` start method; ``None`` = platform default.
     prefetch:
-        Jobs kept in flight per worker.  Small (default 2) so the per-model
-        lifecycle broadcasts interleave with the job stream instead of
-        arriving after a worker's whole plan share is queued.  Only
-        in-flight jobs are pickled onto a worker's queue; the rest of its
-        backlog stays in the parent as objects.
+        Jobs kept in flight per worker.  Small (default 2) so a worker that
+        finishes early takes the next job instead of waiting behind a slow
+        sibling's queue, and the per-model lifecycle broadcasts interleave
+        with the job stream.  Only in-flight jobs are pickled onto a
+        worker's queue; the rest of the plan stays in the parent's pending
+        deque as objects.  A prefetch of 1 balances as well but adds a
+        round trip before every job.
     max_crashes_per_job:
         Worker deaths a single job may witness before the runtime raises
         :class:`~repro.experiments.engine.WorkerCrashError` instead of
         re-dispatching it again.
-    heartbeat_interval:
-        Seconds between idle-worker heartbeats; the parent uses their
-        arrival (or any other message) as proof of life and polices the
-        process table whenever the result queue goes quiet.
     """
 
     def __init__(
@@ -297,7 +326,6 @@ class PersistentWorkerRuntime:
         prefetch: int = 2,
         max_crashes_per_job: int = 3,
         delta_store_size: int = 0,
-        heartbeat_interval: float = 1.0,
     ) -> None:
         global _RUNTIME_SEQ
         if n_jobs < 1:
@@ -312,7 +340,6 @@ class PersistentWorkerRuntime:
         self.delta_store_size = int(delta_store_size)
         self.prefetch = max(1, int(prefetch))
         self.max_crashes_per_job = max(1, int(max_crashes_per_job))
-        self.heartbeat_interval = max(0.05, float(heartbeat_interval))
         self._context = multiprocessing.get_context(start_method)
         self._prefix = f"rpr{os.getpid()}x{_RUNTIME_SEQ}"
         _RUNTIME_SEQ += 1
@@ -321,8 +348,11 @@ class PersistentWorkerRuntime:
         # aborted.  Workers compare queued jobs against it and skip stale
         # ones instead of executing into the void.
         self._abort_epoch = self._context.Value("q", 0)
-        self._heartbeats: dict[int, tuple[int, float]] = {}
         self._epoch = 0
+        #: The running plan's unsent jobs, in plan order, as
+        #: ``(job_id, job, payload)``; ``payload`` is the pickled job once
+        #: it has been sent (a respawn puts it back unchanged), else None.
+        self._pending: deque = deque()
         self._pinned: set = set()
         self._deferred_invalidation: set = set()
         self.started = False
@@ -382,7 +412,6 @@ class PersistentWorkerRuntime:
                 self.effective_cache_size,
                 self.delta_store_size,
                 self._abort_epoch,
-                self.heartbeat_interval,
                 self.n_jobs,
             ),
             daemon=True,
@@ -465,27 +494,43 @@ class PersistentWorkerRuntime:
             worker.models.difference_update(specs)
 
     # -- scheduling ---------------------------------------------------------
-    def _pick_worker(self, job) -> _WorkerHandle:
-        """Model affinity first (most spec overlap), least-loaded fallback."""
-        specs = set(job_model_specs(job))
-        if specs:
-            candidates = [w for w in self._workers if specs & w.models]
-            if candidates:
-                return min(
-                    candidates,
-                    key=lambda w: (-len(specs & w.models), w.assigned, w.index),
-                )
-        return min(self._workers, key=lambda w: (w.assigned, w.index))
+    def _take(self, worker: _WorkerHandle) -> tuple:
+        """Pop the first pending job for a model the worker holds, else the
+        first pending job."""
+        if worker.models:
+            for position, entry in enumerate(self._pending):
+                if not worker.models.isdisjoint(job_model_specs(entry[1])):
+                    del self._pending[position]
+                    return entry
+        return self._pending.popleft()
+
+    def _send(self, worker: _WorkerHandle, epoch: int) -> None:
+        """Send the worker its next pending job, if any is left.
+
+        The job is pickled here, in the dispatching thread: a job that
+        cannot be pickled raises :class:`pickle.PicklingError` naming it,
+        where a queue's feeder thread would only print the error and drop
+        the message, leaving the plan waiting for good.
+        """
+        if not self._pending:
+            return
+        job_id, job, payload = self._take(worker)
+        if payload is None:
+            try:
+                payload = bytes(ForkingPickler.dumps(job))
+            except Exception as exc:
+                raise pickle.PicklingError(
+                    f"job {job_id!r} cannot be pickled for a worker: "
+                    f"{type(exc).__name__}: {exc}"
+                ) from exc
+        worker.inflight[job_id] = (job, payload)
+        worker.models.update(job_model_specs(job))
+        worker.task_queue.put(("job", epoch, job_id, payload))
 
     def _fill(self, worker: _WorkerHandle, epoch: int) -> None:
-        """Top the worker's in-flight window up from its backlog."""
-        while worker.backlog and len(worker.inflight) < self.prefetch:
-            job_id, job = worker.backlog.popleft()
-            worker.inflight[job_id] = job
-            # ``put`` pickles in the queue's feeder thread after it returns,
-            # so the worker's copy is only as stable as the job object:
-            # nothing in the parent edits a job once it is dispatched.
-            worker.task_queue.put(("job", epoch, job))
+        """Top the worker's in-flight window up from the pending deque."""
+        while self._pending and len(worker.inflight) < self.prefetch:
+            self._send(worker, epoch)
 
     # -- execution ----------------------------------------------------------
     def execute(self, jobs: Sequence, on_outcome=None) -> list[JobOutcome]:
@@ -503,11 +548,6 @@ class PersistentWorkerRuntime:
         epoch = self._epoch
         jobs = list(jobs)
 
-        for worker in self._workers:
-            worker.assigned = 0
-            worker.backlog.clear()
-            worker.inflight.clear()
-
         remaining: dict = {}
         specs_by_job: dict = {}
         for job in jobs:
@@ -516,17 +556,17 @@ class PersistentWorkerRuntime:
             for spec in specs:
                 remaining[spec] = remaining.get(spec, 0) + 1
 
-        for job in jobs:
-            worker = self._pick_worker(job)
-            worker.backlog.append((job.job_id, job))
-            worker.assigned += 1
-            worker.models.update(job_model_specs(job))
-
+        self._pending = deque((job.job_id, job, None) for job in jobs)
+        for worker in self._workers:
+            worker.inflight.clear()
         outcomes: dict = {}
         crashes: dict = {}
         try:
-            for worker in self._workers:
-                self._fill(worker, epoch)
+            # The first fill goes round the workers one slot at a time, so
+            # a plan shorter than the pool's window still spreads out.
+            for _ in range(self.prefetch):
+                for worker in self._workers:
+                    self._send(worker, epoch)
             while len(outcomes) < len(jobs):
                 message = self._next_message(epoch, crashes)
                 kind = message[0]
@@ -613,10 +653,8 @@ class PersistentWorkerRuntime:
             except queue_module.Empty:
                 self._police_liveness(epoch, crashes)
                 continue
-            if message[0] == "heartbeat":
-                self._note_heartbeat(message)
-                continue
-            return message
+            if message[0] != "heartbeat":
+                return message
 
     def _police_liveness(self, epoch: int, crashes: dict) -> None:
         """Respawn any dead worker (heartbeat silence ends up here too)."""
@@ -624,12 +662,8 @@ class PersistentWorkerRuntime:
             if not worker.process.is_alive():
                 self._respawn(worker, epoch, crashes)
 
-    def _note_heartbeat(self, message) -> None:
-        _, index, generation, stamp = message
-        self._heartbeats[index] = (generation, stamp)
-
     def _respawn(self, worker: _WorkerHandle, epoch: int, crashes: dict) -> None:
-        """Reap a dead worker, replace it, and re-dispatch its jobs.
+        """Reap a dead worker, replace it, and requeue its in-flight jobs.
 
         The slot is *always* left holding a live replacement — even on the
         poison path, where the budget-exhausted job is dropped and
@@ -649,14 +683,11 @@ class PersistentWorkerRuntime:
         self._workers[worker.index] = replacement
         if poison is not None:
             raise WorkerCrashError(*poison)
-        # Re-dispatch in-flight jobs first, then the untouched backlog; the
-        # fresh process holds no models, so its affinity set restarts from
-        # what it is about to run.
-        replacement.backlog.extend(worker.inflight.items())
-        replacement.backlog.extend(worker.backlog)
-        replacement.assigned = worker.assigned
-        for _, job in replacement.backlog:
-            replacement.models.update(job_model_specs(job))
+        # The dead worker's in-flight jobs go back to the front of the
+        # queue, in their order and with their bytes, so they are the next
+        # ones sent, unchanged.  The fresh process holds no models.
+        requeued = [(job_id, *entry) for job_id, entry in worker.inflight.items()]
+        self._pending.extendleft(reversed(requeued))
         self._fill(replacement, epoch)
 
     def _reap_worker(self, worker: _WorkerHandle) -> None:
@@ -690,8 +721,8 @@ class PersistentWorkerRuntime:
         job) just to have its result dropped by the parent's epoch filter.
         """
         self._abort_epoch.value = max(self._abort_epoch.value, self._epoch)
+        self._pending.clear()
         for worker in self._workers:
-            worker.backlog.clear()
             worker.inflight.clear()
 
     # -- introspection ------------------------------------------------------
@@ -726,11 +757,8 @@ class PersistentWorkerRuntime:
                         worker.task_queue.put(("stats",))
                         requested[worker.index] = worker.generation
                 continue
-            if message[0] == "heartbeat":
-                self._note_heartbeat(message)
-                continue
             if message[0] != "stats":
-                continue  # stale plan traffic
+                continue  # heartbeats and stale plan traffic
             _, index, generation, payload = message
             worker = self._workers[index]
             if worker.generation == generation:
@@ -770,14 +798,14 @@ class PersistentPoolBackend(ExecutionBackend):
 
     The runtime is created lazily from the first plan's cache settings and
     *reused across* ``run()`` calls — that reuse (warm detector memos, warm
-    activation bundles, no pool startup) is what beats both the one-shot
-    pool and serial on repeated or multi-stage sweeps.  A plan with
-    different cache settings transparently restarts the runtime.
+    activation bundles, no pool startup) is what beats serial on repeated
+    or multi-stage sweeps even on one core.  A plan with different cache
+    settings transparently restarts the runtime.
 
-    ``submission_seed`` shuffles dispatch order exactly like the one-shot
-    pool (parity suites exercise scheduling independence with it);
-    ``warm_start`` pre-builds the first plan's detectors in the parent so
-    fork-started workers inherit them copy-on-write.
+    ``submission_seed`` shuffles the dispatch order (parity suites exercise
+    scheduling independence with it).  Before a fork-started runtime
+    spawns, the first plan's detectors are built in the parent, so the
+    workers inherit them copy-on-write instead of each training the zoo.
     """
 
     name = "persistent"
@@ -787,7 +815,6 @@ class PersistentPoolBackend(ExecutionBackend):
         n_jobs: int = 2,
         start_method: str | None = None,
         submission_seed: int | None = None,
-        warm_start: bool = True,
         prefetch: int = 2,
         max_crashes_per_job: int = 3,
     ) -> None:
@@ -796,7 +823,6 @@ class PersistentPoolBackend(ExecutionBackend):
         self.n_jobs = int(n_jobs)
         self.start_method = start_method
         self.submission_seed = submission_seed
-        self.warm_start = warm_start
         self.prefetch = prefetch
         self.max_crashes_per_job = max_crashes_per_job
         self._runtime: PersistentWorkerRuntime | None = None
@@ -841,7 +867,7 @@ class PersistentPoolBackend(ExecutionBackend):
         if self.submission_seed is not None:
             rng = np.random.default_rng(self.submission_seed)
             jobs = [jobs[i] for i in rng.permutation(len(jobs))]
-        if self.warm_start and not runtime.started and runtime.start_method_is_fork:
+        if not runtime.started and runtime.start_method_is_fork:
             for spec in plan.model_specs():
                 build_cached(spec)
         return runtime.execute(jobs, on_outcome=self._notify)

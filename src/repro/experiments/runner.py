@@ -9,9 +9,9 @@ results plus a :class:`~repro.analysis.reporting.ComparisonReport`.
 The sweep is expressed as a declarative models × images work plan
 (:mod:`repro.experiments.jobs`) executed by a pluggable backend
 (:mod:`repro.experiments.engine`): the serial backend reproduces the
-historical nested loop bit-exactly, and the process-pool backend fans the
-same jobs out over ``multiprocessing`` workers — bit-identical results,
-order-of-magnitude wall-clock on multi-core machines.
+historical nested loop bit-exactly, and the persistent backend fans the
+same jobs out over long-lived worker processes — bit-identical results,
+less wall-clock on multi-core machines.
 """
 
 from __future__ import annotations
@@ -145,12 +145,12 @@ def run_architecture_comparison(
         Worker-process count; overrides ``experiment.n_jobs``.  ``1`` runs
         the in-process serial backend.
     backend:
-        ``"serial"``, ``"process"``, a ready
+        ``"serial"``, ``"persistent"``, a ready
         :class:`~repro.experiments.engine.ExecutionBackend` instance, or
         ``None`` to follow ``experiment.execution_backend`` (whose
         ``"auto"`` default picks serial for ``n_jobs == 1`` and the
-        process pool otherwise; an explicit ``"serial"`` there is honoured
-        even with ``n_jobs > 1``).  All backends are bit-identical; only
+        persistent worker pool otherwise; an explicit ``"serial"`` there is
+        honoured even with ``n_jobs > 1``).  All backends are bit-identical; only
         wall-clock changes.
     experiment_seed:
         When set, every job gets its own NSGA-II seed derived via

@@ -46,10 +46,10 @@ class TestParser:
 
     def test_compare_execution_arguments(self):
         args = build_parser().parse_args(
-            ["compare", "--jobs", "4", "--backend", "process", "--experiment-seed", "7"]
+            ["compare", "--jobs", "4", "--backend", "persistent", "--experiment-seed", "7"]
         )
         assert args.jobs == 4
-        assert args.backend == "process"
+        assert args.backend == "persistent"
         assert args.experiment_seed == 7
 
     def test_compare_execution_defaults(self):
@@ -122,7 +122,8 @@ class TestCommands:
             assert excinfo.value.code == 2
 
     def test_compare_command_pooled_smoke(self, capsys):
-        """Tiny sweep under --jobs 2: the pooled engine end to end."""
+        """Tiny sweep under --jobs 2 and no --backend: the default pooled
+        engine end to end."""
         exit_code = main(
             [
                 "compare",
@@ -136,14 +137,12 @@ class TestCommands:
                 "4",
                 "--jobs",
                 "2",
-                "--backend",
-                "process",
             ]
         )
         assert exit_code == 0
         output = capsys.readouterr().out
         assert "best obj_degrad" in output
-        assert "backend=process" in output
+        assert "backend=persistent" in output
         assert "jobs=2" in output
         assert "Activation cache (sweep total)" in output
 
@@ -223,7 +222,8 @@ class TestCommands:
         assert len(ensemble.member_degradations) == 2
 
     def test_transfer_command_pooled_smoke(self, capsys):
-        """Tiny transfer sweep under --jobs 2: both stages on the pool."""
+        """Tiny transfer sweep under --jobs 2: both stages on the default
+        pool."""
         exit_code = main(
             [
                 "transfer",
@@ -235,13 +235,11 @@ class TestCommands:
                 "4",
                 "--jobs",
                 "2",
-                "--backend",
-                "process",
             ]
         )
         assert exit_code == 0
         output = capsys.readouterr().out
-        assert "backend=process" in output
+        assert "backend=persistent" in output
         assert "jobs=2" in output
 
 
@@ -252,9 +250,9 @@ class TestSweepParser:
         assert args.models == 2
         assert args.jobs == 1 and args.backend is None and args.experiment_seed is None
         args = build_parser().parse_args(
-            ["transfer", "--jobs", "4", "--backend", "process", "--experiment-seed", "9"]
+            ["transfer", "--jobs", "4", "--backend", "persistent", "--experiment-seed", "9"]
         )
-        assert (args.jobs, args.backend, args.experiment_seed) == (4, "process", 9)
+        assert (args.jobs, args.backend, args.experiment_seed) == (4, "persistent", 9)
 
     def test_defend_defaults_and_engine_options(self):
         args = build_parser().parse_args(["defend"])

@@ -26,7 +26,7 @@ from repro.defenses.jobs import DefendedModelSpec, DefenseAttackJob, EnsembleDef
 from repro.detectors.ensemble import DetectorEnsemble
 from repro.detectors.training import TrainingConfig
 from repro.detectors.zoo import build_detector
-from repro.experiments.engine import ProcessPoolBackend
+from repro.experiments.persistent import PersistentPoolBackend
 from repro.experiments.jobs import ModelSpec
 from repro.nsga.algorithm import NSGAConfig
 
@@ -209,18 +209,21 @@ class TestDefenseEngineParity:
     ):
         """Pooled evaluations (shuffled submission) are bit-identical."""
         undefended, defended = parity_specs
-        backend = ProcessPoolBackend(n_jobs=n_jobs, submission_seed=60 + n_jobs)
-        pooled = evaluate_defense(
-            undefended,
-            defended,
-            parity_sample.image,
-            parity_sample.ground_truth,
-            parity_config,
-            n_jobs=n_jobs,
-            backend=backend,
-        )
+        backend = PersistentPoolBackend(n_jobs=n_jobs, submission_seed=60 + n_jobs)
+        try:
+            pooled = evaluate_defense(
+                undefended,
+                defended,
+                parity_sample.image,
+                parity_sample.ground_truth,
+                parity_config,
+                n_jobs=n_jobs,
+                backend=backend,
+            )
+        finally:
+            backend.close()
         _assert_defense_identical(serial_defense, pooled)
-        assert pooled.execution["backend"] == "process"
+        assert pooled.execution["backend"] == "persistent"
 
     def test_ensemble_engine_matches_reference(
         self, parity_training, parity_sample, parity_config
@@ -239,12 +242,13 @@ class TestDefenseEngineParity:
         serial = ensemble_defense_evaluation(
             specs, parity_sample.image, parity_config
         )
-        pooled = ensemble_defense_evaluation(
-            specs,
-            parity_sample.image,
-            parity_config,
-            backend=ProcessPoolBackend(n_jobs=2),
-        )
+        backend = PersistentPoolBackend(n_jobs=2)
+        try:
+            pooled = ensemble_defense_evaluation(
+                specs, parity_sample.image, parity_config, backend=backend
+            )
+        finally:
+            backend.close()
         for engine_result in (serial, pooled):
             assert (
                 reference.attack_result.fingerprint()

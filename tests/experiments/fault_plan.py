@@ -8,9 +8,10 @@ compared bit-exactly against an uninterrupted serial run.
 
 Runnable as a script (the child side of the parent-kill tests):
 
-    python fault_plan.py <backend> <n_jobs> <checkpoint_dir>
+    python fault_plan.py <n_jobs> <checkpoint_dir>
 
-executes the plan on the named backend, journaling to ``checkpoint_dir``.
+executes the plan on the persistent backend, journaling to
+``checkpoint_dir``.
 The parent polls the journal and SIGKILLs the whole process group once
 outcomes start streaming.
 
@@ -93,15 +94,12 @@ def build_plan():
 
 
 def main(argv) -> int:
-    backend_name, n_jobs, checkpoint_dir = argv[0], int(argv[1]), argv[2]
+    n_jobs, checkpoint_dir = int(argv[0]), argv[1]
     from repro.experiments.checkpoint import PlanCheckpoint
-    from repro.experiments.engine import ProcessPoolBackend, execute_plan
+    from repro.experiments.engine import execute_plan
     from repro.experiments.persistent import PersistentPoolBackend
 
-    if backend_name == "persistent":
-        backend = PersistentPoolBackend(n_jobs=n_jobs)
-    else:
-        backend = ProcessPoolBackend(n_jobs=n_jobs)
+    backend = PersistentPoolBackend(n_jobs=n_jobs)
     checkpoint = PlanCheckpoint(checkpoint_dir, resume=True)
     try:
         execute_plan(build_plan(), backend, checkpoint=checkpoint)

@@ -20,6 +20,7 @@ Three layers:
 import binascii
 import json
 import os
+import pickle
 
 import numpy as np
 import pytest
@@ -45,13 +46,13 @@ from repro.experiments.checkpoint import (
 )
 from repro.experiments.engine import (
     JobExecutionError,
-    ProcessPoolBackend,
     RetryPolicy,
     SerialBackend,
     WorkerCrashError,
     execute_plan,
 )
 from repro.experiments.jobs import ExperimentPlan, JobOutcome, plan_fingerprint
+from repro.experiments.persistent import PersistentPoolBackend
 from repro.experiments.transfer import TransferColumn
 from repro.nsga.algorithm import NSGAConfig
 
@@ -420,6 +421,8 @@ class TestRetryPolicy:
         assert policy.should_retry(JobExecutionError(0, "w", "boom"))
         assert policy.should_retry(WorkerCrashError(0, 3))
         assert not policy.should_retry(ValueError("boom"))
+        # A job the runtime cannot pickle fails the same way on every try.
+        assert not policy.should_retry(pickle.PicklingError("job 0"))
         assert not RetryPolicy(retry_errors=False).should_retry(
             JobExecutionError(0, "w", "boom")
         )
@@ -427,7 +430,7 @@ class TestRetryPolicy:
             WorkerCrashError(0, 3)
         )
 
-    def test_transient_error_is_retried_on_the_process_pool(self, tmp_path):
+    def test_transient_error_is_retried_on_the_worker_pool(self, tmp_path):
         sentinel = str(tmp_path / "failed-once")
         plan = ExperimentPlan(
             jobs=[
@@ -438,12 +441,16 @@ class TestRetryPolicy:
             attack_config=_toy_config(),
             name="transient",
         )
-        report = execute_plan(
-            plan,
-            ProcessPoolBackend(n_jobs=2),
-            checkpoint=PlanCheckpoint(tmp_path),
-            retry=RetryPolicy(max_retries=2),
-        )
+        backend = PersistentPoolBackend(n_jobs=2)
+        try:
+            report = execute_plan(
+                plan,
+                backend,
+                checkpoint=PlanCheckpoint(tmp_path),
+                retry=RetryPolicy(max_retries=2),
+            )
+        finally:
+            backend.close()
         assert report.retries >= 1
         assert [o.result for o in report.outcomes] == [1, "recovered", 4]
 
@@ -453,12 +460,12 @@ class TestRetryPolicy:
             attack_config=_toy_config(),
             name="poison-retry",
         )
-        with pytest.raises(JobExecutionError) as err:
-            execute_plan(
-                plan,
-                ProcessPoolBackend(n_jobs=2),
-                retry=RetryPolicy(max_retries=1),
-            )
+        backend = PersistentPoolBackend(n_jobs=2)
+        try:
+            with pytest.raises(JobExecutionError) as err:
+                execute_plan(plan, backend, retry=RetryPolicy(max_retries=1))
+        finally:
+            backend.close()
         assert err.value.job_id == 1
 
     def test_no_retry_without_a_policy(self, tmp_path):
@@ -468,5 +475,9 @@ class TestRetryPolicy:
             attack_config=_toy_config(),
             name="fail-fast",
         )
-        with pytest.raises(JobExecutionError):
-            execute_plan(plan, ProcessPoolBackend(n_jobs=1))
+        backend = PersistentPoolBackend(n_jobs=1)
+        try:
+            with pytest.raises(JobExecutionError):
+                execute_plan(plan, backend)
+        finally:
+            backend.close()

@@ -41,7 +41,7 @@ class TestExperimentConfig:
         config = ExperimentConfig()
         assert config.n_jobs == 1
         assert config.execution_backend == "auto"
-        for backend in ("process", "persistent"):
+        for backend in ("serial", "persistent"):
             reduced = ExperimentConfig.reduced(n_jobs=4, execution_backend=backend)
             assert reduced.n_jobs == 4
             assert reduced.execution_backend == backend

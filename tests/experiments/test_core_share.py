@@ -1,9 +1,9 @@
 """One core budget per process: every backend's job computes on its share.
 
 A process that runs jobs itself (the serial backend) computes on every
-usable core; each worker of an ``n_jobs``-process pool (persistent or
-``process``) on ``max(1, cores // n_jobs)``, respawned persistent workers
-included, and its BLAS runs on no more threads than that.  Inside the
+usable core; each worker of an ``n_jobs``-process persistent pool on
+``max(1, cores // n_jobs)``, respawned workers included, and its BLAS runs
+on no more threads than that.  Inside the
 attention kernel's region BLAS runs on one thread, and the region restores
 the caller's BLAS thread count when it ends.
 """
@@ -14,7 +14,7 @@ import pytest
 
 from repro.core.config import AttackConfig
 from repro.core.regions import HalfImageRegion
-from repro.experiments.engine import ProcessPoolBackend, SerialBackend, execute_plan
+from repro.experiments.engine import SerialBackend, execute_plan
 from repro.experiments.jobs import ExperimentPlan, JobOutcome
 from repro.experiments.persistent import PersistentPoolBackend
 from repro.nn import parallel
@@ -114,13 +114,6 @@ class TestShareOfEachBackend:
             report = execute_plan(_plan(_ShareJob(i) for i in range(4)), backend)
         finally:
             backend.close()
-        for result in _reports(report):
-            assert result["pid"] != os.getpid()
-            assert _without_pid(result) == _expected_in_worker()
-
-    def test_process_pool_workers_split_the_cores(self):
-        backend = ProcessPoolBackend(n_jobs=2)
-        report = execute_plan(_plan(_ShareJob(i) for i in range(4)), backend)
         for result in _reports(report):
             assert result["pid"] != os.getpid()
             assert _without_pid(result) == _expected_in_worker()

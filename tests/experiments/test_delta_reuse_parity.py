@@ -17,11 +17,7 @@ from repro.core.regions import HalfImageRegion
 from repro.data.dataset import generate_dataset
 from repro.detectors.activation_cache import ActivationCacheStore
 from repro.detectors.training import TrainingConfig
-from repro.experiments.engine import (
-    ProcessPoolBackend,
-    SerialBackend,
-    execute_plan,
-)
+from repro.experiments.engine import SerialBackend, execute_plan
 from repro.experiments.jobs import build_attack_plan
 from repro.experiments.persistent import PersistentPoolBackend
 from repro.nsga.algorithm import NSGAConfig
@@ -175,14 +171,6 @@ class TestEngineLevelParity:
         assert reference_report.cache_stats.delta_requests == 0
 
     @pytest.mark.parametrize("n_jobs", [1, 2, 4])
-    def test_process_pool_reuse_on_matches_reference(
-        self, plan_reuse_on, reference_report, n_jobs
-    ):
-        backend = ProcessPoolBackend(n_jobs=n_jobs, submission_seed=300 + n_jobs)
-        report = execute_plan(plan_reuse_on, backend)
-        assert _report_fingerprints(report) == _report_fingerprints(reference_report)
-
-    @pytest.mark.parametrize("n_jobs", [2])
     def test_persistent_reuse_on_matches_reference(
         self, plan_reuse_on, reference_report, n_jobs
     ):

@@ -1,11 +1,12 @@
 """Execution-engine parity: serial and pooled sweeps are bit-identical.
 
 The engine's contract is that the work plan fully determines the sweep's
-results: every backend (in-process serial, shuffled serial, process pools
-of any worker count, any submission order) must produce bit-identical
-``AttackResult``s for the same plan.  These tests enforce that contract at
-``n_jobs ∈ {1, 2, 4}`` and against a hand-rolled copy of the historical
-nested models × images loop.
+results: every backend (in-process serial, shuffled serial, the persistent
+worker pool at any worker count and submission order) must produce
+bit-identical ``AttackResult``s for the same plan.  These tests pin the
+serial reference against a hand-rolled copy of the historical nested
+models × images loop; ``test_persistent.py`` holds the pooled parity suite
+at ``n_jobs ∈ {1, 2, 4}``.
 """
 
 import numpy as np
@@ -18,15 +19,16 @@ from repro.data.dataset import generate_dataset
 from repro.detectors.activation_cache import ActivationCacheStore, CacheStats
 from repro.detectors.training import TrainingConfig
 from repro.detectors.zoo import build_model_zoo
+from repro.experiments.config import ExperimentConfig
 from repro.experiments.engine import (
-    JobExecutionError,
-    ProcessPoolBackend,
+    BACKEND_NAMES,
     SerialBackend,
     execute_plan,
     merge_execution_summaries,
     resolve_backend,
 )
-from repro.experiments.jobs import ExperimentPlan, build_attack_plan
+from repro.experiments.jobs import build_attack_plan
+from repro.experiments.persistent import PersistentPoolBackend
 from repro.experiments.runner import run_architecture_comparison
 from repro.nsga.algorithm import NSGAConfig
 
@@ -157,29 +159,6 @@ class TestSerialBackend:
             assert outcome.result.scene_index == job.scene_index
             assert outcome.result.job_id == job.job_id
 
-
-class TestProcessPoolParity:
-    @pytest.mark.parametrize("n_jobs", [1, 2, 4])
-    def test_pool_matches_serial_bit_exactly(self, plan, serial_report, n_jobs):
-        """Pooled sweeps are bit-identical to serial at any worker count.
-
-        Submission order is shuffled (seeded per worker count) so the test
-        also covers out-of-order completion, not just out-of-order results.
-        """
-        backend = ProcessPoolBackend(n_jobs=n_jobs, submission_seed=100 + n_jobs)
-        pooled = execute_plan(plan, backend)
-        assert _report_fingerprints(pooled) == _report_fingerprints(serial_report)
-
-    @pytest.mark.parametrize("n_jobs", [2, 4])
-    def test_pool_matches_serial_with_derived_seeds(
-        self, seeded_plan, seeded_serial_report, n_jobs
-    ):
-        backend = ProcessPoolBackend(n_jobs=n_jobs, submission_seed=7 * n_jobs)
-        pooled = execute_plan(seeded_plan, backend)
-        assert _report_fingerprints(pooled) == _report_fingerprints(
-            seeded_serial_report
-        )
-
     def test_derived_seeds_differentiate_jobs(self, seeded_serial_report):
         # With per-job seeds the two scenes of one model run different
         # searches (different populations), unlike the shared-seed default.
@@ -216,7 +195,11 @@ class TestCacheStatsAggregation:
         assert total.hits == 2 and total.misses == 2
 
     def test_per_worker_stats_merge_to_total(self, plan):
-        report = execute_plan(plan, ProcessPoolBackend(n_jobs=2, submission_seed=3))
+        backend = PersistentPoolBackend(n_jobs=2, submission_seed=3)
+        try:
+            report = execute_plan(plan, backend)
+        finally:
+            backend.close()
         merged = CacheStats.merge(list(report.per_worker.values()))
         assert merged == report.cache_stats
         per_job = CacheStats.merge(
@@ -242,31 +225,6 @@ class TestCacheStatsAggregation:
         assert report.per_model == {}  # no cache traffic to attribute
         assert report.cache_stats == CacheStats()
         assert report.cache_enabled is False
-
-
-class _PoolFailingJob:
-    """Module level so it pickles into pool workers."""
-
-    def __init__(self, job_id: int):
-        self.job_id = job_id
-
-    def execute(self, context):
-        raise ValueError("deliberate pool failure")
-
-
-class TestPoolFailure:
-    def test_job_error_surfaces_with_worker_context(self, attack_config):
-        """A job raising inside a pool worker reaches the caller as a
-        JobExecutionError naming the job and carrying the worker traceback
-        (not a bare pickling artefact of the original exception)."""
-        plan = ExperimentPlan(
-            jobs=[_PoolFailingJob(0)], attack_config=attack_config, name="failing"
-        )
-        with pytest.raises(JobExecutionError) as err:
-            execute_plan(plan, ProcessPoolBackend(n_jobs=2))
-        assert err.value.job_id == 0
-        assert "ValueError: deliberate pool failure" in str(err.value)
-        assert "deliberate pool failure" in err.value.worker_traceback
 
 
 class TestMergeExecutionSummaries:
@@ -318,11 +276,12 @@ class TestResolveBackend:
     def test_auto_selection(self):
         assert resolve_backend(None, n_jobs=1).name == "serial"
         auto = resolve_backend(None, n_jobs=3)
-        assert auto.name == "process" and auto.n_jobs == 3
+        assert isinstance(auto, PersistentPoolBackend) and auto.n_jobs == 3
+        auto.close()  # never started: close is a safe no-op
 
     def test_names_and_passthrough(self):
+        assert BACKEND_NAMES == ("serial", "persistent")
         assert resolve_backend("serial").name == "serial"
-        assert resolve_backend("process", n_jobs=2).name == "process"
         backend = SerialBackend()
         assert resolve_backend(backend) is backend
 
@@ -330,11 +289,26 @@ class TestResolveBackend:
         with pytest.raises(ValueError):
             resolve_backend("threads")
 
+    def test_process_backend_name_is_gone(self, capsys):
+        """The one-shot pool's name is refused everywhere a backend is
+        named, and every refusal lists the names that are accepted."""
+        from repro.cli import build_parser
+
+        with pytest.raises(ValueError) as excinfo:
+            resolve_backend("process", n_jobs=2)
+        assert str(BACKEND_NAMES) in str(excinfo.value)
+        with pytest.raises(ValueError) as excinfo:
+            ExperimentConfig(execution_backend="process")
+        assert str(("auto",) + BACKEND_NAMES) in str(excinfo.value)
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["compare", "--jobs", "2", "--backend", "process"])
+        assert excinfo.value.code == 2
+        choices = capsys.readouterr().err.split("choose from", 1)[1]
+        assert all(name in choices for name in BACKEND_NAMES)
+
 
 class TestRunnerIntegration:
     def test_runner_serial_and_pool_comparisons_match(self, training):
-        from repro.experiments.config import ExperimentConfig
-
         experiment = ExperimentConfig.reduced(
             models_per_architecture=1,
             images_per_model=1,
@@ -347,20 +321,21 @@ class TestRunnerIntegration:
             experiment=experiment, nsga=nsga, training=training, dataset_seed=5
         )
         serial = run_architecture_comparison(**kwargs)
-        pooled = run_architecture_comparison(
-            **kwargs, n_jobs=2, backend=ProcessPoolBackend(n_jobs=2, submission_seed=1)
-        )
+        backend = PersistentPoolBackend(n_jobs=2, submission_seed=1)
+        try:
+            pooled = run_architecture_comparison(**kwargs, n_jobs=2, backend=backend)
+        finally:
+            backend.close()
         for label in serial.results:
             for left, right in zip(serial.results[label], pooled.results[label]):
                 assert _result_fingerprint(left) == _result_fingerprint(right)
         assert serial.execution is not None and serial.execution.backend == "serial"
-        assert pooled.execution is not None and pooled.execution.backend == "process"
+        assert pooled.execution is not None
+        assert pooled.execution.backend == "persistent"
         assert serial.report.summary_rows() == pooled.report.summary_rows()
 
     def test_explicit_serial_config_wins_over_n_jobs(self, training):
         """execution_backend='serial' is honoured even with n_jobs > 1."""
-        from repro.experiments.config import ExperimentConfig
-
         experiment = ExperimentConfig.reduced(
             models_per_architecture=1,
             images_per_model=1,
@@ -381,7 +356,6 @@ class TestRunnerIntegration:
 
     def test_runner_releases_detector_memo(self, training):
         """A finished sweep leaves no zoo behind in the process-local memo."""
-        from repro.experiments.config import ExperimentConfig
         from repro.experiments.jobs import _DETECTOR_MEMO, ModelSpec
 
         experiment = ExperimentConfig.reduced(

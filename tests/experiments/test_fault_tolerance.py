@@ -7,12 +7,12 @@ plan in :mod:`fault_plan` (tiny geometry, deterministic outcomes):
   budget surfaces ``WorkerCrashError``, the journal holds what finished,
   and a resumed run completes with bit-identical results; with a
   ``RetryPolicy`` the same crash is absorbed inside one ``execute_plan``;
-* a **transient job failure** on the one-shot process pool — resume and
+* a **transient job failure** on the persistent runtime — resume and
   in-run retry both recover;
-* the **parent process** SIGKILLed mid-plan (both pooled backends,
-  ``n_jobs`` ∈ {2, 4}) — it leaves no shared-memory segment behind, a
-  fresh process resumes from the journal and the final report is
-  bit-identical to an uninterrupted serial run.
+* the **parent process** SIGKILLed mid-plan (``n_jobs`` ∈ {2, 4}) — it
+  leaves no shared-memory segment behind, a fresh process resumes from the
+  journal and the final report is bit-identical to an uninterrupted serial
+  run.
 """
 
 import os
@@ -37,7 +37,6 @@ from fault_plan import KillOnceAttackJob, build_plan
 from repro.experiments.checkpoint import PlanCheckpoint
 from repro.experiments.engine import (
     JobExecutionError,
-    ProcessPoolBackend,
     RetryPolicy,
     SerialBackend,
     WorkerCrashError,
@@ -135,12 +134,12 @@ class TestWorkerDeathResume:
 
 
 class TestTransientFailureResume:
-    def test_process_pool_failure_then_journal_resume(
+    def test_pool_failure_then_journal_resume(
         self, plan, serial_fingerprints, tmp_path
     ):
-        # The failing job is last: it is only dispatched after an earlier
-        # job completed (and was journaled), so the resume is guaranteed a
-        # journal hit.
+        # The failing job is last: its worker runs it after an earlier job,
+        # whose outcome arrives (and is journaled) first, so the resume is
+        # guaranteed a journal hit.
         jobs = list(plan.jobs)
         jobs[3] = _FailOnceAttackJob(
             job_id=jobs[3].job_id,
@@ -152,21 +151,19 @@ class TestTransientFailureResume:
             sentinel=str(tmp_path / "failed-once"),
         )
         faulty = dataclasses_replace(plan, jobs=jobs)
-        with pytest.raises(JobExecutionError):
-            execute_plan(
-                faulty,
-                ProcessPoolBackend(n_jobs=2),
-                checkpoint=PlanCheckpoint(tmp_path),
+        backend = PersistentPoolBackend(n_jobs=2)
+        try:
+            with pytest.raises(JobExecutionError):
+                execute_plan(faulty, backend, checkpoint=PlanCheckpoint(tmp_path))
+            resumed = execute_plan(
+                faulty, backend, checkpoint=PlanCheckpoint(tmp_path)
             )
-        resumed = execute_plan(
-            faulty,
-            ProcessPoolBackend(n_jobs=2),
-            checkpoint=PlanCheckpoint(tmp_path),
-        )
+        finally:
+            backend.close()
         assert resumed.journal_hits >= 1
         assert _fingerprints(resumed) == serial_fingerprints
 
-    def test_process_pool_failure_absorbed_by_retry_policy(
+    def test_pool_failure_absorbed_by_retry_policy(
         self, plan, serial_fingerprints, tmp_path
     ):
         jobs = list(plan.jobs)
@@ -180,11 +177,11 @@ class TestTransientFailureResume:
             sentinel=str(tmp_path / "failed-once"),
         )
         faulty = dataclasses_replace(plan, jobs=jobs)
-        report = execute_plan(
-            faulty,
-            ProcessPoolBackend(n_jobs=2),
-            retry=RetryPolicy(max_retries=2),
-        )
+        backend = PersistentPoolBackend(n_jobs=2)
+        try:
+            report = execute_plan(faulty, backend, retry=RetryPolicy(max_retries=2))
+        finally:
+            backend.close()
         assert report.retries >= 1
         assert _fingerprints(report) == serial_fingerprints
 
@@ -192,7 +189,7 @@ class TestTransientFailureResume:
 class TestParentDeathResume:
     """SIGKILL the whole driving process group mid-plan, then resume."""
 
-    def _launch_child(self, backend: str, n_jobs: int, checkpoint_dir: Path):
+    def _launch_child(self, n_jobs: int, checkpoint_dir: Path):
         here = Path(__file__).resolve().parent
         src = Path(fault_plan.__file__).resolve()  # lives next to this test
         import repro
@@ -204,7 +201,7 @@ class TestParentDeathResume:
             + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
         )
         return subprocess.Popen(
-            [sys.executable, str(src), backend, str(n_jobs), str(checkpoint_dir)],
+            [sys.executable, str(src), str(n_jobs), str(checkpoint_dir)],
             env=env,
             start_new_session=True,  # its own process group: killpg reaps workers too
             stdout=subprocess.DEVNULL,
@@ -225,13 +222,12 @@ class TestParentDeathResume:
             time.sleep(0.05)
         raise AssertionError("journal never accumulated outcomes")
 
-    @pytest.mark.parametrize("backend", ["persistent", "process"])
     @pytest.mark.parametrize("n_jobs", [2, 4])
     def test_parent_sigkill_then_resume_matches_serial(
-        self, plan, serial_fingerprints, tmp_path, backend, n_jobs
+        self, plan, serial_fingerprints, tmp_path, n_jobs
     ):
         journal = tmp_path / f"{plan.name}.journal.jsonl"
-        child = self._launch_child(backend, n_jobs, tmp_path)
+        child = self._launch_child(n_jobs, tmp_path)
         try:
             journaled = self._wait_for_journal_outcomes(journal, 1, child)
             if child.poll() is None:

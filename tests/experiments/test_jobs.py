@@ -193,12 +193,9 @@ class TestGenericJobSubstrate:
     """The engine runs *any* job following the protocol, not just attacks."""
 
     def test_custom_jobs_execute_on_every_backend(self):
-        from repro.experiments.engine import (
-            ProcessPoolBackend,
-            SerialBackend,
-            execute_plan,
-        )
+        from repro.experiments.engine import SerialBackend, execute_plan
         from repro.experiments.jobs import ExperimentPlan
+        from repro.experiments.persistent import PersistentPoolBackend
 
         plan = ExperimentPlan(
             jobs=[_CountingJob(i, i + 1) for i in range(5)],
@@ -207,7 +204,11 @@ class TestGenericJobSubstrate:
         )
         serial = execute_plan(plan, SerialBackend())
         assert [o.result for o in serial.outcomes] == [1, 4, 9, 16, 25]
-        pooled = execute_plan(plan, ProcessPoolBackend(n_jobs=2, submission_seed=1))
+        backend = PersistentPoolBackend(n_jobs=2, submission_seed=1)
+        try:
+            pooled = execute_plan(plan, backend)
+        finally:
+            backend.close()
         assert [o.result for o in pooled.outcomes] == [1, 4, 9, 16, 25]
         # Model-less jobs take no part in per-model accounting.
         assert plan.model_specs() == []

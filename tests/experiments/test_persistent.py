@@ -1,18 +1,23 @@
-"""Persistent-runtime parity, lifecycle, failure-recovery and transport tests.
+"""Persistent-runtime parity, dispatch, lifecycle, failure and transport tests.
 
-The persistent backend's contract has four layers, each enforced here:
+The persistent backend's contract has five layers, each enforced here:
 
 1. **Parity** — bit-identical results to ``SerialBackend`` for any worker
    count, submission order and seed derivation mode (the engine contract).
-2. **Lifecycle** — the per-model invalidation the serial backend applies is
-   broadcast to workers (the PR 6 bugfix), deferred for pinned models so
-   multi-stage sweeps keep their bundles warm between stages.
-3. **Failure** — a raising job surfaces a :class:`JobExecutionError` and
+2. **Dispatch** — workers pull from one plan-ordered queue: a worker with
+   a free slot takes the first pending job for a model it holds, else the
+   first pending job, and the first fill goes round the workers, so a
+   one-model plan spreads over every worker.
+3. **Lifecycle** — the per-model invalidation the serial backend applies is
+   broadcast to workers, deferred for pinned models so multi-stage sweeps
+   keep their bundles warm between stages.
+4. **Failure** — a raising job surfaces a :class:`JobExecutionError` and
    broadcasts an abort-epoch so queued stale jobs are skipped, a killed
    worker is reaped and replaced (the slot always holds a live
-   replacement, even on the poison path), idle liveness is policed through
-   heartbeats, and no worker outlives ``close()``.
-4. **Transport** — jobs travel by value, so a job that writes into its
+   replacement, even on the poison path), a job that cannot be pickled
+   raises instead of hanging, no worker outlives ``close()``, and none
+   outlives its parent.
+5. **Transport** — jobs travel by value, so a job that writes into its
    scene changes no other job's input, and neither the parent nor a
    worker imports ``multiprocessing.shared_memory``; two sweeps in one
    interpreter print no resource-tracker errors.
@@ -22,9 +27,13 @@ import hashlib
 import json
 import multiprocessing
 import os
+import pickle
+import queue
+import signal
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +60,7 @@ from repro.experiments.persistent import (
     PersistentPoolBackend,
     PersistentWorkerRuntime,
     WorkerCrashError,
+    _WorkerHandle,
 )
 from repro.nsga.algorithm import NSGAConfig
 
@@ -153,6 +163,14 @@ class _CountingJob:
         return JobOutcome(job_id=self.job_id, result=self.value * self.value)
 
 
+class _ModelJob(_CountingJob):
+    """A counting job that names a model, so dispatch follows affinity."""
+
+    def __init__(self, job_id: int, model: str):
+        super().__init__(job_id, job_id)
+        self.model = model
+
+
 class _FailingJob:
     def __init__(self, job_id: int):
         self.job_id = job_id
@@ -216,8 +234,8 @@ def _digest(array) -> str:
     return hashlib.blake2b(array.tobytes(), digest_size=16).hexdigest()
 
 
-def _run_fresh_interpreter(script: str) -> subprocess.CompletedProcess:
-    """Run ``script`` in a new interpreter that imports this checkout's repro."""
+def _fresh_env() -> dict:
+    """The environment of a new interpreter that imports this checkout's repro."""
     import repro
 
     env = dict(os.environ)
@@ -225,14 +243,58 @@ def _run_fresh_interpreter(script: str) -> subprocess.CompletedProcess:
         [str(Path(repro.__file__).resolve().parents[1])]
         + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
+    return env
+
+
+def _run_fresh_interpreter(script: str) -> subprocess.CompletedProcess:
+    """Run ``script`` in a new interpreter that imports this checkout's repro."""
     return subprocess.run(
         [sys.executable, "-c", script],
-        env=env,
+        env=_fresh_env(),
         capture_output=True,
         text=True,
         timeout=300,
         check=True,
     )
+
+
+def _run_in_own_session(script: str, timeout: float) -> str:
+    """Run ``script`` in a fresh interpreter and process group; its stdout.
+
+    The group is killed afterwards, so a worker the script leaves behind —
+    or a script that hangs past ``timeout`` — cannot outlive the test.
+    """
+    with subprocess.Popen(
+        [sys.executable, "-c", script],
+        env=_fresh_env(),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        start_new_session=True,
+    ) as child:
+        try:
+            stdout, stderr = child.communicate(timeout=timeout)
+        finally:
+            try:
+                os.killpg(child.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+    assert child.returncode == 0, stderr
+    return stdout
+
+
+def _pid_alive(pid: int) -> bool:
+    """Whether ``pid`` names a live process; a zombie counts as dead."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            state = handle.read().rsplit(")", 1)[1].split()[0]
+    except OSError:  # pragma: no cover - no procfs: a signalable pid lives
+        return True
+    return state != "Z"
 
 
 # --- parity ------------------------------------------------------------------
@@ -252,7 +314,7 @@ class TestPersistentParity:
         assert report.backend == "persistent"
         assert set(report.per_worker) <= {f"worker-{i}" for i in range(n_jobs)}
 
-    @pytest.mark.parametrize("n_jobs", [2])
+    @pytest.mark.parametrize("n_jobs", [2, 4])
     def test_matches_serial_with_derived_seeds(
         self, seeded_plan, seeded_serial_report, n_jobs
     ):
@@ -287,6 +349,163 @@ class TestPersistentParity:
         assert isinstance(backend, PersistentPoolBackend)
         assert backend.n_jobs == 3
         backend.close()  # never started: close is a safe no-op
+
+    def test_fork_started_workers_inherit_the_first_plans_detectors(
+        self, monkeypatch
+    ):
+        """Before a fork-started runtime spawns, the backend builds the first
+        plan's detectors in the parent, once per model, so the workers
+        inherit them instead of each training the zoo; later plans on the
+        running workers build nothing in the parent."""
+        built = []
+        monkeypatch.setattr("repro.experiments.persistent.build_cached", built.append)
+
+        def plan(jobs):
+            return ExperimentPlan(jobs=jobs, attack_config=_toy_config(), name="warm")
+
+        backend = PersistentPoolBackend(n_jobs=2, start_method="fork")
+        try:
+            execute_plan(
+                plan([_ModelJob(0, "A"), _ModelJob(1, "B"), _ModelJob(2, "A")]),
+                backend,
+            )
+            assert built == ["A", "B"]
+            execute_plan(plan([_ModelJob(3, "C")]), backend)
+        finally:
+            backend.close()
+        assert built == ["A", "B"]
+
+
+# --- dispatch ----------------------------------------------------------------
+
+
+class TestDispatch:
+    """Two workers with a prefetch of 2 take a 4-job plan in the first fill,
+    so where each job runs is fixed before any job finishes."""
+
+    @staticmethod
+    def _worker_ids(jobs) -> list[str]:
+        runtime = PersistentWorkerRuntime(n_jobs=2)
+        try:
+            return [outcome.worker_id for outcome in runtime.execute(jobs)]
+        finally:
+            runtime.close()
+
+    def test_one_model_plan_splits_over_both_workers(self):
+        """Affinity never leaves a worker idle: four jobs of one model run
+        two on each worker, not all four on the first one to hold it."""
+        workers = self._worker_ids([_ModelJob(i, "A") for i in range(4)])
+        assert Counter(workers) == {"worker-0": 2, "worker-1": 2}
+
+    def test_each_worker_takes_the_plans_next_job(self):
+        """Plan [A, A, B, B]: the first fill goes round the workers, so the
+        two A jobs start at once on different workers (and so do the Bs)."""
+        workers = self._worker_ids(
+            [_ModelJob(0, "A"), _ModelJob(1, "A"), _ModelJob(2, "B"), _ModelJob(3, "B")]
+        )
+        assert workers[0] != workers[1]
+        assert workers[2] != workers[3]
+
+    def test_a_worker_first_takes_jobs_for_the_models_it_holds(self):
+        """Pinned models stay on the workers that ran them, and the next
+        plan's first fill hands each worker the job for its own model,
+        even where plan order puts another model's job first."""
+        runtime = PersistentWorkerRuntime(n_jobs=2)
+        runtime.pin_models(["A", "B"])
+        try:
+            first = runtime.execute([_ModelJob(0, "A"), _ModelJob(1, "B")])
+            second = runtime.execute([_ModelJob(2, "B"), _ModelJob(3, "A")])
+        finally:
+            runtime.close()
+        holder_a, holder_b = (outcome.worker_id for outcome in first)
+        assert holder_a != holder_b
+        assert [outcome.worker_id for outcome in second] == [holder_b, holder_a]
+
+    def test_take_pops_the_first_job_of_a_held_model_else_the_first_job(self):
+        """The pick rule itself, without workers: the first pending job for
+        a model the worker holds, else the head of the deque; what is left
+        stays in plan order."""
+        runtime = PersistentWorkerRuntime(n_jobs=1)
+        try:
+            entries = [(i, _ModelJob(i, model), None) for i, model in enumerate("ABCB")]
+            runtime._pending.extend(entries)
+
+            def handle(models):
+                return _WorkerHandle(
+                    index=0,
+                    generation=0,
+                    process=None,
+                    task_queue=None,
+                    reader=None,
+                    models=set(models),
+                )
+
+            assert runtime._take(handle({"B", "D"})) is entries[1]
+            assert runtime._take(handle({"D"})) is entries[0]
+            assert runtime._take(handle(())) is entries[2]
+            assert list(runtime._pending) == [entries[3]]
+        finally:
+            runtime.close()
+
+    def test_finished_models_drop_out_of_the_workers_affinity(self):
+        """Unpinned, a model whose last job finished is invalidated on every
+        worker, so the next plan's first fill follows plan order alone."""
+        runtime = PersistentWorkerRuntime(n_jobs=2)
+        try:
+            first = runtime.execute([_ModelJob(0, "A"), _ModelJob(1, "B")])
+            held = [set(worker.models) for worker in runtime._workers]
+            second = runtime.execute([_ModelJob(2, "B"), _ModelJob(3, "A")])
+        finally:
+            runtime.close()
+        assert [outcome.worker_id for outcome in first] == ["worker-0", "worker-1"]
+        assert held == [set(), set()]
+        assert [outcome.worker_id for outcome in second] == ["worker-0", "worker-1"]
+
+    def test_respawn_puts_in_flight_jobs_back_at_the_front(self):
+        """A dead worker's in-flight jobs go back to the front of the pending
+        deque, ahead of the rest of the plan, and its replacement is sent
+        the very bytes the parent pickled for the first dispatch."""
+        runtime = PersistentWorkerRuntime(n_jobs=1, prefetch=2)
+        try:
+            runtime.start()
+            dead = runtime._workers[0]
+            dead.process.kill()
+            dead.process.join(timeout=5.0)
+            sent = {}
+            for job in (_CountingJob(0, 2), _CountingJob(1, 3)):
+                sent[job.job_id] = (job, pickle.dumps(job))
+            dead.inflight.update(sent)
+            rest = [(job_id, _CountingJob(job_id, job_id), None) for job_id in (2, 3)]
+            runtime._pending.extend(rest)
+            runtime._respawn(dead, epoch=1, crashes={})
+            replacement = runtime._workers[0]
+            assert replacement is not dead and replacement.generation == 1
+            assert list(replacement.inflight) == [0, 1]
+            for job_id, (job, payload) in sent.items():
+                assert replacement.inflight[job_id][0] is job
+                assert replacement.inflight[job_id][1] is payload
+            assert list(runtime._pending) == rest
+        finally:
+            runtime.close()
+
+    def test_unpicklable_job_is_neither_queued_nor_in_flight(self):
+        """Pickling happens before anything is sent: a job that cannot be
+        pickled raises PicklingError naming it, chained to the pickler's
+        error, and leaves the worker's queue and in-flight window empty."""
+        runtime = PersistentWorkerRuntime(n_jobs=1)
+        worker = _WorkerHandle(
+            index=0, generation=0, process=None, task_queue=queue.Queue(), reader=None
+        )
+        job = _CountingJob("lambda-job", lambda: 1)
+        runtime._pending.append((job.job_id, job, None))
+        try:
+            with pytest.raises(pickle.PicklingError, match="'lambda-job'") as err:
+                runtime._send(worker, epoch=1)
+        finally:
+            runtime.close()
+        assert err.value.__cause__ is not None
+        assert worker.task_queue.empty()
+        assert worker.inflight == {} and worker.models == set()
 
 
 # --- multi-stage sweeps ------------------------------------------------------
@@ -427,6 +646,91 @@ class TestModelLifecycle:
 
 
 # --- failure handling --------------------------------------------------------
+
+#: One persistent worker: a plan whose second job holds a lambda (which no
+#: pickler can ship), under a retry policy, then a healthy plan.
+_UNPICKLABLE_JOB = """
+import json, pickle, time
+
+from repro.core.config import AttackConfig
+from repro.experiments.engine import RetryPolicy, execute_plan
+from repro.experiments.jobs import ExperimentPlan, JobOutcome
+from repro.experiments.persistent import PersistentPoolBackend
+
+
+class Job:
+    def __init__(self, job_id, extra=None):
+        self.job_id = job_id
+        self.extra = extra
+
+    def execute(self, context):
+        return JobOutcome(job_id=self.job_id, result=self.job_id)
+
+
+def plan(jobs):
+    return ExperimentPlan(jobs=jobs, attack_config=AttackConfig(), name="pickling")
+
+
+raised = None
+backend = PersistentPoolBackend(n_jobs=1)
+try:
+    start = time.monotonic()
+    try:
+        execute_plan(
+            plan([Job(0), Job("lambda-job", lambda: 1)]),
+            backend,
+            retry=RetryPolicy(max_retries=2),
+        )
+    except pickle.PicklingError as error:
+        raised = {
+            "message": str(error),
+            "cause": type(error.__cause__).__name__,
+            "seconds": time.monotonic() - start,
+        }
+    report = execute_plan(plan([Job(i) for i in range(3)]), backend)
+finally:
+    backend.close()
+print(json.dumps({"raised": raised, "next": [o.result for o in report.outcomes]}))
+"""
+
+#: A 2-worker plan whose first job sleeps for ten minutes; once it has
+#: started, the parent prints its workers' pids and exits without close().
+_PARENT_EXITS = """
+import json, os, sys, threading, time
+
+from repro.core.config import AttackConfig
+from repro.experiments.engine import execute_plan
+from repro.experiments.jobs import ExperimentPlan, JobOutcome
+from repro.experiments.persistent import PersistentPoolBackend
+
+STARTED = sys.argv[1]
+
+
+class Job:
+    def __init__(self, job_id, seconds):
+        self.job_id = job_id
+        self.seconds = seconds
+
+    def execute(self, context):
+        if self.seconds:
+            open(STARTED, "w").close()
+            time.sleep(self.seconds)
+        return JobOutcome(job_id=self.job_id, result=None)
+
+
+backend = PersistentPoolBackend(n_jobs=2)
+plan = ExperimentPlan(
+    jobs=[Job(0, 600.0), Job(1, 0.0)], attack_config=AttackConfig(), name="orphans"
+)
+threading.Thread(target=execute_plan, args=(plan, backend), daemon=True).start()
+deadline = time.monotonic() + 120.0
+while not os.path.exists(STARTED) and time.monotonic() < deadline:
+    time.sleep(0.05)
+print(json.dumps([worker.process.pid for worker in backend.runtime._workers]))
+sys.stdout.flush()
+os._exit(0)
+"""
+
 
 
 class TestFailureHandling:
@@ -572,6 +876,78 @@ class TestFailureHandling:
             assert runtime.workers_respawned >= 1
         finally:
             backend.close()
+
+    def test_unpicklable_job_raises_and_the_next_plan_runs(self):
+        """A job that cannot be pickled raises PicklingError naming it at
+        once — the queue's feeder thread used to drop it and leave the plan
+        waiting for good — and RetryPolicy does not retry it."""
+        report = json.loads(
+            _run_in_own_session(_UNPICKLABLE_JOB, timeout=60.0).splitlines()[-1]
+        )
+        raised = report["raised"]
+        assert raised is not None
+        assert "'lambda-job'" in raised["message"]
+        assert raised["cause"] in {"PicklingError", "AttributeError", "TypeError"}
+        assert raised["seconds"] < 10.0
+        assert report["next"] == [0, 1, 2]
+
+    def test_workers_exit_when_their_parent_dies(self, tmp_path):
+        """A parent that exits without close() takes its workers with it:
+        the one busy in a long job and the idle one are both gone within
+        10 s, instead of living on with PPID 1."""
+        output = tmp_path / "pids.json"
+        pids: list[int] = []
+        # Output goes to a file, not a pipe: an orphaned worker would hold
+        # a pipe open, and waiting for its EOF is not what is tested here.
+        with open(output, "w") as handle:
+            child = subprocess.Popen(
+                [sys.executable, "-c", _PARENT_EXITS, str(tmp_path / "started")],
+                env=_fresh_env(),
+                stdout=handle,
+                start_new_session=True,
+            )
+        try:
+            assert child.wait(timeout=180) == 0
+            pids = json.loads(output.read_text().splitlines()[-1])
+            assert len(pids) == 2
+            deadline = time.monotonic() + 10.0
+            while any(map(_pid_alive, pids)) and time.monotonic() < deadline:
+                time.sleep(0.1)
+            assert not [pid for pid in pids if _pid_alive(pid)]
+        finally:
+            if child.poll() is None:
+                child.kill()
+                child.wait()
+            for pid in pids:
+                if _pid_alive(pid):
+                    os.kill(pid, signal.SIGKILL)
+
+    def test_frequent_heartbeats_and_parent_checks_disturb_nothing(
+        self, monkeypatch
+    ):
+        """With heartbeats and parent checks every 50 ms, the idle worker's
+        heartbeats arrive while the other sleeps in a job: the plan still
+        completes, nobody is respawned, and no worker of a live parent
+        takes itself for an orphan."""
+        monkeypatch.setattr("repro.experiments.persistent.HEARTBEAT_INTERVAL", 0.05)
+        runtime = PersistentWorkerRuntime(n_jobs=2, start_method="fork")
+        seen = Counter()
+        receive = runtime._get_result
+
+        def counting_receive(timeout):
+            message = receive(timeout)
+            seen[message[0]] += 1
+            return message
+
+        runtime._get_result = counting_receive
+        try:
+            outcomes = runtime.execute([_SleepJob(0, 0.5), _CountingJob(1, 3)])
+            assert [outcome.result for outcome in outcomes] == ["slept", 9]
+            assert seen["heartbeat"] >= 1 and seen["done"] == 2
+            assert runtime.workers_respawned == 0
+            assert all(worker.process.is_alive() for worker in runtime._workers)
+        finally:
+            runtime.close()
 
     def test_close_leaves_no_worker_alive(self, training, dataset):
         """``close()`` stops every worker: each exits cleanly on the stop

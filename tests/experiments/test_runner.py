@@ -104,3 +104,40 @@ def test_persistent_backend_from_experiment_config():
     )
     assert comparison.provenance()["backend"] == "persistent"
     assert len(comparison.results["single_stage"]) == 2
+
+
+def test_auto_backend_pools_on_persistent_and_matches_serial():
+    """The default ``execution_backend="auto"`` runs a one-job sweep serially
+    and an ``n_jobs=2`` sweep on the persistent runtime, with identical
+    results."""
+    training = TrainingConfig(
+        scenes_per_class=2,
+        image_length=SMALL_LENGTH,
+        image_width=SMALL_WIDTH,
+        background_clusters=12,
+    )
+    comparisons = {}
+    for n_jobs in (1, 2):
+        experiment = ExperimentConfig.reduced(
+            models_per_architecture=1,
+            images_per_model=2,
+            ensemble_size=1,
+            image_length=SMALL_LENGTH,
+            image_width=SMALL_WIDTH,
+            n_jobs=n_jobs,
+        )
+        assert experiment.execution_backend == "auto"
+        comparisons[n_jobs] = run_architecture_comparison(
+            experiment=experiment,
+            nsga=NSGAConfig(num_iterations=1, population_size=4, seed=0),
+            architectures=("yolo",),
+            training=training,
+            dataset_seed=5,
+        )
+    assert comparisons[1].provenance()["backend"] == "serial"
+    assert comparisons[2].provenance()["backend"] == "persistent"
+    serial, pooled = (
+        [result.fingerprint() for result in comparisons[n_jobs].results["single_stage"]]
+        for n_jobs in (1, 2)
+    )
+    assert len(serial) == 2 and serial == pooled

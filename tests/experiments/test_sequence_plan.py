@@ -1,8 +1,8 @@
 """Streaming sequence plans: structure, backend parity, cache provisioning.
 
 The engine contract extends unchanged to the sequence workload: the plan
-fully determines the sweep, so serial, process-pool and persistent
-backends must produce bit-identical ``AttackResult``s.  On top of that,
+fully determines the sweep, so the serial and persistent backends must
+produce bit-identical ``AttackResult``s.  On top of that,
 sequence jobs must surface their frame-cache counters through the ordinary
 execution report so hit rates appear in sweep summaries.
 """
@@ -15,7 +15,6 @@ from repro.core.config import AttackConfig
 from repro.core.regions import HalfImageRegion
 from repro.detectors.training import TrainingConfig
 from repro.experiments.engine import (
-    ProcessPoolBackend,
     SerialBackend,
     effective_cache_size,
     execute_plan,
@@ -139,11 +138,6 @@ class TestSerialSequenceSweep:
 
 
 class TestSequenceBackendParity:
-    def test_process_pool_matches_serial(self, plan, serial_report):
-        backend = ProcessPoolBackend(n_jobs=2, submission_seed=3)
-        report = execute_plan(plan, backend)
-        assert _report_fingerprints(report) == _report_fingerprints(serial_report)
-
     def test_persistent_matches_serial(self, plan, serial_report):
         backend = PersistentPoolBackend(n_jobs=2, submission_seed=11)
         try:

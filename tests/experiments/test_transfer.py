@@ -15,7 +15,8 @@ from repro.core.regions import HalfImageRegion
 from repro.data.dataset import generate_dataset
 from repro.detectors.training import TrainingConfig
 from repro.detectors.zoo import build_model_zoo
-from repro.experiments.engine import ProcessPoolBackend, SerialBackend, execute_plan
+from repro.experiments.engine import SerialBackend, execute_plan
+from repro.experiments.persistent import PersistentPoolBackend
 from repro.experiments.jobs import ModelSpec
 from repro.experiments.persistent import PersistentPoolBackend
 from repro.experiments.transfer import (
@@ -184,12 +185,15 @@ class TestTransferEngineParity:
         self, parity_specs, parity_image, parity_config, serial_transfer, n_jobs
     ):
         """Pooled sweeps (shuffled submission) are bit-identical to serial."""
-        backend = ProcessPoolBackend(n_jobs=n_jobs, submission_seed=50 + n_jobs)
-        pooled = run_transferability_experiment(
-            parity_specs, parity_image, parity_config, n_jobs=n_jobs, backend=backend
-        )
+        backend = PersistentPoolBackend(n_jobs=n_jobs, submission_seed=50 + n_jobs)
+        try:
+            pooled = run_transferability_experiment(
+                parity_specs, parity_image, parity_config, n_jobs=n_jobs, backend=backend
+            )
+        finally:
+            backend.close()
         _assert_transfer_identical(serial_transfer, pooled)
-        assert pooled.execution["backend"] == "process"
+        assert pooled.execution["backend"] == "persistent"
 
     def test_experiment_seed_is_scheduling_independent(
         self, parity_specs, parity_image, parity_config
@@ -197,13 +201,17 @@ class TestTransferEngineParity:
         serial = run_transferability_experiment(
             parity_specs, parity_image, parity_config, experiment_seed=2023
         )
-        pooled = run_transferability_experiment(
-            parity_specs,
-            parity_image,
-            parity_config,
-            backend=ProcessPoolBackend(n_jobs=2, submission_seed=9),
-            experiment_seed=2023,
-        )
+        backend = PersistentPoolBackend(n_jobs=2, submission_seed=9)
+        try:
+            pooled = run_transferability_experiment(
+                parity_specs,
+                parity_image,
+                parity_config,
+                backend=backend,
+                experiment_seed=2023,
+            )
+        finally:
+            backend.close()
         _assert_transfer_identical(serial, pooled)
         assert serial.experiment_seed == 2023
 

@@ -1,6 +1,6 @@
 """Pickle round-trips across the multiprocessing boundary.
 
-The process-pool backend ships :class:`AttackJob`s to workers and
+The persistent worker pool ships :class:`AttackJob`s to workers and
 :class:`AttackResult`s back, so every field of the job/result object graph
 must survive pickling bit-exactly.  These tests cover plain
 ``pickle.dumps``/``loads`` round-trips plus a real ``multiprocessing``
