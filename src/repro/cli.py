@@ -496,9 +496,7 @@ def _run_attack(args: argparse.Namespace) -> int:
 
 def _run_compare(args: argparse.Namespace) -> int:
     experiment = ExperimentConfig.reduced(
-        models_per_architecture=args.models,
-        images_per_model=args.images,
-        ensemble_size=min(args.models, 2),
+        models_per_architecture=args.models, images_per_model=args.images
     )
     nsga = NSGAConfig(
         num_iterations=args.iterations, population_size=args.population, seed=0
@@ -515,28 +513,11 @@ def _run_compare(args: argparse.Namespace) -> int:
     print(
         f"best obj_degrad: single_stage={single_stage:.3f} transformer={transformer:.3f}"
     )
+    _print_execution_summary(comparison.provenance())
     execution = comparison.execution
-    if execution is not None:
-        total = execution.cache_stats
-        print(
-            f"Execution: backend={execution.backend} jobs={execution.n_jobs} "
-            f"wall={execution.duration_seconds:.2f}s workers={len(execution.per_worker)}"
-        )
-        if execution.journal_hits or execution.retries:
-            print(
-                f"Fault tolerance: {execution.journal_hits} jobs restored "
-                f"from journal, {execution.retries} retries"
-            )
-        if execution.cache_enabled:
-            print(
-                f"Activation cache (sweep total): {total.hits} hits, "
-                f"{total.misses} misses, {total.evictions} evictions "
-                f"(hit rate {total.hit_rate:.1%})"
-            )
-            if execution.per_model:
-                print(format_table(execution.cache_rows()))
-        else:
-            print("Activation cache: disabled")
+    print(f"Workers: {len(execution.per_worker)}")
+    if execution.cache_enabled and execution.per_model:
+        print(format_table(execution.cache_rows()))
     return 0
 
 

@@ -3,9 +3,11 @@
 Both evaluations — noise-augmentation (undefended vs defended under the
 same budget) and ensemble fusion — are declarative plans over the generic
 experiment engine (:mod:`repro.defenses.jobs` +
-:mod:`repro.experiments.engine`): :func:`evaluate_defense` compiles a
-two-job plan (one :class:`~repro.defenses.jobs.DefenseAttackJob` per
-variant), :func:`ensemble_defense_evaluation` a one-job plan, and
+:mod:`repro.experiments.engine`), each run in a
+:class:`~repro.experiments.runner.SweepSession` like every other sweep:
+:func:`evaluate_defense` compiles a two-job plan (one
+:class:`~repro.defenses.jobs.DefenseAttackJob` per variant),
+:func:`ensemble_defense_evaluation` a one-job plan, and
 :func:`build_defense_plan` combines undefended/defended/ensemble variants
 into a single plan so a pooled backend attacks all of them concurrently.
 Serial and pooled executions are bit-identical to each other and to the
@@ -37,32 +39,13 @@ from repro.detection.metrics import precision_recall
 from repro.detection.prediction import Prediction
 from repro.detectors.base import Detector
 from repro.detectors.ensemble import DetectorEnsemble
-from repro.experiments.engine import (
-    ExecutionBackend,
-    RetryPolicy,
-    execute_plan,
-    resolve_backend,
-)
+from repro.experiments.engine import ExecutionBackend, RetryPolicy
 from repro.experiments.jobs import (
     ExperimentPlan,
     apply_experiment_seed,
     as_model_spec,
-    release_plan_models,
 )
-
-
-def _open_checkpoint(checkpoint_dir, resume):
-    """Build a journal for one defense sweep (``None`` when not requested).
-
-    Function-level import: ``repro.experiments.checkpoint`` pulls this
-    module in (via :mod:`repro.io.serialization`) for the defense-result
-    codecs, so a module-level import here would cycle.
-    """
-    if checkpoint_dir is None:
-        return None
-    from repro.experiments.checkpoint import PlanCheckpoint
-
-    return PlanCheckpoint(checkpoint_dir, resume=resume)
+from repro.experiments.runner import SweepSession
 
 
 @dataclass
@@ -240,9 +223,10 @@ def evaluate_defense(
     interface) or picklable model specs; either way the two attacks run as
     a declarative plan on the experiment engine, so ``n_jobs``/``backend``
     fan them out over worker processes with bit-identical results.
-    ``checkpoint_dir`` journals completed jobs for resume (``resume=True``)
-    and ``retry`` requeues crashed/raising jobs in-run — both identical in
-    behaviour to the architecture-comparison runner.
+    The plan runs in a :class:`~repro.experiments.runner.SweepSession`, so
+    ``checkpoint_dir`` (journal for ``resume=True``), ``retry`` (in-run
+    requeue of crashed/raising jobs) and ``release_models`` behave as in
+    every other sweep.
     """
     attack_config = attack_config if attack_config is not None else AttackConfig.fast()
     plan = build_defense_plan(
@@ -253,22 +237,10 @@ def evaluate_defense(
         attack_config,
         experiment_seed=experiment_seed,
     )
-    owns_backend = not isinstance(backend, ExecutionBackend)
-    engine_backend = resolve_backend(backend, n_jobs=n_jobs)
-    checkpoint = _open_checkpoint(checkpoint_dir, resume)
-    try:
-        execution = execute_plan(
-            plan, engine_backend, checkpoint=checkpoint, retry=retry
-        )
-    finally:
-        if checkpoint is not None:
-            checkpoint.close()
-        if release_models:
-            release_plan_models(plan)
-        if owns_backend:
-            # Resolved from a name: the sweep owns the backend's resources;
-            # a caller-provided instance is left alive for reuse.
-            engine_backend.close()
+    with SweepSession(
+        n_jobs, backend, checkpoint_dir, resume, retry, release_models
+    ) as session:
+        execution = session.run(plan)
     return _assemble_defense_evaluation(execution.outcomes, execution.summary())
 
 
@@ -312,20 +284,10 @@ def ensemble_defense_evaluation(
         experiment_seed=experiment_seed,
         name="ensemble-defense",
     )
-    owns_backend = not isinstance(backend, ExecutionBackend)
-    engine_backend = resolve_backend(backend, n_jobs=n_jobs)
-    checkpoint = _open_checkpoint(checkpoint_dir, resume)
-    try:
-        execution = execute_plan(
-            plan, engine_backend, checkpoint=checkpoint, retry=retry
-        )
-    finally:
-        if checkpoint is not None:
-            checkpoint.close()
-        if release_models:
-            release_plan_models(plan)
-        if owns_backend:
-            engine_backend.close()
+    with SweepSession(
+        n_jobs, backend, checkpoint_dir, resume, retry, release_models
+    ) as session:
+        execution = session.run(plan)
     payload = execution.outcomes[0].result
     return EnsembleDefenseEvaluation(
         attack_result=payload.attack_result,

@@ -23,7 +23,7 @@ any execution backend with bit-identical results:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,6 +46,7 @@ from repro.experiments.jobs import (
     ModelSpec,
     WorkerContext,
     build_cached,
+    resolved_config,
     seed_from_sequence,
 )
 
@@ -149,17 +150,10 @@ class DefenseAttackJob:
     def __post_init__(self) -> None:
         self.image = np.asarray(self.image, dtype=np.float64)
 
-    def resolved_config(self) -> AttackConfig:
-        if self.nsga_seed is None:
-            return self.config
-        return replace(
-            self.config, nsga=replace(self.config.nsga, seed=int(self.nsga_seed))
-        )
-
     def execute(self, context: WorkerContext) -> JobOutcome:
         start = time.perf_counter()
         detector = build_cached(self.model)
-        config = self.resolved_config()
+        config = resolved_config(self)
         use_store = context.job_store(config)
         before = use_store.snapshot() if use_store is not None else None
 
@@ -230,18 +224,11 @@ class EnsembleDefenseJob:
     def stats_label(self) -> str:
         return "ensemble[" + "+".join(spec.name for spec in self.members) + "]"
 
-    def resolved_config(self) -> AttackConfig:
-        if self.nsga_seed is None:
-            return self.config
-        return replace(
-            self.config, nsga=replace(self.config.nsga, seed=int(self.nsga_seed))
-        )
-
     def execute(self, context: WorkerContext) -> JobOutcome:
         start = time.perf_counter()
         detectors = [build_cached(spec) for spec in self.members]
         ensemble = DetectorEnsemble(detectors)
-        config = self.resolved_config()
+        config = resolved_config(self)
         use_store = context.job_store(config)
         before = use_store.snapshot() if use_store is not None else None
 

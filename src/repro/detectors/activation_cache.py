@@ -38,7 +38,7 @@ raises instead of corrupting every later lookup.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -143,29 +143,22 @@ class CacheStats:
 
     def __add__(self, other: "CacheStats") -> "CacheStats":
         return CacheStats(
-            hits=self.hits + other.hits,
-            misses=self.misses + other.misses,
-            evictions=self.evictions + other.evictions,
-            invalidations=self.invalidations + other.invalidations,
-            delta_hits=self.delta_hits + other.delta_hits,
-            delta_misses=self.delta_misses + other.delta_misses,
-            delta_bytes=self.delta_bytes + other.delta_bytes,
-            frame_hits=self.frame_hits + other.frame_hits,
-            frame_misses=self.frame_misses + other.frame_misses,
+            *(getattr(self, f.name) + getattr(other, f.name) for f in fields(self))
         )
 
     def __sub__(self, other: "CacheStats") -> "CacheStats":
         return CacheStats(
-            hits=self.hits - other.hits,
-            misses=self.misses - other.misses,
-            evictions=self.evictions - other.evictions,
-            invalidations=self.invalidations - other.invalidations,
-            delta_hits=self.delta_hits - other.delta_hits,
-            delta_misses=self.delta_misses - other.delta_misses,
-            delta_bytes=self.delta_bytes - other.delta_bytes,
-            frame_hits=self.frame_hits - other.frame_hits,
-            frame_misses=self.frame_misses - other.frame_misses,
+            *(getattr(self, f.name) - getattr(other, f.name) for f in fields(self))
         )
+
+    @staticmethod
+    def from_dict(data: "dict[str, object]") -> "CacheStats":
+        """Counters from a dict such as :meth:`as_dict` or a journal record.
+
+        A missing counter reads as 0; keys that are not counters (the
+        derived ``hit_rate``, ``entries``, ...) are ignored.
+        """
+        return CacheStats(*(int(data.get(f.name, 0)) for f in fields(CacheStats)))
 
     def as_dict(self) -> dict[str, float]:
         """JSON-friendly counters plus the derived hit rate.

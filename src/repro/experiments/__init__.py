@@ -41,7 +41,6 @@ from repro.experiments.jobs import (
     as_model_spec,
     build_attack_plan,
     derive_job_seeds,
-    execute_attack_job,
     seed_from_sequence,
 )
 from repro.experiments.runner import ArchitectureComparison, run_architecture_comparison
@@ -77,7 +76,6 @@ __all__ = [
     "as_model_spec",
     "build_attack_plan",
     "derive_job_seeds",
-    "execute_attack_job",
     "seed_from_sequence",
     "ExecutionBackend",
     "ExecutionReport",

@@ -31,9 +31,13 @@ Robustness properties:
   outcomes into the report; an existing journal with ``resume=False``
   raises :class:`CheckpointExistsError` instead of silently skipping work.
 * **Version rule** — the header carries :data:`JOURNAL_VERSION`, bumped
-  whenever the shape of a record changes; a journal of any other version
-  raises :class:`CheckpointMismatchError` naming both versions (records
-  are not converted across versions).
+  whenever a record of the old shape would no longer decode as it did; a
+  journal of any other version raises :class:`CheckpointMismatchError`
+  naming both versions (records are not converted across versions).  A
+  record's ``cache_stats`` carries every :class:`CacheStats` counter; the
+  frame counters joined it without a bump, because a version-2 record
+  written without them decodes exactly as before (a missing counter reads
+  as 0).
 * **Corruption is typed** — every outcome record is decoded while the
   journal is read; a record that parses as JSON but does not decode (bad
   base64, a mask shape its bytes do not fill, a missing field) raises
@@ -44,6 +48,7 @@ Robustness properties:
 from __future__ import annotations
 
 import base64
+import dataclasses
 import json
 import os
 import pickle
@@ -90,30 +95,6 @@ class CheckpointCorruptError(CheckpointError):
 
 
 # --- result payload codecs ---------------------------------------------------
-
-
-def _cache_stats_to_jsonable(stats: CacheStats) -> dict[str, int]:
-    return {
-        "hits": stats.hits,
-        "misses": stats.misses,
-        "evictions": stats.evictions,
-        "invalidations": stats.invalidations,
-        "delta_hits": stats.delta_hits,
-        "delta_misses": stats.delta_misses,
-        "delta_bytes": stats.delta_bytes,
-    }
-
-
-def _cache_stats_from_jsonable(data: dict[str, int]) -> CacheStats:
-    return CacheStats(
-        hits=int(data.get("hits", 0)),
-        misses=int(data.get("misses", 0)),
-        evictions=int(data.get("evictions", 0)),
-        invalidations=int(data.get("invalidations", 0)),
-        delta_hits=int(data.get("delta_hits", 0)),
-        delta_misses=int(data.get("delta_misses", 0)),
-        delta_bytes=int(data.get("delta_bytes", 0)),
-    )
 
 
 def _transfer_column_to_jsonable(column: TransferColumn) -> dict[str, Any]:
@@ -241,7 +222,7 @@ def encode_outcome(outcome: JobOutcome) -> dict[str, Any]:
         "cache_stats": (
             None
             if outcome.cache_stats is None
-            else _cache_stats_to_jsonable(outcome.cache_stats)
+            else dataclasses.asdict(outcome.cache_stats)
         ),
         "result": encode_result(outcome.result),
     }
@@ -253,7 +234,7 @@ def decode_outcome(data: dict[str, Any]) -> JobOutcome:
     return JobOutcome(
         job_id=data["job_id"],
         result=decode_result(data["result"]),
-        cache_stats=None if stats is None else _cache_stats_from_jsonable(stats),
+        cache_stats=None if stats is None else CacheStats.from_dict(stats),
         worker_id=str(data.get("worker_id", "journal")),
         duration_seconds=float(data.get("duration_seconds", 0.0)),
         restored=True,

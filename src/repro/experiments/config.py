@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.experiments.engine import BACKEND_NAMES
 from repro.nsga.algorithm import NSGAConfig
 from repro.nsga.mutation import MutationConfig
 
@@ -49,20 +48,10 @@ class ExperimentConfig:
     image_length, image_width:
         Evaluation image resolution (synthetic substitute for KITTI's
         1242x375; the wide aspect ratio is preserved).
-    n_jobs:
-        Worker processes for the models × images sweep (1 = in-process
-        serial execution).  The sweep is bit-identical for every worker
-        count; this only changes wall-clock time.
-    execution_backend:
-        ``"auto"`` (serial for ``n_jobs == 1``, persistent otherwise),
-        ``"serial"`` (always the in-process reference executor, even with
-        ``n_jobs > 1``) or ``"persistent"`` (long-lived runtime of
-        ``n_jobs`` workers, each with its own activation-cache store,
-        pulling jobs from one plan-ordered queue; see
-        :mod:`repro.experiments.persistent`).
-        Explicit ``n_jobs``/``backend`` arguments to
-        :func:`~repro.experiments.runner.run_architecture_comparison`
-        override these.
+
+    The protocol says what is attacked, not how it is executed: a sweep
+    takes its worker count and backend as its own ``n_jobs``/``backend``
+    arguments (see :class:`~repro.experiments.runner.SweepSession`).
     """
 
     models_per_architecture: int = 25
@@ -71,18 +60,8 @@ class ExperimentConfig:
     model_seeds: tuple[int, ...] = tuple(range(1, 26))
     image_length: int = 96
     image_width: int = 320
-    n_jobs: int = 1
-    execution_backend: str = "auto"
 
     def __post_init__(self) -> None:
-        if self.n_jobs < 1:
-            raise ValueError("n_jobs must be at least 1")
-        backends = ("auto",) + BACKEND_NAMES
-        if self.execution_backend not in backends:
-            raise ValueError(
-                f"execution_backend must be one of {backends}, "
-                f"got {self.execution_backend!r}"
-            )
         if self.models_per_architecture < 1:
             raise ValueError("models_per_architecture must be at least 1")
         if self.images_per_model < 1:
@@ -105,22 +84,25 @@ class ExperimentConfig:
     def reduced(
         models_per_architecture: int = 2,
         images_per_model: int = 2,
-        ensemble_size: int = 2,
+        ensemble_size: int | None = None,
         image_length: int = 64,
         image_width: int = 208,
-        n_jobs: int = 1,
-        execution_backend: str = "auto",
     ) -> "ExperimentConfig":
-        """A laptop/CI-scale protocol with the same structure as Table I."""
+        """A laptop/CI-scale protocol with the same structure as Table I.
+
+        ``ensemble_size`` defaults to ``min(2, models_per_architecture)``.
+        """
         return ExperimentConfig(
             models_per_architecture=models_per_architecture,
             images_per_model=images_per_model,
-            ensemble_size=ensemble_size,
+            ensemble_size=(
+                min(2, models_per_architecture)
+                if ensemble_size is None
+                else ensemble_size
+            ),
             model_seeds=tuple(range(1, models_per_architecture + 1)),
             image_length=image_length,
             image_width=image_width,
-            n_jobs=n_jobs,
-            execution_backend=execution_backend,
         )
 
 

@@ -27,8 +27,10 @@ suites in ``tests/experiments/test_engine.py`` (attack jobs),
 
 :func:`execute_plan` is the single entry point: it runs a backend, restores
 plan order, and merges the per-job :class:`CacheStats` deltas into
-per-model, per-worker and sweep-level totals.  Two optional layers make
-long plans restartable:
+per-model, per-worker and sweep-level totals.  The sweeps reach it through
+one :class:`~repro.experiments.runner.SweepSession`, which resolves their
+backend with :func:`resolve_backend`, opens their journal and closes both.
+Two optional layers make long plans restartable:
 
 * ``checkpoint`` — a :class:`~repro.experiments.checkpoint.PlanCheckpoint`
   journal (duck-typed: ``load(plan)`` + ``record(outcome)``).  Completed
@@ -256,18 +258,9 @@ def merge_execution_summaries(parts: "Sequence[dict]") -> dict[str, object]:
     optimisation, then the cross-evaluation matrix); the persisted report
     carries both stage summaries plus combined wall-clock and cache totals.
     """
-    merged_stats = CacheStats()
-    for part in parts:
-        stats = part.get("cache_stats", {})
-        merged_stats = merged_stats + CacheStats(
-            hits=int(stats.get("hits", 0)),
-            misses=int(stats.get("misses", 0)),
-            evictions=int(stats.get("evictions", 0)),
-            invalidations=int(stats.get("invalidations", 0)),
-            delta_hits=int(stats.get("delta_hits", 0)),
-            delta_misses=int(stats.get("delta_misses", 0)),
-            delta_bytes=int(stats.get("delta_bytes", 0)),
-        )
+    merged_stats = CacheStats.merge(
+        [CacheStats.from_dict(part.get("cache_stats", {})) for part in parts]
+    )
     # A multi-stage sweep may legitimately run its stages on different
     # backends; stamping the whole run with the first stage's name would
     # misreport every later stage, so disagreement is reported as "mixed"
@@ -317,9 +310,10 @@ class ExecutionBackend(ABC):
     def close(self) -> None:
         """Release backend-held resources (worker processes and their pipes).
 
-        A no-op for the stateless backends; sweeps that *resolve* a backend
-        from a name own it and close it when done, while a caller-provided
-        instance is left alive for the caller to reuse.
+        A no-op for the stateless backends; a
+        :class:`~repro.experiments.runner.SweepSession` that *resolves* a
+        backend from a name owns it and closes it on exit, while a
+        caller-provided instance is left alive for the caller to reuse.
         """
 
     def pin_models(self, specs: Sequence) -> None:

@@ -36,9 +36,9 @@ into data:
   pooled sweeps are bit-identical for a fixed experiment seed.
   :func:`apply_experiment_seed` assigns them to every job of a plan that
   accepts one.
-* :func:`execute_attack_job` — run one attack job against a (worker-local)
-  activation store and package the result with provenance and the job's
-  cache-stats delta.
+* :func:`resolved_config` — a job's attack config with its derived NSGA-II
+  seed applied; every job type that searches (attack, sequence, defense,
+  ensemble) runs through it.
 """
 
 from __future__ import annotations
@@ -55,11 +55,7 @@ from repro.core.config import AttackConfig
 from repro.core.results import AttackResult
 from repro.core.temporal import SequenceAttack
 from repro.data.sequences import SceneSequence, generate_sequence
-from repro.detectors.activation_cache import (
-    ActivationCacheStore,
-    CacheStats,
-    CleanActivations,
-)
+from repro.detectors.activation_cache import ActivationCacheStore, CacheStats
 from repro.detectors.base import Detector, DetectorConfig
 from repro.detectors.training import TrainingConfig
 from repro.detectors.zoo import ARCHITECTURE_ALIASES, build_detector
@@ -153,10 +149,11 @@ def release_detector(spec) -> bool:
 def release_plan_models(plan: "ExperimentPlan") -> int:
     """Drop a finished plan's detectors from the process-local memo.
 
-    The sweep runner calls this when a sweep completes so a long-lived
-    process (notebook, service) does not accumulate every zoo it ever
-    trained; returns the number of entries released.  Pool workers die
-    with their pool, so only the parent needs this.
+    A :class:`~repro.experiments.runner.SweepSession` calls this on exit
+    for every plan it ran, so a long-lived process (notebook, service) does
+    not accumulate every zoo it ever trained; returns the number of entries
+    released.  Pool workers die with their pool, so only the parent needs
+    this.
     """
     released = 0
     for spec in plan.model_specs():
@@ -239,24 +236,6 @@ class WorkerContext:
     store: ActivationCacheStore | None = None
     worker_id: str = "serial"
 
-    def detector(self, spec) -> Detector:
-        """The process-local detector for ``spec`` (memoised build)."""
-        return build_cached(spec)
-
-    def activations(
-        self, detector: Detector, image: np.ndarray, config: AttackConfig
-    ) -> CleanActivations | None:
-        """Cached clean activations for ``(detector, image)``, if enabled.
-
-        Returns ``None`` when the context has no store, the config disables
-        the activation cache, or the detector does not support incremental
-        inference — callers fall back to the dense path in all three cases
-        (bit-identical by the PR 2 contract, only slower).
-        """
-        if self.store is None or not config.use_activation_cache:
-            return None
-        return self.store.get(detector, image)
-
     def job_store(self, config: AttackConfig) -> ActivationCacheStore | None:
         """The store a job should thread into an attack (or ``None``)."""
         if self.store is not None and config.use_activation_cache:
@@ -294,6 +273,13 @@ def job_stats_label(job) -> str | None:
     return None
 
 
+def resolved_config(job) -> AttackConfig:
+    """``job.config`` with the job's derived ``nsga_seed`` applied (if any)."""
+    if job.nsga_seed is None:
+        return job.config
+    return replace(job.config, nsga=replace(job.config.nsga, seed=int(job.nsga_seed)))
+
+
 @dataclass
 class AttackJob:
     """One unit of sweep work: attack one model on one scene.
@@ -328,14 +314,6 @@ class AttackJob:
     def __post_init__(self) -> None:
         self.image = np.asarray(self.image, dtype=np.float64)
 
-    def resolved_config(self) -> AttackConfig:
-        """The attack config with this job's derived seed applied (if any)."""
-        if self.nsga_seed is None:
-            return self.config
-        return replace(
-            self.config, nsga=replace(self.config.nsga, seed=int(self.nsga_seed))
-        )
-
     def execute(self, context: "WorkerContext") -> "JobOutcome":
         """Run the attack and package result, provenance and cache delta.
 
@@ -345,7 +323,7 @@ class AttackJob:
         """
         start = time.perf_counter()
         detector = build_cached(self.model)
-        config = self.resolved_config()
+        config = resolved_config(self)
         use_store = context.job_store(config)
         before = use_store.snapshot() if use_store is not None else None
 
@@ -427,19 +405,11 @@ class SequenceAttackJob:
     scene_index: int = 0
     nsga_seed: int | None = None
 
-    def resolved_config(self) -> AttackConfig:
-        """The attack config with this job's derived seed applied (if any)."""
-        if self.nsga_seed is None:
-            return self.config
-        return replace(
-            self.config, nsga=replace(self.config.nsga, seed=int(self.nsga_seed))
-        )
-
     def execute(self, context: "WorkerContext") -> "JobOutcome":
         """Run the sequence attack; fold frame-cache counters into the delta."""
         start = time.perf_counter()
         detector = build_cached(self.model)
-        config = self.resolved_config()
+        config = resolved_config(self)
         use_store = context.job_store(config)
         before = use_store.snapshot() if use_store is not None else None
 
@@ -461,22 +431,8 @@ class SequenceAttackJob:
         # The frame cache's counters live outside the store (a store-backed
         # cache reports only its own eviction/frame traffic, so summing the
         # two snapshots never double-counts delta-store activity).
-        frame_counters = (result.incremental or {}).get("frame_cache", {})
-        frame_stats = CacheStats(
-            **{
-                name: int(frame_counters.get(name, 0))
-                for name in (
-                    "hits",
-                    "misses",
-                    "evictions",
-                    "invalidations",
-                    "delta_hits",
-                    "delta_misses",
-                    "delta_bytes",
-                    "frame_hits",
-                    "frame_misses",
-                )
-            }
+        frame_stats = CacheStats.from_dict(
+            (result.incremental or {}).get("frame_cache", {})
         )
         if frame_stats != CacheStats():
             stats = frame_stats if stats is None else stats + frame_stats
@@ -743,10 +699,3 @@ def build_attack_plan(
         name="architecture-comparison",
     )
 
-
-def execute_attack_job(
-    job: AttackJob, store: ActivationCacheStore | None = None
-) -> JobOutcome:
-    """Run one attack job against ``store`` (thin :meth:`AttackJob.execute`
-    wrapper kept for callers that predate the generic job protocol)."""
-    return job.execute(WorkerContext(store=store))

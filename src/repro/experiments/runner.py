@@ -1,17 +1,22 @@
-"""The Figure 2 sweep: attacking seed-varied models of both architectures.
+"""The paper's sweeps: one session lifecycle, and the Figure 2 sweep.
 
 The paper applies NSGA-II to 25 YOLOv5 and 25 DETR models on 16 KITTI images
 each (Table I) with perturbations restricted to the right half, then plots
 the resulting Pareto objectives (Figure 2).  :func:`run_architecture_comparison`
 reproduces that sweep at a configurable scale and returns the per-run
-results plus a :class:`~repro.analysis.reporting.ComparisonReport`.
+results plus a :class:`~repro.analysis.reporting.ComparisonReport`;
+:func:`run_sequence_sweep` runs the streaming-video workload on the same
+grid.
 
-The sweep is expressed as a declarative models × images work plan
-(:mod:`repro.experiments.jobs`) executed by a pluggable backend
-(:mod:`repro.experiments.engine`): the serial backend reproduces the
-historical nested loop bit-exactly, and the persistent backend fans the
-same jobs out over long-lived worker processes — bit-identical results,
-less wall-clock on multi-core machines.
+Every sweep — these two, the transferability experiment
+(:mod:`repro.experiments.transfer`) and both defense evaluations
+(:mod:`repro.defenses.evaluation`) — builds declarative plans
+(:mod:`repro.experiments.jobs`) and runs them in one
+:class:`SweepSession`.  The session picks the backend
+(:mod:`repro.experiments.engine`: the serial reference, or the persistent
+worker pool) from the sweep's ``n_jobs``/``backend`` arguments, journals
+outcomes when asked to, and on exit closes what it opened and releases
+the models.  All backends are bit-identical; only wall-clock changes.
 """
 
 from __future__ import annotations
@@ -36,12 +41,90 @@ from repro.experiments.engine import (
     resolve_backend,
 )
 from repro.experiments.jobs import (
+    ExperimentPlan,
     SequenceSpec,
     build_attack_plan,
     build_sequence_plan,
     release_plan_models,
 )
 from repro.nsga.algorithm import NSGAConfig
+
+
+class SweepSession:
+    """One sweep's backend, journal and models, from start to exit.
+
+    Built from the arguments every sweep takes: ``n_jobs`` and ``backend``
+    pick the backend through :func:`~repro.experiments.engine.resolve_backend`
+    (a name, ``None`` for serial at ``n_jobs == 1`` and the persistent pool
+    otherwise, or a ready :class:`~repro.experiments.engine.ExecutionBackend`
+    instance); ``checkpoint_dir``/``resume`` open one
+    :class:`~repro.experiments.checkpoint.PlanCheckpoint` that journals every
+    plan the session runs (one journal per plan name); ``retry`` is the
+    :class:`~repro.experiments.engine.RetryPolicy` of every plan.
+
+    :meth:`run` executes a plan through this module's :func:`execute_plan`.
+    A multi-stage sweep calls it once per stage, building the next plan from
+    the last one's outcomes, and :meth:`pin` keeps models that bridge its
+    stages warm on a stateful backend.  On exit, also after an error, the
+    session closes the journal, lifts its pins, releases the models of every
+    plan it ran from the process-local memo (unless
+    ``release_models=False``), and closes the backend if it resolved it from
+    a name.  A caller's backend instance stays open for the caller to reuse.
+    """
+
+    def __init__(
+        self,
+        n_jobs: int = 1,
+        backend: "str | ExecutionBackend | None" = None,
+        checkpoint_dir: "str | None" = None,
+        resume: bool = False,
+        retry: RetryPolicy | None = None,
+        release_models: bool = True,
+    ) -> None:
+        self.owns_backend = not isinstance(backend, ExecutionBackend)
+        self.backend = resolve_backend(backend, n_jobs=n_jobs)
+        self.checkpoint = None
+        if checkpoint_dir is not None:
+            # Function-level import: repro.experiments.checkpoint imports the
+            # transfer and defense modules for their payload codecs, and both
+            # import this module for the session.
+            from repro.experiments.checkpoint import PlanCheckpoint
+
+            self.checkpoint = PlanCheckpoint(checkpoint_dir, resume=resume)
+        self.retry = retry
+        self.release_models = release_models
+        self._plans: list[ExperimentPlan] = []
+        self._pinned: list = []
+
+    def __enter__(self) -> "SweepSession":
+        return self
+
+    def pin(self, specs: Sequence) -> None:
+        """Defer the backend's cache invalidation for ``specs`` until exit."""
+        specs = list(specs)
+        self.backend.pin_models(specs)
+        self._pinned.extend(specs)
+
+    def run(self, plan: ExperimentPlan) -> ExecutionReport:
+        """Execute one plan on the session's backend and journal."""
+        self._plans.append(plan)
+        return execute_plan(
+            plan, self.backend, checkpoint=self.checkpoint, retry=self.retry
+        )
+
+    def __exit__(self, *exc_info) -> None:
+        if self.checkpoint is not None:
+            self.checkpoint.close()
+        if self._pinned:
+            self.backend.unpin_models(self._pinned)
+        if self.release_models:
+            # Keep the process-local detector memo bounded to the live sweep:
+            # repeated sweeps in one process would otherwise accumulate every
+            # zoo ever trained.
+            for plan in self._plans:
+                release_plan_models(plan)
+        if self.owns_backend:
+            self.backend.close()
 
 
 @dataclass
@@ -115,7 +198,7 @@ def run_architecture_comparison(
     object_half: str | None = "left",
     dataset_seed: int = 11,
     training: TrainingConfig | None = None,
-    n_jobs: int | None = None,
+    n_jobs: int = 1,
     backend: "str | ExecutionBackend | None" = None,
     experiment_seed: int | None = None,
     checkpoint_dir: "str | None" = None,
@@ -141,17 +224,12 @@ def run_architecture_comparison(
         The spatial protocol: perturbations restricted to one half,
         objects placed in the other so that any observed degradation is a
         butterfly effect.
-    n_jobs:
-        Worker-process count; overrides ``experiment.n_jobs``.  ``1`` runs
-        the in-process serial backend.
-    backend:
-        ``"serial"``, ``"persistent"``, a ready
-        :class:`~repro.experiments.engine.ExecutionBackend` instance, or
-        ``None`` to follow ``experiment.execution_backend`` (whose
-        ``"auto"`` default picks serial for ``n_jobs == 1`` and the
-        persistent worker pool otherwise; an explicit ``"serial"`` there is
-        honoured even with ``n_jobs > 1``).  All backends are bit-identical; only
-        wall-clock changes.
+    n_jobs / backend:
+        Worker count and backend: ``"serial"``, ``"persistent"``, a ready
+        :class:`~repro.experiments.engine.ExecutionBackend` instance (left
+        open for the caller), or ``None`` for serial at ``n_jobs == 1`` and
+        the persistent worker pool otherwise (see :class:`SweepSession`).
+        All backends are bit-identical; only wall-clock changes.
     experiment_seed:
         When set, every job gets its own NSGA-II seed derived via
         ``np.random.SeedSequence(experiment_seed).spawn`` by plan position
@@ -187,15 +265,6 @@ def run_architecture_comparison(
         nsga=nsga, region=HalfImageRegion(perturbation_half)
     )
 
-    n_jobs = n_jobs if n_jobs is not None else experiment.n_jobs
-    if backend is None and experiment.execution_backend != "auto":
-        # An explicit config choice is honoured verbatim — in particular
-        # execution_backend="serial" pins the in-process executor even
-        # with n_jobs > 1 (resolve_backend only auto-selects on None).
-        backend = experiment.execution_backend
-    owns_backend = not isinstance(backend, ExecutionBackend)
-    engine_backend = resolve_backend(backend, n_jobs=n_jobs)
-
     plan = build_attack_plan(
         architectures=architectures,
         seeds=experiment.model_seeds[: experiment.models_per_architecture],
@@ -204,30 +273,8 @@ def run_architecture_comparison(
         training=training,
         experiment_seed=experiment_seed,
     )
-    checkpoint = None
-    if checkpoint_dir is not None:
-        # Function-level import: this module is re-exported by the package
-        # __init__, which runs before repro.experiments.checkpoint (and its
-        # payload-codec imports) can finish initialising.
-        from repro.experiments.checkpoint import PlanCheckpoint
-
-        checkpoint = PlanCheckpoint(checkpoint_dir, resume=resume)
-    try:
-        execution = execute_plan(
-            plan, engine_backend, checkpoint=checkpoint, retry=retry
-        )
-    finally:
-        if checkpoint is not None:
-            checkpoint.close()
-        # Keep the process-local detector memo bounded to the live sweep:
-        # repeated sweeps in one process would otherwise accumulate every
-        # zoo ever trained.
-        release_plan_models(plan)
-        if owns_backend:
-            # Resolved from a name: this sweep owns the backend and its
-            # resources (worker processes and their pipes).  A caller-
-            # provided instance stays alive for the caller to reuse.
-            engine_backend.close()
+    with SweepSession(n_jobs, backend, checkpoint_dir, resume, retry) as session:
+        execution = session.run(plan)
 
     # Plan order is the historical nested-loop order, so assembling the
     # report from plan-ordered outcomes reproduces the original row order
@@ -300,11 +347,12 @@ def run_sequence_sweep(
 ) -> SequenceSweep:
     """Run the streaming-video attack workload on the experiment engine.
 
-    The models × sequences grid rides the same backends, checkpointing and
-    retry machinery as the single-scene sweeps; sequence frame bundles are
-    derived temporally inside each job (see :class:`~repro.core.temporal.
-    SequenceObjectives`) and share the worker's activation store.  Results
-    are bit-identical across backends and worker counts.
+    The models × sequences grid runs in a :class:`SweepSession`, with the
+    same backends, journal and retry as the single-scene sweeps; sequence
+    frame bundles are derived temporally inside each job (see
+    :class:`~repro.core.temporal.SequenceObjectives`) and share the
+    worker's activation store.  Results are bit-identical across backends
+    and worker counts.
     """
     if attack_config is None:
         attack_config = AttackConfig(
@@ -316,8 +364,6 @@ def run_sequence_sweep(
         training = TrainingConfig(
             image_length=first.image_length, image_width=first.image_width
         )
-    owns_backend = not isinstance(backend, ExecutionBackend)
-    engine_backend = resolve_backend(backend, n_jobs=n_jobs)
     plan = build_sequence_plan(
         architectures=architectures,
         seeds=seeds,
@@ -329,22 +375,8 @@ def run_sequence_sweep(
         iou_threshold=iou_threshold,
         frame_cache_size=frame_cache_size,
     )
-    checkpoint = None
-    if checkpoint_dir is not None:
-        from repro.experiments.checkpoint import PlanCheckpoint
-
-        checkpoint = PlanCheckpoint(checkpoint_dir, resume=resume)
-    try:
-        execution = execute_plan(
-            plan, engine_backend, checkpoint=checkpoint, retry=retry
-        )
-    finally:
-        if checkpoint is not None:
-            checkpoint.close()
-        release_plan_models(plan)
-        if owns_backend:
-            engine_backend.close()
-
+    with SweepSession(n_jobs, backend, checkpoint_dir, resume, retry) as session:
+        execution = session.run(plan)
     return SequenceSweep(
         results=[outcome.result for outcome in execution.outcomes],
         execution=execution,

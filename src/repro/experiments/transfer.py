@@ -8,7 +8,9 @@ question is: does a mask optimised against seed ``i`` also degrade seed
 
 The experiment is expressed as two declarative stages over the generic
 plan/engine substrate (:mod:`repro.experiments.jobs` /
-:mod:`repro.experiments.engine`):
+:mod:`repro.experiments.engine`), run one after the other in one
+:class:`~repro.experiments.runner.SweepSession` (the second stage is built
+from the first stage's outcomes):
 
 1. **Mask optimisation** — one :class:`~repro.experiments.jobs.AttackJob`
    per model (the plain models × images job with a single shared scene).
@@ -40,9 +42,7 @@ from repro.detectors.base import Detector
 from repro.experiments.engine import (
     ExecutionBackend,
     RetryPolicy,
-    execute_plan,
     merge_execution_summaries,
-    resolve_backend,
 )
 from repro.experiments.jobs import (
     AttackJob,
@@ -52,8 +52,8 @@ from repro.experiments.jobs import (
     apply_experiment_seed,
     as_model_spec,
     build_cached,
-    release_plan_models,
 )
+from repro.experiments.runner import SweepSession
 from repro.nn.incremental import BBox, bbox_area_fraction, bbox_is_empty
 
 
@@ -295,9 +295,10 @@ def run_transferability_experiment(
     ``models`` is a sequence of live detectors (the historical interface)
     or picklable model specs (anything with ``build()``/``name``, e.g.
     :class:`~repro.experiments.jobs.ModelSpec`); both run on the generic
-    experiment engine.  ``n_jobs``/``backend`` select the execution backend
-    exactly as in :func:`~repro.experiments.runner.run_architecture_comparison`;
-    results are bit-identical for every backend and worker count.
+    experiment engine, both stages in one
+    :class:`~repro.experiments.runner.SweepSession`.  ``n_jobs``/``backend``
+    select the execution backend as in every sweep; results are
+    bit-identical for every backend and worker count.
     ``experiment_seed`` derives one NSGA-II seed per optimisation job by
     plan position (spawn-safe, scheduling-independent); ``None`` keeps the
     shared configured seed.  ``release_models=False`` keeps the built
@@ -313,28 +314,19 @@ def run_transferability_experiment(
     attack_config = attack_config if attack_config is not None else AttackConfig.fast()
     image = np.asarray(image, dtype=np.float64)
     specs = [as_model_spec(model) for model in models]
-    owns_backend = not isinstance(backend, ExecutionBackend)
-    engine_backend = resolve_backend(backend, n_jobs=n_jobs)
-    checkpoint = None
-    if checkpoint_dir is not None:
-        # Function-level import: repro.experiments.checkpoint imports this
-        # module for the TransferColumn codec.
-        from repro.experiments.checkpoint import PlanCheckpoint
-
-        checkpoint = PlanCheckpoint(checkpoint_dir, resume=resume)
-
     optimise_plan = build_transfer_attack_plan(
         specs, image, attack_config, experiment_seed=experiment_seed
     )
-    # Every model bridges both stages (its bundle built by the optimise
-    # stage is exactly what the eval stage's clean prediction hits), so pin
-    # them: a stateful backend defers its end-of-model invalidation until
-    # after the matrix stage instead of discarding the state in between.
-    engine_backend.pin_models(specs)
-    try:
-        optimise = execute_plan(
-            optimise_plan, engine_backend, checkpoint=checkpoint, retry=retry
-        )
+    with SweepSession(
+        n_jobs, backend, checkpoint_dir, resume, retry, release_models
+    ) as session:
+        # Every model bridges both stages (its bundle built by the optimise
+        # stage is exactly what the eval stage's clean prediction hits), so
+        # pin them: a stateful backend defers its end-of-model invalidation
+        # until after the matrix stage instead of discarding the state in
+        # between.
+        session.pin(specs)
+        optimise = session.run(optimise_plan)
 
         best_masks: list[np.ndarray] = []
         dirty_bounds: list[BBox] = []
@@ -348,22 +340,9 @@ def run_transferability_experiment(
         eval_plan = build_transfer_eval_plan(
             specs, image, best_masks, dirty_bounds, attack_config
         )
-        # The same checkpoint instance serves stage 2: load() rebinds it to
-        # the eval plan's own journal file.
-        evaluate = execute_plan(
-            eval_plan, engine_backend, checkpoint=checkpoint, retry=retry
-        )
-    finally:
-        if checkpoint is not None:
-            checkpoint.close()
-        engine_backend.unpin_models(specs)
-        if release_models:
-            release_plan_models(optimise_plan)
-        if owns_backend:
-            # Resolved from a name: this sweep owns the backend (and any
-            # worker processes it spawned).  A caller-
-            # provided instance stays alive for the caller to reuse.
-            engine_backend.close()
+        # The session's journal serves stage 2 too: load() rebinds it to the
+        # eval plan's own journal file.
+        evaluate = session.run(eval_plan)
 
     matrix = np.ones((len(specs), len(specs)))
     for outcome in evaluate.outcomes:

@@ -145,6 +145,8 @@ class TestCommands:
         assert "backend=persistent" in output
         assert "jobs=2" in output
         assert "Activation cache (sweep total)" in output
+        assert "Delta reuse (sweep total)" in output
+        assert "Workers: 2" in output
 
     def test_compare_command_persistent_smoke(self, capsys):
         """Tiny sweep on the persistent runtime."""
@@ -157,6 +159,19 @@ class TestCommands:
         assert "best obj_degrad" in output
         assert "backend=persistent" in output
         assert "jobs=2" in output
+
+    def test_sequence_resume_keeps_frame_cache_line(self, capsys, tmp_path):
+        """A sequence sweep resumed from its journal still reports its
+        frame-cache traffic."""
+        command = ["sequence", "--frames", "3", "--iterations", "1"]
+        command += ["--population", "4", "--checkpoint-dir", str(tmp_path)]
+        assert main(command) == 0
+        fresh = capsys.readouterr().out
+        assert main(command + ["--resume"]) == 0
+        resumed = capsys.readouterr().out
+        assert "1 jobs restored from journal" in resumed
+        frame_line = [line for line in fresh.splitlines() if "Frame cache" in line]
+        assert frame_line and frame_line[0] in resumed.splitlines()
 
     def test_transfer_command_saves_roundtrippable_report(self, capsys, tmp_path):
         """`repro transfer` persists a report that round-trips through io."""

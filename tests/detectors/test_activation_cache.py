@@ -5,6 +5,8 @@ scene can never hit a stale entry — the cache-invalidation guarantee the
 experiment runner's per-scene lifecycle relies on.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -239,6 +241,27 @@ class TestCacheStats:
         assert (first + second).invalidations == 5
         assert (first - second).invalidations == -1
         assert CacheStats.merge([first, second]).invalidations == 5
+
+    def test_arithmetic_covers_every_counter(self):
+        names = [f.name for f in dataclasses.fields(CacheStats)]
+        first = CacheStats(*range(1, len(names) + 1))
+        second = CacheStats(*(10 * value for value in range(1, len(names) + 1)))
+        for name in names:
+            assert getattr(first + second, name) == 11 * getattr(first, name)
+            assert getattr(second - first, name) == 9 * getattr(first, name)
+
+    def test_from_dict_reads_counters_and_ignores_derived_keys(self):
+        stats = CacheStats(
+            hits=1, misses=3, delta_hits=4, delta_misses=1, delta_bytes=64,
+            frame_hits=2, frame_misses=5,
+        )
+        assert CacheStats.from_dict(stats.as_dict()) == stats
+        assert CacheStats.from_dict(dataclasses.asdict(stats)) == stats
+        # A missing counter reads as 0; rates and store sizes are not counters.
+        assert CacheStats.from_dict(
+            {"hits": 2, "hit_rate": 0.5, "entries": 7}
+        ) == CacheStats(hits=2)
+        assert CacheStats.from_dict({}) == CacheStats()
 
 
 class TestStatsLifecycle:

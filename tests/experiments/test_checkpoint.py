@@ -210,6 +210,23 @@ class TestOutcomeCodecs:
         decoded = decode_outcome(encode_outcome(JobOutcome(job_id=0, result=1)))
         assert decoded.cache_stats is None
 
+    def test_every_cache_counter_round_trips(self):
+        """Frame counters are journaled with the rest; a record written
+        without them (the same format version) still decodes, as zeros."""
+        stats = CacheStats(
+            hits=1, misses=2, evictions=3, invalidations=4, delta_hits=5,
+            delta_misses=6, delta_bytes=7, frame_hits=8, frame_misses=9,
+        )
+        outcome = JobOutcome(job_id=0, result=1, cache_stats=stats)
+        assert self._round_trip(outcome).cache_stats == stats
+        record = encode_outcome(outcome)
+        for name in ("frame_hits", "frame_misses"):
+            del record["cache_stats"][name]
+        assert decode_outcome(record).cache_stats == CacheStats(
+            hits=1, misses=2, evictions=3, invalidations=4, delta_hits=5,
+            delta_misses=6, delta_bytes=7,
+        )
+
 
 # --- journal robustness ------------------------------------------------------
 

@@ -8,7 +8,6 @@ from repro.experiments.config import (
     experiment_table_rows,
     nsga_table_rows,
 )
-from repro.experiments.engine import BACKEND_NAMES
 
 
 class TestExperimentConfig:
@@ -37,31 +36,15 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(ensemble_size=30)
 
-    def test_execution_fields(self):
-        config = ExperimentConfig()
-        assert config.n_jobs == 1
-        assert config.execution_backend == "auto"
-        for backend in ("serial", "persistent"):
-            reduced = ExperimentConfig.reduced(n_jobs=4, execution_backend=backend)
-            assert reduced.n_jobs == 4
-            assert reduced.execution_backend == backend
-        with pytest.raises(ValueError):
-            ExperimentConfig(n_jobs=0)
-        with pytest.raises(ValueError):
-            ExperimentConfig(execution_backend="threads")
-
-    @pytest.mark.parametrize("backend", ("auto",) + BACKEND_NAMES)
-    def test_accepts_every_engine_backend(self, backend):
-        assert ExperimentConfig(execution_backend=backend).execution_backend == backend
-
-    @pytest.mark.parametrize("backend", ["threads", "Persistent", ""])
-    def test_unknown_backend_error_names_every_choice(self, backend):
-        with pytest.raises(ValueError) as excinfo:
-            ExperimentConfig(execution_backend=backend)
-        message = str(excinfo.value)
-        assert repr(backend) in message
-        for name in ("auto",) + BACKEND_NAMES:
-            assert repr(name) in message
+    def test_reduced_single_model_protocol(self):
+        """One model per architecture needs no explicit ensemble size: the
+        reduced default follows the model count."""
+        config = ExperimentConfig.reduced(models_per_architecture=1)
+        assert config.models_per_architecture == 1
+        assert config.ensemble_size == 1
+        assert ExperimentConfig.reduced().ensemble_size == 2
+        assert ExperimentConfig.reduced(models_per_architecture=3).ensemble_size == 2
+        assert ExperimentConfig.reduced(3, ensemble_size=3).ensemble_size == 3
 
 
 class TestTableRows:

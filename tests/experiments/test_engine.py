@@ -268,6 +268,16 @@ class TestMergeExecutionSummaries:
         assert merged["cache_stats"]["hits"] == 3
         assert merged["cache_stats"]["invalidations"] == 4
 
+    def test_cache_totals_keep_frame_and_delta_counters(self):
+        """Every counter of the stage summaries reaches the merged totals,
+        the sequence workload's frame counters included."""
+        parts = [self._part("serial"), self._part("serial")]
+        parts[0]["cache_stats"].update(frame_hits=1, frame_misses=2, delta_hits=3)
+        parts[1]["cache_stats"].update(frame_hits=4, frame_misses=1, delta_bytes=8)
+        stats = merge_execution_summaries(parts)["cache_stats"]
+        assert (stats["frame_hits"], stats["frame_misses"]) == (5, 3)
+        assert (stats["delta_hits"], stats["delta_bytes"]) == (3, 8)
+
     def test_empty_parts_default_to_serial(self):
         assert merge_execution_summaries([])["backend"] == "serial"
 
@@ -297,9 +307,6 @@ class TestResolveBackend:
         with pytest.raises(ValueError) as excinfo:
             resolve_backend("process", n_jobs=2)
         assert str(BACKEND_NAMES) in str(excinfo.value)
-        with pytest.raises(ValueError) as excinfo:
-            ExperimentConfig(execution_backend="process")
-        assert str(("auto",) + BACKEND_NAMES) in str(excinfo.value)
         with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args(["compare", "--jobs", "2", "--backend", "process"])
         assert excinfo.value.code == 2
@@ -334,16 +341,13 @@ class TestRunnerIntegration:
         assert pooled.execution.backend == "persistent"
         assert serial.report.summary_rows() == pooled.report.summary_rows()
 
-    def test_explicit_serial_config_wins_over_n_jobs(self, training):
-        """execution_backend='serial' is honoured even with n_jobs > 1."""
+    def test_explicit_serial_backend_wins_over_n_jobs(self, training):
+        """backend='serial' is honoured even with n_jobs > 1."""
         experiment = ExperimentConfig.reduced(
             models_per_architecture=1,
             images_per_model=1,
-            ensemble_size=1,
             image_length=LENGTH,
             image_width=WIDTH,
-            n_jobs=2,
-            execution_backend="serial",
         )
         comparison = run_architecture_comparison(
             experiment=experiment,
@@ -351,6 +355,8 @@ class TestRunnerIntegration:
             architectures=("yolo",),
             training=training,
             dataset_seed=5,
+            n_jobs=2,
+            backend="serial",
         )
         assert comparison.execution.backend == "serial"
 

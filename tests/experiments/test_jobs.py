@@ -13,6 +13,7 @@ from repro.experiments.jobs import (
     build_cached,
     clear_detector_memo,
     derive_job_seeds,
+    resolved_config,
 )
 from repro.nsga.algorithm import NSGAConfig
 
@@ -117,7 +118,7 @@ class TestBuildAttackPlan:
             attack_config=_tiny_config(),
         )
         assert all(job.nsga_seed is None for job in plan.jobs)
-        assert all(job.resolved_config() is job.config for job in plan.jobs)
+        assert all(resolved_config(job) is job.config for job in plan.jobs)
 
     def test_experiment_seed_assigns_per_job_seeds(self):
         plan = build_attack_plan(
@@ -131,7 +132,7 @@ class TestBuildAttackPlan:
         assert seeds == derive_job_seeds(99, 4)
         assert len(set(seeds)) == 4
         for job in plan.jobs:
-            assert job.resolved_config().nsga.seed == job.nsga_seed
+            assert resolved_config(job).nsga.seed == job.nsga_seed
 
     def test_model_bookkeeping(self):
         plan = build_attack_plan(
@@ -169,7 +170,7 @@ class TestAttackJob:
             job_id=0, model=ModelSpec("yolo", 1),
             image=np.zeros((8, 8, 3)), config=config, nsga_seed=12345,
         )
-        resolved = job.resolved_config()
+        resolved = resolved_config(job)
         assert resolved.nsga.seed == 12345
         assert resolved.nsga.num_iterations == config.nsga.num_iterations
         assert resolved.region == config.region

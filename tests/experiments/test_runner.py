@@ -77,17 +77,14 @@ class TestRunArchitectureComparison:
         assert comparison.experiment.models_per_architecture == 1
 
 
-def test_persistent_backend_from_experiment_config():
-    """``execution_backend="persistent"`` runs the sweep on the persistent
-    runtime, which the runner builds and closes."""
+def test_persistent_backend_from_sweep_arguments():
+    """``backend="persistent"`` runs the sweep on the persistent runtime,
+    which the sweep builds and closes."""
     experiment = ExperimentConfig.reduced(
         models_per_architecture=1,
         images_per_model=2,
-        ensemble_size=1,
         image_length=SMALL_LENGTH,
         image_width=SMALL_WIDTH,
-        n_jobs=2,
-        execution_backend="persistent",
     )
     training = TrainingConfig(
         scenes_per_class=2,
@@ -101,38 +98,37 @@ def test_persistent_backend_from_experiment_config():
         architectures=("yolo",),
         training=training,
         dataset_seed=5,
+        n_jobs=2,
+        backend="persistent",
     )
     assert comparison.provenance()["backend"] == "persistent"
     assert len(comparison.results["single_stage"]) == 2
 
 
-def test_auto_backend_pools_on_persistent_and_matches_serial():
-    """The default ``execution_backend="auto"`` runs a one-job sweep serially
-    and an ``n_jobs=2`` sweep on the persistent runtime, with identical
-    results."""
+def test_default_backend_pools_on_persistent_and_matches_serial():
+    """Without ``backend``, a one-worker sweep runs serially and an
+    ``n_jobs=2`` sweep on the persistent runtime, with identical results."""
     training = TrainingConfig(
         scenes_per_class=2,
         image_length=SMALL_LENGTH,
         image_width=SMALL_WIDTH,
         background_clusters=12,
     )
+    experiment = ExperimentConfig.reduced(
+        models_per_architecture=1,
+        images_per_model=2,
+        image_length=SMALL_LENGTH,
+        image_width=SMALL_WIDTH,
+    )
     comparisons = {}
     for n_jobs in (1, 2):
-        experiment = ExperimentConfig.reduced(
-            models_per_architecture=1,
-            images_per_model=2,
-            ensemble_size=1,
-            image_length=SMALL_LENGTH,
-            image_width=SMALL_WIDTH,
-            n_jobs=n_jobs,
-        )
-        assert experiment.execution_backend == "auto"
         comparisons[n_jobs] = run_architecture_comparison(
             experiment=experiment,
             nsga=NSGAConfig(num_iterations=1, population_size=4, seed=0),
             architectures=("yolo",),
             training=training,
             dataset_seed=5,
+            n_jobs=n_jobs,
         )
     assert comparisons[1].provenance()["backend"] == "serial"
     assert comparisons[2].provenance()["backend"] == "persistent"

@@ -163,3 +163,26 @@ class TestRunSequenceSweep:
         provenance = sweep.provenance()
         assert provenance["backend"] == "serial"
         assert provenance["cache_stats"]["frame_hits"] > 0
+
+    def test_resumed_sweep_keeps_frame_counters(self, sequences, training, tmp_path):
+        """A sweep resumed from its journal reports the frame counters of
+        the run that journaled it, not zeros."""
+        config = AttackConfig(
+            nsga=NSGAConfig(num_iterations=1, population_size=4, seed=0),
+            region=HalfImageRegion("right"),
+        )
+        kwargs = dict(
+            architectures=("yolo",),
+            seeds=SEEDS,
+            sequences=sequences,
+            attack_config=config,
+            training=training,
+            checkpoint_dir=str(tmp_path),
+        )
+        fresh = run_sequence_sweep(**kwargs).provenance()
+        resumed = run_sequence_sweep(**kwargs, resume=True).provenance()
+        assert resumed["journal_hits"] == 1
+        # One derivation or dense rebuild per frame of the 3-frame sequence.
+        frames = fresh["cache_stats"]["frame_hits"] + fresh["cache_stats"]["frame_misses"]
+        assert frames == 3
+        assert resumed["cache_stats"] == fresh["cache_stats"]

@@ -19,7 +19,7 @@ from repro.core.regions import HalfImageRegion
 from repro.core.results import AttackResult, ParetoSolution
 from repro.detection.boxes import BoundingBox
 from repro.detection.prediction import Prediction
-from repro.experiments.jobs import AttackJob, ModelSpec
+from repro.experiments.jobs import AttackJob, ModelSpec, resolved_config
 from repro.nsga.algorithm import NSGAConfig, NSGAResult
 from repro.nsga.individual import Individual
 
@@ -172,7 +172,7 @@ class TestAttackJobPickle:
         assert clone.config.nsga == config.nsga
         assert clone.config.region == config.region
         assert clone.config.sparse_init_fraction == 0.25
-        assert clone.resolved_config().nsga.seed == 987654321
+        assert resolved_config(clone).nsga.seed == 987654321
 
 
 def _echo(payload_bytes):
@@ -380,7 +380,7 @@ class TestSweepJobMultiprocessingBoundary:
         assert clone.model.defense_seed == 99
         assert clone.role == "defended"
         assert clone.ground_truth.boxes == original.ground_truth.boxes
-        assert clone.resolved_config().nsga.seed == 123456
+        assert resolved_config(clone).nsga.seed == 123456
 
     def test_ensemble_defense_job_fields_survive(self):
         original = _ensemble_defense_job()
